@@ -27,7 +27,7 @@ print("-" * 60)
 for k in range(7):
     rec = gkbj_auto(k, ctx)
     print(f"L_{k} = {mpmath.nstr(rec.value, 30, strip_zeros=False)}"
-          f"   (err <= {mpmath.nstr(rec.err, 2)}, w = {rec.w_used})")
+          f"   (err <= {mpmath.nstr(rec.err, 2)}, w = {rec.params['w_used']})")
 
 print()
 print("Sanity anchors")

@@ -14,7 +14,6 @@ Quick start::
 
 from .asymptotic import (
     DEFAULT_TAIL_TERMS,
-    LambdaValue,
     TermPoly,
     build_lambda_terms,
     eval_lambda,
@@ -23,13 +22,14 @@ from .asymptotic import (
     log_coefficient_poly,
     shift_threshold,
 )
-from .constants import ConstantRecord, gkbj_auto, gkbj_constant, kinkelin_logvarpi, varpi
+from .constants import gkbj_auto, gkbj_constant, kinkelin_logvarpi, limit_constant, varpi
 from .errors import ArgumentTooSmall, HzetaError, NonConvergent, ParameterSearchFailed
-from .gengamma import GenGammaValue, exact_log_gengamma, log_gengamma, shift_log_gengamma
-from .hurwitz import DerivResult, hurwitz_deriv, hurwitz_deriv_integer, zeta_deriv_neg
+from .gengamma import exact_log_gengamma, log_gengamma, shift_log_gengamma
+from .hurwitz import hurwitz_deriv, hurwitz_deriv_integer, zeta_deriv_neg
 from .mpcore import (
     DEFAULT_CONTEXT,
     PrecisionContext,
+    Result,
     bernoulli,
     bernoulli_poly,
     clear_caches,
@@ -56,16 +56,13 @@ __version__ = "0.1.0"
 __all__ = [
     "ArgumentTooSmall",
     "CheckReport",
-    "ConstantRecord",
     "DEFAULT_CONTEXT",
     "DEFAULT_TAIL_TERMS",
-    "DerivResult",
-    "GenGammaValue",
     "HzetaError",
-    "LambdaValue",
     "NonConvergent",
     "ParameterSearchFailed",
     "PrecisionContext",
+    "Result",
     "TermPoly",
     "alexeiewsky_check",
     "alt_recursion_check",
@@ -87,6 +84,7 @@ __all__ = [
     "integrate_lambda_terms",
     "jeffery_difference_check",
     "kinkelin_logvarpi",
+    "limit_constant",
     "log_coefficient_check",
     "log_coefficient_poly",
     "log_gengamma",

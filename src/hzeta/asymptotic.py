@@ -9,9 +9,7 @@ termwise (the ingredient of the order-raising recursion).
 
 A :class:`TermPoly` is stored *as a polynomial in x* for the remainder
 at argument ``x + 1``: evaluating the term list at ``x`` gives the
-remainder of ``log Gamma_k`` at ``x + 1``.  Orders k >= 0 are the
-generalized-gamma series proper; k = -1 and k = -2 are the classical
-digamma/trigamma-type companions kept for validation.
+remainder of ``log Gamma_k`` at ``x + 1``, for orders k >= 0.
 
 Construction rules for the generic order-k series (k >= 1):
 
@@ -41,6 +39,7 @@ from .mpcore import (
     DEFAULT_CONTEXT,
     PrecisionContext,
     Real,
+    Result,
     bernoulli,
     harmonic,
     register_cache_clearer,
@@ -49,7 +48,6 @@ from .mpcore import (
 
 __all__ = [
     "TermPoly",
-    "LambdaValue",
     "build_lambda_terms",
     "eval_lambda",
     "eval_term_poly",
@@ -74,17 +72,6 @@ class TermPoly:
     k: int
     main_terms: tuple[tuple[Fraction, int, bool], ...]
     tail_terms: tuple[tuple[Fraction, int], ...]
-
-
-@dataclass(frozen=True)
-class LambdaValue:
-    """A truncated-series evaluation together with its error estimate."""
-
-    value: mpmath.mpf
-    err: mpmath.mpf
-    k: int
-    x: Real
-    tail_terms_used: int
 
 
 def _merge_main(terms) -> tuple[tuple[Fraction, int, bool], ...]:
@@ -141,30 +128,6 @@ def _tail_generic(k: int, count: int) -> list:
     return out
 
 
-def _tail_digamma(count: int) -> list:
-    # coefficient of x^(-j) is -B_j / j (B_1 = -1/2 gives the +1/(2x) lead)
-    out = []
-    j = 1
-    while len(out) < count:
-        b = bernoulli(j)
-        if b:
-            out.append((-b / j, j))
-        j += 1
-    return out
-
-
-def _tail_trigamma(count: int) -> list:
-    # coefficient of x^(-m) is -B_{m-1}
-    out = []
-    m = 1
-    while len(out) < count:
-        b = bernoulli(m - 1)
-        if b:
-            out.append((-b, m))
-        m += 1
-    return out
-
-
 _TERMS_CACHE: dict[tuple[int, int], TermPoly] = {}
 _TERMS_LOCK = threading.Lock()
 
@@ -179,8 +142,8 @@ def build_lambda_terms(k: int, tail_terms: int) -> TermPoly:
 
     ``tail_terms`` counts the nonzero inverse-power entries retained.
     """
-    if k < -2:
-        raise ValueError("expansion order must be >= -2")
+    if k < 0:
+        raise ValueError("expansion order must be non-negative")
     if tail_terms < 1:
         raise ValueError("tail_terms must be >= 1")
     key = (k, tail_terms)
@@ -189,16 +152,9 @@ def build_lambda_terms(k: int, tail_terms: int) -> TermPoly:
         return poly
     if k >= 1:
         main = _main_terms_generic(k)
-        tail = _tail_generic(k, tail_terms)
-    elif k == 0:
-        main = [(Fraction(1), 1, True), (Fraction(1, 2), 0, True), (Fraction(-1), 1, False)]
-        tail = _tail_generic(0, tail_terms)
-    elif k == -1:
-        main = [(Fraction(1), 0, True)]
-        tail = _tail_digamma(tail_terms)
     else:
-        main = []
-        tail = _tail_trigamma(tail_terms)
+        main = [(Fraction(1), 1, True), (Fraction(1, 2), 0, True), (Fraction(-1), 1, False)]
+    tail = _tail_generic(k, tail_terms)
     poly = TermPoly(k=k, main_terms=_merge_main(main), tail_terms=_merge_tail(tail))
     with _TERMS_LOCK:
         _TERMS_CACHE[key] = poly
@@ -258,8 +214,10 @@ def eval_lambda(
     x: Real,
     tail_terms: int = DEFAULT_TAIL_TERMS,
     ctx: PrecisionContext = DEFAULT_CONTEXT,
-) -> LambdaValue:
+) -> Result:
     """Truncated order-k remainder at argument ``x + 1`` (pass x >= 1).
+
+    ``params["tail_terms"]`` counts the tail terms summed.
 
     Raises :class:`ArgumentTooSmall` when the truncation estimate
     exceeds one part in 10^3 of the value, signalling that the caller
@@ -275,7 +233,7 @@ def eval_lambda(
         raise ArgumentTooSmall(
             f"truncation error {mpmath.nstr(err, 3)} too large for order {k} at x={x}"
         )
-    return LambdaValue(value=value, err=err, k=k, x=x, tail_terms_used=used)
+    return Result("lambda", k, x, value, err, "truncated-series", {"tail_terms": used})
 
 
 def integrate_lambda_terms(poly: TermPoly) -> TermPoly:

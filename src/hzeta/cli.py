@@ -12,13 +12,13 @@ table     L_k and zeta'(-k) for k = 0..K
 selftest  run the identity suite
 
 Common flags: --digits D (default 20, or the HZETA_DIGITS environment
-variable), --json for one JSON object per line, --terms/--w-trial to
-override the automatic series parameters.  dz and const honour
---w-trial, the trial argument for L_k, and --terms, its tail length
-(default 20), which takes effect only with --w-trial; hz and gamma
-honour --terms, the tail length of the shifted series they use at
-non-integer arguments; the other subcommands ignore both.  Exit codes:
-0 success, 1 computation error, 2 usage error.
+variable), --json for one JSON object per line: a Result's fields, with
+``params`` the digits plus the series parameters the route used.
+Override flags are accepted only where they take effect: dz and const
+take --w-trial, the trial argument for L_k, and --terms, its tail
+length (default 20), which needs --w-trial; hz and gamma take --terms,
+the tail length of the shifted series at non-integer arguments.  Exit
+codes: 0 success, 1 computation error, 2 usage error.
 """
 
 from __future__ import annotations
@@ -28,15 +28,15 @@ import json
 import os
 import sys
 from fractions import Fraction
-from typing import TextIO
+from typing import Iterator, TextIO
 
 import mpmath
 
-from .constants import kinkelin_logvarpi, varpi
+from .constants import kinkelin_logvarpi, limit_constant, varpi
 from .errors import HzetaError
 from .gengamma import log_gengamma
 from .hurwitz import hurwitz_deriv, hurwitz_deriv_integer, zeta_deriv_neg
-from .mpcore import PrecisionContext
+from .mpcore import PrecisionContext, Result
 from .validate import selftest
 
 __all__ = ["run", "main"]
@@ -70,43 +70,70 @@ def _nonneg_int(text: str) -> int:
     return value
 
 
+def _hz(args, ctx: PrecisionContext) -> list[Result]:
+    if args.w.denominator == 1:
+        return [hurwitz_deriv_integer(args.k, int(args.w), ctx)]
+    return [hurwitz_deriv(args.k, args.w, ctx, tail_terms=args.terms)]
+
+
+def _table(args, ctx: PrecisionContext) -> Iterator[Result]:
+    # one constant at a time, so the rows before a failing order still print
+    for k in range(args.kmax + 1):
+        yield limit_constant(k, ctx)
+        yield zeta_deriv_neg(k, ctx)
+
+
+_K = ("-k", {"type": _nonneg_int, "required": True})
+_TRIAL = ("--terms", "--w-trial")
+
+_OVERRIDES = {
+    "--terms": {"type": _positive_int, "help": "override the number of tail terms"},
+    "--w-trial": {"type": _positive_int, "dest": "w_trial",
+                  "help": "override the trial argument for L_k"},
+}
+
+# subcommand -> (help, arguments, override flags it accepts,
+#                library call returning the results to print)
+_COMMANDS = {
+    "dz": ("zeta'(-k)", [_K], _TRIAL,
+           lambda a, ctx: [zeta_deriv_neg(a.k, ctx, a.w_trial, a.terms)]),
+    "hz": ("zeta'(-k, w)",
+           [_K, ("-w", {"type": _parse_rational, "required": True,
+                        "help": 'offset, decimal or rational "p/q"'})],
+           ("--terms",), _hz),
+    "const": ("limiting constant L_k", [_K], _TRIAL,
+              lambda a, ctx: [limit_constant(a.k, ctx, a.w_trial, a.terms)]),
+    "varpi": ("Jeffery summation constant",
+              [("-k", {"type": _positive_int, "required": True})], (),
+              lambda a, ctx: [varpi(a.k, ctx)]),
+    "kinkelin": ("Kinkelin's log varpi", [], (),
+                 lambda a, ctx: [kinkelin_logvarpi(ctx)]),
+    "gamma": ("log Gamma_k(x)",
+              [_K, ("-x", {"type": _parse_rational, "required": True,
+                           "help": 'argument, decimal or rational "p/q"'})],
+              ("--terms",),
+              lambda a, ctx: [log_gengamma(a.k, a.x, ctx, tail_terms=a.terms)]),
+    "table": ("L_k and zeta'(-k) for k = 0..K",
+              [("--kmax", {"type": _nonneg_int, "required": True}),
+               ("-o", {"dest": "outfile", "default": None, "help": "write the table here"})],
+              (), _table),
+}
+
+
 def _build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--digits", type=_positive_int, default=None,
                         help="significant digits to report (default 20 or $HZETA_DIGITS)")
     common.add_argument("--json", action="store_true", help="emit JSON lines")
-    common.add_argument("--terms", type=_positive_int, default=None,
-                        help="override the number of tail terms")
-    common.add_argument("--w-trial", type=_positive_int, default=None, dest="w_trial",
-                        help="override the trial argument for the constants")
 
     parser = _Parser(prog="hzeta", description="Hurwitz zeta derivatives and friends")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("dz", parents=[common], help="zeta'(-k)")
-    p.add_argument("-k", type=_nonneg_int, required=True)
-
-    p = sub.add_parser("hz", parents=[common], help="zeta'(-k, w)")
-    p.add_argument("-k", type=_nonneg_int, required=True)
-    p.add_argument("-w", type=_parse_rational, required=True,
-                   help='offset, decimal or rational "p/q"')
-
-    p = sub.add_parser("const", parents=[common], help="limiting constant L_k")
-    p.add_argument("-k", type=_nonneg_int, required=True)
-
-    p = sub.add_parser("varpi", parents=[common], help="Jeffery summation constant")
-    p.add_argument("-k", type=_positive_int, required=True)
-
-    sub.add_parser("kinkelin", parents=[common], help="Kinkelin's log varpi")
-
-    p = sub.add_parser("gamma", parents=[common], help="log Gamma_k(x)")
-    p.add_argument("-k", type=_nonneg_int, required=True)
-    p.add_argument("-x", type=_parse_rational, required=True,
-                   help='argument, decimal or rational "p/q"')
-
-    p = sub.add_parser("table", parents=[common], help="L_k and zeta'(-k) for k = 0..K")
-    p.add_argument("--kmax", type=_nonneg_int, required=True)
-    p.add_argument("-o", dest="outfile", default=None, help="write the table here")
+    for name, (help_text, arguments, overrides, _) in _COMMANDS.items():
+        p = sub.add_parser(name, parents=[common], help=help_text)
+        for flag, settings in arguments:
+            p.add_argument(flag, **settings)
+        for flag in overrides:
+            p.add_argument(flag, default=None, **_OVERRIDES[flag])
 
     p = sub.add_parser("selftest", parents=[common], help="run the identity suite")
     p.add_argument("--level", choices=("quick", "full"), default="quick")
@@ -130,17 +157,16 @@ def _context(args) -> PrecisionContext:
     return PrecisionContext(target_digits=digits)
 
 
-def _fmt_value(value, digits: int) -> str:
-    return mpmath.nstr(value, digits, strip_zeros=False)
-
-
-def _fmt_err(err) -> str:
-    if err == 0:
-        return "0.0"
-    return mpmath.nstr(err, 2)
-
-
-def _emit(record: dict, as_json: bool, out: TextIO, ctx: PrecisionContext) -> None:
+def _emit(result: Result, as_json: bool, out: TextIO, digits: int) -> None:
+    record = {
+        "quantity": result.quantity,
+        "k": result.k,
+        "w_or_x": None if result.arg is None else str(result.arg),
+        "value": mpmath.nstr(result.value, digits, strip_zeros=False),
+        "err_estimate": "0.0" if result.err == 0 else mpmath.nstr(result.err, 2),
+        "method": result.method,
+        "params": {"digits": digits, **result.params},
+    }
     if as_json:
         print(json.dumps(record, sort_keys=True), file=out)
         return
@@ -151,59 +177,31 @@ def _emit(record: dict, as_json: bool, out: TextIO, ctx: PrecisionContext) -> No
     print(f"{head} = {record['value']}  (± {record['err_estimate']})", file=out)
 
 
-def _record(quantity, k, w_or_x, value, err, method, params, ctx) -> dict:
-    return {
-        "quantity": quantity,
-        "k": k,
-        "w_or_x": None if w_or_x is None else str(w_or_x),
-        "value": _fmt_value(value, ctx.target_digits),
-        "err_estimate": _fmt_err(err),
-        "method": method,
-        "params": params,
-    }
-
-
-def _constant_params(const, ctx) -> dict:
-    return {"digits": ctx.target_digits, "w_used": const.w_used,
-            "tail_terms": const.tail_terms_used}
-
-
 def _run_selftest(args, ctx, out: TextIO) -> int:
     reports = selftest(args.level, ctx)
-    failed = 0
     for rep in reports:
-        status = "PASS" if rep.passed else "FAIL"
-        if not rep.passed:
-            failed += 1
+        record = {
+            "check": rep.name,
+            "k": rep.k,
+            "x_or_w": None if rep.x_or_w is None else str(rep.x_or_w),
+            "residual": mpmath.nstr(rep.residual, 3),
+            "tolerance": mpmath.nstr(rep.tolerance, 3),
+            "passed": rep.passed,
+            "elapsed": round(rep.elapsed, 3),
+        }
         if args.json:
-            print(
-                json.dumps(
-                    {
-                        "check": rep.name,
-                        "k": rep.k,
-                        "x_or_w": None if rep.x_or_w is None else str(rep.x_or_w),
-                        "residual": mpmath.nstr(rep.residual, 3),
-                        "tolerance": mpmath.nstr(rep.tolerance, 3),
-                        "passed": rep.passed,
-                        "elapsed": round(rep.elapsed, 3),
-                    },
-                    sort_keys=True,
-                ),
-                file=out,
-            )
-        else:
-            loc = ""
-            if rep.k is not None:
-                loc += f" k={rep.k}"
-            if rep.x_or_w is not None:
-                loc += f" x={rep.x_or_w}"
-            print(
-                f"[{status}] {rep.name}{loc}  residual={mpmath.nstr(rep.residual, 3)}"
-                f" tol={mpmath.nstr(rep.tolerance, 3)} ({rep.elapsed:.2f}s)",
-                file=out,
-            )
-    total = len(reports)
-    print(f"selftest {args.level}: {total - failed}/{total} passed", file=out)
+            print(json.dumps(record, sort_keys=True), file=out)
+            continue
+        status = "PASS" if rep.passed else "FAIL"
+        loc = ""
+        if rep.k is not None:
+            loc += f" k={rep.k}"
+        if rep.x_or_w is not None:
+            loc += f" x={rep.x_or_w}"
+        print(f"[{status}] {rep.name}{loc}  residual={record['residual']}"
+              f" tol={record['tolerance']} ({rep.elapsed:.2f}s)", file=out)
+    failed = sum(not rep.passed for rep in reports)
+    print(f"selftest {args.level}: {len(reports) - failed}/{len(reports)} passed", file=out)
     return 0 if failed == 0 else 1
 
 
@@ -212,74 +210,25 @@ def run(argv: list[str]) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if "w_trial" in vars(args) and args.w_trial is None and args.terms is not None:
+            parser.error("--terms takes effect only with --w-trial")
     except SystemExit as exc:
         return int(exc.code or 0)
 
     out = sys.stdout
     try:
         ctx = _context(args)
-        terms = getattr(args, "terms", None)
-        w_trial = getattr(args, "w_trial", None)
-
-        if args.command == "dz":
-            d = zeta_deriv_neg(args.k, ctx, w_trial=w_trial, tail_terms=terms)
-            rec = _record("zeta_deriv", args.k, None, d.value, d.err, d.method,
-                          _constant_params(d.constant, ctx), ctx)
-            _emit(rec, args.json, out, ctx)
-        elif args.command == "hz":
-            w = args.w
-            if w <= 0:
-                raise HzetaError("offset must be positive")
-            if w.denominator == 1:
-                d = hurwitz_deriv_integer(args.k, int(w), ctx)
-            else:
-                d = hurwitz_deriv(args.k, w, ctx, tail_terms=terms)
-            params = {"digits": ctx.target_digits}
-            if terms:
-                params["tail_terms"] = terms
-            rec = _record("hurwitz_deriv", args.k, args.w, d.value, d.err, d.method, params, ctx)
-            _emit(rec, args.json, out, ctx)
-        elif args.command == "const":
-            # the constant zeta'(-k) is built from, so both pick trial parameters alike
-            const = zeta_deriv_neg(args.k, ctx, w_trial=w_trial, tail_terms=terms).constant
-            rec = _record("L", args.k, None, const.value, const.err, "trial-method",
-                          _constant_params(const, ctx), ctx)
-            _emit(rec, args.json, out, ctx)
-        elif args.command == "varpi":
-            const = varpi(args.k, ctx)
-            rec = _record("varpi", args.k, None, const.value, const.err, "trial-method",
-                          _constant_params(const, ctx), ctx)
-            _emit(rec, args.json, out, ctx)
-        elif args.command == "kinkelin":
-            const = kinkelin_logvarpi(ctx)
-            rec = _record("kinkelin", const.k, None, const.value, const.err, "trial-method",
-                          _constant_params(const, ctx), ctx)
-            _emit(rec, args.json, out, ctx)
-        elif args.command == "gamma":
-            x = args.x
-            g = log_gengamma(args.k, x, ctx, tail_terms=terms)
-            params = {"digits": ctx.target_digits}
-            rec = _record("gengamma", args.k, args.x, g.value, g.err, g.method, params, ctx)
-            _emit(rec, args.json, out, ctx)
-        elif args.command == "table":
-            sink = open(args.outfile, "w") if args.outfile else out
-            try:
-                for k in range(args.kmax + 1):
-                    d = zeta_deriv_neg(k, ctx)
-                    params = _constant_params(d.constant, ctx)
-                    _emit(_record("L", k, None, d.constant.value, d.constant.err,
-                                  "trial-method", params, ctx), args.json, sink, ctx)
-                    _emit(_record("zeta_deriv", k, None, d.value, d.err,
-                                  d.method, params, ctx), args.json, sink, ctx)
-            finally:
-                if args.outfile:
-                    sink.close()
-        elif args.command == "selftest":
+        if args.command not in _COMMANDS:
             return _run_selftest(args, ctx, out)
-    except HzetaError as exc:
-        print(f"hzeta: error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, ZeroDivisionError) as exc:
+        call = _COMMANDS[args.command][3]
+        sink = open(args.outfile, "w") if getattr(args, "outfile", None) else out
+        try:
+            for result in call(args, ctx):
+                _emit(result, args.json, sink, ctx.target_digits)
+        finally:
+            if sink is not out:
+                sink.close()
+    except (HzetaError, ValueError, ZeroDivisionError) as exc:
         print(f"hzeta: error: {exc}", file=sys.stderr)
         return 1
     return 0

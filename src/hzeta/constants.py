@@ -10,25 +10,26 @@ Kinkelin's constant follow from them by fixed rational offsets.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 import mpmath
 from mpmath import mp
 
-from .asymptotic import build_lambda_terms, eval_lambda, shift_threshold
+from .asymptotic import DEFAULT_TAIL_TERMS, build_lambda_terms, eval_lambda, shift_threshold
 from .errors import ParameterSearchFailed
 from .gengamma import exact_log_gengamma
 from .mpcore import (
     DEFAULT_CONTEXT,
     PrecisionContext,
+    Result,
     bernoulli,
     harmonic,
     register_cache_clearer,
     to_mpf,
 )
 
-__all__ = ["ConstantRecord", "gkbj_constant", "gkbj_auto", "varpi", "kinkelin_logvarpi"]
+__all__ = ["gkbj_constant", "gkbj_auto", "limit_constant", "varpi", "kinkelin_logvarpi"]
 
 _AUTO_TAIL_LADDER = (20, 40, 80, 120, 160, 200)
 _MAX_TRIAL_W = 10**6
@@ -43,26 +44,28 @@ def _clear_memo() -> None:
         _MEMO.clear()
 
 
-@dataclass(frozen=True)
-class ConstantRecord:
-    """A computed constant with its error estimate and the parameters used."""
-
-    kind: str  # "L" | "varpi" | "kinkelin"
-    k: int
-    value: mpmath.mpf
-    err: mpmath.mpf
-    w_used: int
-    tail_terms_used: int
+def _memoized(
+    quantity: str, k: int, ctx: PrecisionContext, compute: Callable[[], Result]
+) -> Result:
+    """The memo entry for (quantity, k, precision), computed on a miss."""
+    key = (quantity, k, ctx.target_digits, ctx.working_digits)
+    rec = _MEMO.get(key)
+    if rec is None:
+        rec = compute()
+        with _MEMO_LOCK:
+            _MEMO[key] = rec
+    return rec
 
 
 def gkbj_constant(
     k: int, w: int, tail_terms: int, ctx: PrecisionContext = DEFAULT_CONTEXT
-) -> ConstantRecord:
+) -> Result:
     """Order-k constant by the trial method at the given parameters.
 
     value = exact sum at w minus the truncated series at w; the error
     estimate is the series truncation bound plus a rounding allowance
-    for the exact sum's magnitude.
+    for the exact sum's magnitude.  ``params`` records ``w_used`` and
+    the ``tail_terms`` summed.
     """
     if k < 0:
         raise ValueError("order must be non-negative")
@@ -71,9 +74,8 @@ def gkbj_constant(
     with ctx.workprec():
         value = exact.value - lam.value
         err = lam.err + ctx.rounding_floor(abs(exact.value))
-    return ConstantRecord(
-        kind="L", k=k, value=value, err=err, w_used=w, tail_terms_used=lam.tail_terms_used
-    )
+    params = {"w_used": w, "tail_terms": lam.params["tail_terms"]}
+    return Result("L", k, None, value, err, "trial-method", params)
 
 
 def _truncation_estimate(k: int, w: int, tail_terms: int) -> mpmath.mpf:
@@ -91,7 +93,7 @@ def _truncation_estimate(k: int, w: int, tail_terms: int) -> mpmath.mpf:
         return mpmath.mpf(0)
 
 
-def gkbj_auto(k: int, ctx: PrecisionContext = DEFAULT_CONTEXT) -> ConstantRecord:
+def gkbj_auto(k: int, ctx: PrecisionContext = DEFAULT_CONTEXT) -> Result:
     """Order-k constant with parameters chosen so err <= 10^-target.
 
     Results are memoized per (k, precision).  Raises
@@ -100,10 +102,10 @@ def gkbj_auto(k: int, ctx: PrecisionContext = DEFAULT_CONTEXT) -> ConstantRecord
     """
     if k < 0:
         raise ValueError("order must be non-negative")
-    key = ("L", k, ctx.target_digits, ctx.working_digits)
-    rec = _MEMO.get(key)
-    if rec is not None:
-        return rec
+    return _memoized("L", k, ctx, lambda: _search(k, ctx))
+
+
+def _search(k: int, ctx: PrecisionContext) -> Result:
     with ctx.workprec():
         bound = mpmath.mpf(10) ** (-ctx.target_digits)
     w = shift_threshold(ctx)
@@ -113,8 +115,6 @@ def gkbj_auto(k: int, ctx: PrecisionContext = DEFAULT_CONTEXT) -> ConstantRecord
                 continue
             rec = gkbj_constant(k, w, tail, ctx)
             if rec.err <= bound:
-                with _MEMO_LOCK:
-                    _MEMO[key] = rec
                 return rec
             break  # bound missed on rounding, not truncation: retry larger w
         w *= 2
@@ -124,7 +124,25 @@ def gkbj_auto(k: int, ctx: PrecisionContext = DEFAULT_CONTEXT) -> ConstantRecord
     )
 
 
-def varpi(k: int, ctx: PrecisionContext = DEFAULT_CONTEXT) -> ConstantRecord:
+def limit_constant(
+    k: int,
+    ctx: PrecisionContext = DEFAULT_CONTEXT,
+    w_trial: int | None = None,
+    tail_terms: int | None = None,
+) -> Result:
+    """Order-k constant L_k: the automatic search (:func:`gkbj_auto`), or,
+    given ``w_trial``, the trial method at that argument with
+    ``tail_terms`` tail terms (default 20).  ``tail_terms`` without
+    ``w_trial`` is rejected rather than ignored.
+    """
+    if w_trial is None:
+        if tail_terms is not None:
+            raise ValueError("tail_terms takes effect only with w_trial")
+        return gkbj_auto(k, ctx)
+    return gkbj_constant(k, w_trial, tail_terms or DEFAULT_TAIL_TERMS, ctx)
+
+
+def varpi(k: int, ctx: PrecisionContext = DEFAULT_CONTEXT) -> Result:
     """Jeffery's summation constants: the x = 0 slope of log Gamma_k(x+1).
 
     For k >= 2 this is H_k B_k - k L_{k-1}; odd k >= 3 has B_k = 0, so
@@ -134,51 +152,31 @@ def varpi(k: int, ctx: PrecisionContext = DEFAULT_CONTEXT) -> ConstantRecord:
     """
     if k < 1:
         raise ValueError("summation constants start at k = 1")
-    key = ("varpi", k, ctx.target_digits, ctx.working_digits)
-    rec = _MEMO.get(key)
-    if rec is not None:
-        return rec
-    if k == 1:
-        base = gkbj_auto(0, ctx)
-        with ctx.workprec():
-            value = -base.value - mpmath.mpf(1) / 2
-            err = base.err
-    else:
-        base = gkbj_auto(k - 1, ctx)
-        with ctx.workprec():
-            value = to_mpf(harmonic(k) * bernoulli(k)) - k * base.value
-            err = k * base.err
-    rec = ConstantRecord(
-        kind="varpi",
-        k=k,
-        value=value,
-        err=err,
-        w_used=base.w_used,
-        tail_terms_used=base.tail_terms_used,
-    )
-    with _MEMO_LOCK:
-        _MEMO[key] = rec
-    return rec
+
+    def compute() -> Result:
+        if k == 1:
+            base = gkbj_auto(0, ctx)
+            with ctx.workprec():
+                value = -base.value - mpmath.mpf(1) / 2
+                err = base.err
+        else:
+            base = gkbj_auto(k - 1, ctx)
+            with ctx.workprec():
+                value = to_mpf(harmonic(k) * bernoulli(k)) - k * base.value
+                err = k * base.err
+        return Result("varpi", k, None, value, err, "trial-method", base.params)
+
+    return _memoized("varpi", k, ctx, compute)
 
 
-def kinkelin_logvarpi(ctx: PrecisionContext = DEFAULT_CONTEXT) -> ConstantRecord:
+def kinkelin_logvarpi(ctx: PrecisionContext = DEFAULT_CONTEXT) -> Result:
     """Kinkelin's constant log varpi = 2 L_1 - 1/6 (equivalently 1/12 - varpi(2))."""
-    key = ("kinkelin", 1, ctx.target_digits, ctx.working_digits)
-    rec = _MEMO.get(key)
-    if rec is not None:
-        return rec
-    base = gkbj_auto(1, ctx)
-    with ctx.workprec():
-        value = 2 * base.value - to_mpf(Fraction(1, 6))
-        err = 2 * base.err
-    rec = ConstantRecord(
-        kind="kinkelin",
-        k=1,
-        value=value,
-        err=err,
-        w_used=base.w_used,
-        tail_terms_used=base.tail_terms_used,
-    )
-    with _MEMO_LOCK:
-        _MEMO[key] = rec
-    return rec
+
+    def compute() -> Result:
+        base = gkbj_auto(1, ctx)
+        with ctx.workprec():
+            value = 2 * base.value - to_mpf(Fraction(1, 6))
+            err = 2 * base.err
+        return Result("kinkelin", 1, None, value, err, "trial-method", base.params)
+
+    return _memoized("kinkelin", 1, ctx, compute)

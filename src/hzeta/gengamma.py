@@ -4,39 +4,22 @@ for real arguments.
 ``log Gamma_k(w+1) = sum_{m=1}^w m^k log m`` at integers; the extension
 to real arguments combines the limiting constant, the truncated
 remainder series at a large shifted argument, and the product rule
-``Gamma_k(t+1) = t^(t^k) Gamma_k(t)`` to undo the shift exactly.
+``Gamma_k(t+1) = t^(t^k) Gamma_k(t)`` to undo the shift exactly.  The
+same shift chain, from a different base, gives zeta'(-k, w) in
+:mod:`hzeta.hurwitz`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
 
 from .asymptotic import DEFAULT_TAIL_TERMS, eval_lambda, shift_threshold
-from .mpcore import DEFAULT_CONTEXT, PrecisionContext, Real, to_mpf
+from .mpcore import DEFAULT_CONTEXT, PrecisionContext, Real, Result, as_exact, to_mpf
 
-__all__ = ["GenGammaValue", "exact_log_gengamma", "shift_log_gengamma", "log_gengamma"]
-
-
-@dataclass(frozen=True)
-class GenGammaValue:
-    """value = log Gamma_k(x), with an error estimate and the route taken."""
-
-    k: int
-    x: Real
-    value: mpmath.mpf
-    err: mpmath.mpf
-    method: str
-
-
-def _as_exact(x: Real):
-    """Keep int/Fraction arguments exact; everything else becomes mpf."""
-    if isinstance(x, (int, Fraction)):
-        return Fraction(x)
-    return to_mpf(x)
+__all__ = ["exact_log_gengamma", "shift_log_gengamma", "shifted_series", "log_gengamma"]
 
 
 def _is_integer(x) -> bool:
@@ -56,7 +39,7 @@ def _pow_log_term(base, k: int) -> mpmath.mpf:
 
 def exact_log_gengamma(
     k: int, w: int, ctx: PrecisionContext = DEFAULT_CONTEXT
-) -> GenGammaValue:
+) -> Result:
     """log Gamma_k(w+1) as the exact sum of m^k log m, m = 1..w.
 
     Terms grow with m, so forward summation keeps the relative error of
@@ -70,7 +53,7 @@ def exact_log_gengamma(
         total = mpmath.mpf(0)
         for m in range(2, w + 1):  # m = 1 contributes nothing
             total += mpmath.mpf(m**k) * mpmath.log(m)
-    return GenGammaValue(k=k, x=w + 1, value=total, err=mpmath.mpf(0), method="exact-sum")
+    return Result("gengamma", k, w + 1, total, mpmath.mpf(0), "exact-sum", {})
 
 
 def shift_log_gengamma(
@@ -90,17 +73,44 @@ def shift_log_gengamma(
         raise ValueError("order must be non-negative")
     if n < 0:
         raise ValueError("shift count must be non-negative")
-    xe = _as_exact(x)
+    xe = as_exact(x)
     if not xe > 0:
         raise ValueError("argument must be positive")
     with ctx.workprec(5):
         total = to_mpf(value_at_shifted)
         for j in range(n):
-            base = xe + j
-            if base == 0:
-                raise ValueError("shift chain crosses zero")
-            total -= _pow_log_term(base, k)
+            total -= _pow_log_term(xe + j, k)
         return total
+
+
+def shifted_series(
+    k: int,
+    x: Real,
+    base: Real,
+    base_err: Real,
+    ctx: PrecisionContext = DEFAULT_CONTEXT,
+    tail_terms: int | None = None,
+):
+    """``base`` plus the order-k remainder series at x + n, with the shift
+    count n (chosen here and nowhere else) lifting x to the asymptotic
+    threshold, then brought back down to x by :func:`shift_log_gengamma`.
+
+    Returns ``(value, err, params)``: err adds ``base_err``, the series
+    estimate and a rounding allowance; ``params["tail_terms"]`` counts
+    the tail terms summed (at most ``tail_terms``, default 20).
+    """
+    terms = tail_terms if tail_terms is not None else DEFAULT_TAIL_TERMS
+    threshold = shift_threshold(ctx)
+    with ctx.workprec(5):
+        if isinstance(x, Fraction):
+            n = max(0, math.ceil(threshold - x))
+        else:
+            n = max(0, int(mpmath.ceil(threshold - x)))
+        lam = eval_lambda(k, x + n - 1, terms, ctx)
+        shifted = to_mpf(base) + lam.value
+        value = shift_log_gengamma(k, x, n, shifted, ctx)
+        err = base_err + lam.err + ctx.rounding_floor(abs(shifted))
+    return value, err, lam.params
 
 
 def log_gengamma(
@@ -109,7 +119,7 @@ def log_gengamma(
     ctx: PrecisionContext = DEFAULT_CONTEXT,
     tail_terms: int | None = None,
     method: str = "auto",
-) -> GenGammaValue:
+) -> Result:
     """log Gamma_k(x) for real x > 0.
 
     Integer arguments go through the exact sum.  Otherwise the argument
@@ -123,7 +133,7 @@ def log_gengamma(
         raise ValueError("order must be non-negative")
     if method not in ("auto", "exact", "asymptotic"):
         raise ValueError(f"unknown method {method!r}")
-    xe = _as_exact(x)
+    xe = as_exact(x)
     if not xe > 0:
         raise ValueError("argument must be positive")
     is_int = _is_integer(xe)
@@ -134,13 +144,6 @@ def log_gengamma(
 
     from .constants import gkbj_auto  # deferred: constants builds on the exact sum
 
-    terms = tail_terms if tail_terms is not None else DEFAULT_TAIL_TERMS
-    threshold = shift_threshold(ctx)
-    with ctx.workprec(5):
-        n = max(0, math.ceil(threshold - xe) if isinstance(xe, Fraction) else int(mpmath.ceil(threshold - xe)))
-        limit_const = gkbj_auto(k, ctx)
-        lam = eval_lambda(k, xe + n - 1, terms, ctx)
-        shifted = limit_const.value + lam.value
-        value = shift_log_gengamma(k, xe, n, shifted, ctx)
-        err = limit_const.err + lam.err + ctx.rounding_floor(abs(shifted))
-    return GenGammaValue(k=k, x=xe, value=value, err=err, method="asymptotic-shift")
+    limit_const = gkbj_auto(k, ctx)
+    value, err, params = shifted_series(k, xe, limit_const.value, limit_const.err, ctx, tail_terms)
+    return Result("gengamma", k, xe, value, err, "asymptotic-shift", params)

@@ -9,34 +9,13 @@ package's standing cross-checks.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from fractions import Fraction
 
-import mpmath
+from .constants import limit_constant
+from .gengamma import exact_log_gengamma, shifted_series
+from .mpcore import DEFAULT_CONTEXT, PrecisionContext, Real, Result, as_exact, bernoulli, harmonic, to_mpf
 
-from .asymptotic import DEFAULT_TAIL_TERMS, eval_lambda, shift_threshold
-from .constants import ConstantRecord, gkbj_auto, gkbj_constant
-from .gengamma import _as_exact, exact_log_gengamma, shift_log_gengamma
-from .mpcore import DEFAULT_CONTEXT, PrecisionContext, Real, bernoulli, harmonic, to_mpf
-
-__all__ = ["DerivResult", "zeta_deriv_neg", "hurwitz_deriv_integer", "hurwitz_deriv"]
-
-
-@dataclass(frozen=True)
-class DerivResult:
-    """value = zeta'(-k, w), with error estimate and the route taken.
-
-    ``constant`` is the limiting constant L_k that :func:`zeta_deriv_neg`
-    built the value from; the other functions leave it None.
-    """
-
-    k: int
-    w: Real
-    value: mpmath.mpf
-    err: mpmath.mpf
-    method: str
-    constant: ConstantRecord | None = None
+__all__ = ["zeta_deriv_neg", "hurwitz_deriv_integer", "hurwitz_deriv"]
 
 
 def _head_fraction(k: int) -> Fraction:
@@ -48,31 +27,22 @@ def zeta_deriv_neg(
     ctx: PrecisionContext = DEFAULT_CONTEXT,
     w_trial: int | None = None,
     tail_terms: int | None = None,
-) -> DerivResult:
+) -> Result:
     """zeta'(-k) = H_k B_{k+1}/(k+1) - L_k.
 
-    L_k comes from the automatic search (:func:`gkbj_auto`) unless
-    ``w_trial`` is given; then it is the trial method at that argument
-    with ``tail_terms`` tail terms (default 20), and ``tail_terms``
-    alone is ignored.  The constant used is returned as
-    ``result.constant``.
+    L_k is :func:`~hzeta.constants.limit_constant` with the given
+    ``w_trial``/``tail_terms``; the result's ``params`` are the
+    constant's.
     """
-    if k < 0:
-        raise ValueError("order must be non-negative")
-    if w_trial is not None:
-        limit_const = gkbj_constant(k, w_trial, tail_terms or DEFAULT_TAIL_TERMS, ctx)
-    else:
-        limit_const = gkbj_auto(k, ctx)
+    limit_const = limit_constant(k, ctx, w_trial, tail_terms)
     with ctx.workprec():
         value = to_mpf(_head_fraction(k)) - limit_const.value
-    return DerivResult(
-        k=k, w=1, value=value, err=limit_const.err, method="exact-sum", constant=limit_const
-    )
+    return Result("zeta_deriv", k, None, value, limit_const.err, "exact-sum", limit_const.params)
 
 
 def hurwitz_deriv_integer(
     k: int, w: int, ctx: PrecisionContext = DEFAULT_CONTEXT
-) -> DerivResult:
+) -> Result:
     """zeta'(-k, w) for integer w >= 1: zeta'(-k) plus the exact sum for
     log Gamma_k(w)."""
     if not isinstance(w, int) or w < 1:
@@ -82,7 +52,7 @@ def hurwitz_deriv_integer(
     with ctx.workprec():
         value = base.value + gamma_part.value
         err = base.err + ctx.rounding_floor(abs(gamma_part.value))
-    return DerivResult(k=k, w=w, value=value, err=err, method="exact-sum")
+    return Result("hurwitz_deriv", k, w, value, err, "exact-sum", {})
 
 
 def hurwitz_deriv(
@@ -90,28 +60,18 @@ def hurwitz_deriv(
     w: Real,
     ctx: PrecisionContext = DEFAULT_CONTEXT,
     tail_terms: int | None = None,
-) -> DerivResult:
+) -> Result:
     """zeta'(-k, w) for real w > 0 by the shifted-series route.
 
     The value at the shifted offset w + n (n integral, chosen so w + n
     clears the asymptotic threshold) is H_k B_{k+1}/(k+1) plus the
     remainder series; the shift is then removed exactly, one factor
-    (w+j)^k log(w+j) per step.
+    (w+j)^k log(w+j) per step (:func:`~hzeta.gengamma.shifted_series`).
     """
     if k < 0:
         raise ValueError("order must be non-negative")
-    we = _as_exact(w)
+    we = as_exact(w)
     if not we > 0:
         raise ValueError("offset must be positive")
-    terms = tail_terms if tail_terms is not None else DEFAULT_TAIL_TERMS
-    threshold = shift_threshold(ctx)
-    with ctx.workprec(5):
-        if isinstance(we, Fraction):
-            n = max(0, math.ceil(threshold - we))
-        else:
-            n = max(0, int(mpmath.ceil(threshold - we)))
-        lam = eval_lambda(k, we + n - 1, terms, ctx)
-        shifted = to_mpf(_head_fraction(k)) + lam.value
-        value = shift_log_gengamma(k, we, n, shifted, ctx)
-        err = lam.err + ctx.rounding_floor(abs(shifted))
-    return DerivResult(k=k, w=we, value=value, err=err, method="asymptotic-shift")
+    value, err, params = shifted_series(k, we, _head_fraction(k), 0, ctx, tail_terms)
+    return Result("hurwitz_deriv", k, we, value, err, "asymptotic-shift", params)

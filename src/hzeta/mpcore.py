@@ -17,7 +17,7 @@ import math
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Union
+from typing import Callable, Optional, Union
 
 import mpmath
 from mpmath import mp
@@ -27,7 +27,9 @@ Real = Union[int, Fraction, float, mpmath.mpf]
 __all__ = [
     "PrecisionContext",
     "DEFAULT_CONTEXT",
+    "Result",
     "to_mpf",
+    "as_exact",
     "bernoulli",
     "bernoulli_poly",
     "phi",
@@ -63,13 +65,29 @@ class PrecisionContext:
         """Absolute rounding allowance for a computation of the given magnitude."""
         return abs(scale) * mpmath.mpf(10) ** (-(self.working_digits - 2))
 
-    def mpf(self, x: Real) -> mpmath.mpf:
-        """Convert ``x`` to a big float at this context's working precision."""
-        with self.workprec():
-            return to_mpf(x)
-
 
 DEFAULT_CONTEXT = PrecisionContext()
+
+
+@dataclass(frozen=True)
+class Result:
+    """A computed value with its error estimate and the route that made it.
+
+    ``quantity``: "L", "varpi", "kinkelin", "zeta_deriv", "hurwitz_deriv",
+    "gengamma" or "lambda" (the truncated remainder series).  ``arg``:
+    the argument or offset, None for the constants and zeta'(-k).
+    ``params``: the series parameters used, ``w_used`` and ``tail_terms``
+    for a constant and for zeta'(-k) built on one, ``tail_terms`` (terms
+    summed) for a series route, none for an exact sum.
+    """
+
+    quantity: str
+    k: int
+    arg: Optional[Real]
+    value: mpmath.mpf
+    err: mpmath.mpf
+    method: str
+    params: dict
 
 
 def to_mpf(x: Real) -> mpmath.mpf:
@@ -81,6 +99,13 @@ def to_mpf(x: Real) -> mpmath.mpf:
     if isinstance(x, Fraction):
         return mpmath.mpf(x.numerator) / x.denominator
     return mpmath.mpf(x)
+
+
+def as_exact(x: Real):
+    """Keep int/Fraction arguments exact (as Fraction); anything else becomes mpf."""
+    if isinstance(x, (int, Fraction)):
+        return Fraction(x)
+    return to_mpf(x)
 
 
 # ---------------------------------------------------------------------------

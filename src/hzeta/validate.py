@@ -33,6 +33,7 @@ from .mpcore import (
     DEFAULT_CONTEXT,
     PrecisionContext,
     Real,
+    as_exact,
     bernoulli,
     bernoulli_poly,
     harmonic,
@@ -80,12 +81,6 @@ def _report(name, k, x, residual, tolerance, t0) -> CheckReport:
         passed=bool(residual <= tolerance),
         elapsed=time.perf_counter() - t0,
     )
-
-
-def _exactify(x: Real):
-    if isinstance(x, (int, Fraction)):
-        return Fraction(x)
-    return to_mpf(x)
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +232,7 @@ def bendersky_recursion_check(
         def sides(pt):
             lv, le, _ = eval_term_poly(upper, pt, ctx, reserve_last_tail=True)
             rv, re, _ = eval_term_poly(lower, pt, ctx, reserve_last_tail=True)
-            pe = _exactify(pt)
+            pe = as_exact(pt)
             if isinstance(pe, Fraction):
                 corr = to_mpf(phi(k + 1, pe + 1) / (k + 1) + hk_bk1 * pe)
             else:
@@ -279,7 +274,7 @@ def alt_recursion_check(
         base = zeta_deriv_neg(k + 1, ctx)
         rhs = top.value - base.value
         residual = lhs - rhs
-        xf = to_mpf(_exactify(x))
+        xf = to_mpf(as_exact(x))
         tolerance = (
             (k + 1) * (qerr + xf * node_err[0])
             + top.err
@@ -287,14 +282,6 @@ def alt_recursion_check(
             + ctx.rounding_floor(abs(lhs) + abs(rhs) + 1)
         )
     return _report("alt-recursion", k, x, residual, tolerance, t0)
-
-
-def _log_gamma_plus1(t, ctx, node_err):
-    """log Gamma(t+1) through the package's own order-0 route."""
-    g = log_gengamma(0, t + 1, ctx)
-    if g.err > node_err[0]:
-        node_err[0] = g.err
-    return g.value
 
 
 def _log_gamma(t, ctx, node_err):
@@ -315,10 +302,10 @@ def alexeiewsky_check(x: Real, ctx: PrecisionContext = DEFAULT_CONTEXT) -> Check
     """
     t0 = time.perf_counter()
     node_err = [mpmath.mpf(0)]
-    xe = _exactify(x)
+    xe = as_exact(x)
     with ctx.workprec(5):
         lhs = log_gengamma(1, xe + 1, ctx)
-        qval, qerr = quadrature(lambda t: _log_gamma_plus1(t, ctx, node_err), 0, x, ctx)
+        qval, qerr = quadrature(lambda t: _log_gamma(t + 1, ctx, node_err), 0, x, ctx)
         base = gkbj_auto(0, ctx)
         if isinstance(xe, Fraction):
             poly_part = to_mpf(xe * (xe + 1) / 2)
@@ -353,12 +340,12 @@ def general_solution_check(
         raise ValueError("checked for orders 1..3")
     t0 = time.perf_counter()
     node_err = [mpmath.mpf(0)]
-    xe = _exactify(x)
+    xe = as_exact(x)
     with ctx.workprec(5):
         xf = to_mpf(xe)
 
         def integrand(t):
-            return (xf - t) ** (k - 1) * _log_gamma_plus1(t, ctx, node_err)
+            return (xf - t) ** (k - 1) * _log_gamma(t + 1, ctx, node_err)
 
         qval, qerr = quadrature(integrand, 0, x, ctx)
         # k! I_k = k! /(k-1)! * integral = k * integral
@@ -420,7 +407,7 @@ def gint_moment_check(
             deriv_err = d0.err + 2 * d1.err
         else:
             qval, qerr = quadrature(
-                lambda t: (1 - t) ** (k - 1) * _log_gamma_plus1(t, ctx, node_err),
+                lambda t: (1 - t) ** (k - 1) * _log_gamma(t + 1, ctx, node_err),
                 0,
                 1,
                 ctx,
@@ -518,7 +505,7 @@ def _raabe_integral_check(ctx) -> CheckReport:
     t0 = time.perf_counter()
     node_err = [mpmath.mpf(0)]
     with ctx.workprec(5):
-        val, err = quadrature(lambda t: _log_gamma_plus1(t, ctx, node_err), 0, 1, ctx)
+        val, err = quadrature(lambda t: _log_gamma(t + 1, ctx, node_err), 0, 1, ctx)
         base = gkbj_auto(0, ctx)
         residual = val - (base.value - 1)
         tolerance = err + node_err[0] + base.err + ctx.rounding_floor(1)

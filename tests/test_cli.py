@@ -134,6 +134,26 @@ class TestExitCodes:
     def test_nonpositive_offset(self, capsys):
         assert run(["hz", "-k", "1", "-w", "0"]) == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["varpi", "-k", "2", "--terms", "5"],
+            ["kinkelin", "--w-trial", "100"],
+            ["table", "--kmax", "1", "--terms", "5"],
+            ["selftest", "--terms", "5"],
+            ["hz", "-k", "1", "-w", "1/2", "--w-trial", "100"],
+            ["dz", "-k", "1", "--terms", "5"],
+        ],
+        ids=["varpi-terms", "kinkelin-w-trial", "table-terms", "selftest-terms",
+             "hz-w-trial", "dz-terms-without-w-trial"],
+    )
+    def test_override_flag_where_it_has_no_effect(self, argv, capsys):
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.strip().count("\n") == 0  # one-line diagnostic
+        assert "error" in captured.err
+
 
 class TestParameterOverrides:
     def test_w_trial_and_terms(self, capsys):
@@ -152,6 +172,27 @@ class TestParameterOverrides:
         with mpmath.mp.workdps(40):
             oracle = -mpmath.log(2 * mpmath.pi) / 2
             assert abs(mpmath.mpf(rec["value"]) - oracle) < mpmath.mpf("1e-19")
+
+
+    def test_exact_route_reports_no_tail_terms(self, capsys):
+        assert run(["hz", "-k", "1", "-w", "4", "--terms", "30", "--json"]) == 0
+        rec = json.loads(lines(capsys)[0])
+        assert rec["method"] == "exact-sum"
+        assert rec["params"] == {"digits": 20}
+
+    @pytest.mark.parametrize(
+        "argv, tail_terms",
+        [
+            (["gamma", "-k", "0", "-x", "1/3", "--terms", "30"], 30),
+            (["hz", "-k", "1", "-w", "1/4"], 20),
+        ],
+        ids=["gamma-terms", "hz-default-terms"],
+    )
+    def test_series_route_reports_tail_terms(self, argv, tail_terms, capsys):
+        assert run(argv + ["--json"]) == 0
+        rec = json.loads(lines(capsys)[0])
+        assert rec["method"] == "asymptotic-shift"
+        assert rec["params"] == {"digits": 20, "tail_terms": tail_terms}
 
 
 class TestOnePath:

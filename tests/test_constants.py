@@ -13,6 +13,7 @@ from hzeta import (
     gkbj_constant,
     harmonic,
     kinkelin_logvarpi,
+    limit_constant,
     varpi,
     zeta_deriv_neg,
 )
@@ -79,6 +80,12 @@ class TestAutoSearch:
 
     def test_memoized(self, ctx20):
         assert gkbj_auto(2, ctx20) is gkbj_auto(2, ctx20)
+
+    def test_tail_terms_need_w_trial(self, ctx20):
+        with pytest.raises(ValueError):
+            limit_constant(1, ctx20, tail_terms=30)
+        assert limit_constant(1, ctx20) is gkbj_auto(1, ctx20)
+        assert limit_constant(1, ctx20, w_trial=120) == gkbj_constant(1, 120, 20, ctx20)
 
     def test_search_failure(self, ctx20, monkeypatch):
         monkeypatch.setattr(hzeta.constants, "_AUTO_TAIL_LADDER", (1,))

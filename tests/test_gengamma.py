@@ -33,7 +33,7 @@ class TestExactSum:
         g = exact_log_gengamma(2, 10, ctx20)
         assert g.err == 0
         assert g.method == "exact-sum"
-        assert g.x == 11
+        assert g.arg == 11
 
     def test_shift_identity(self, ctx20):
         # moving the upper limit from w-1 to w adds w^k log w

@@ -19,7 +19,7 @@ class TestZetaDerivNeg:
         with ctx20.workprec():
             oracle = -mpmath.log(2 * mpmath.pi) / 2
             assert abs(d.value - oracle) <= d.err + ctx20.rounding_floor(1)
-        assert d.w == 1
+        assert d.arg is None
 
     def test_order_one_printed(self, ctx20):
         d = zeta_deriv_neg(1, ctx20)
@@ -58,11 +58,11 @@ class TestZetaDerivNeg:
             expected = to_mpf(harmonic(k) * bernoulli(k + 1) / (k + 1)) - const.value
         assert d.value == expected
         assert d.err == const.err
-        assert d.constant == const
+        assert d.params == const.params
 
     def test_default_is_auto_search(self, ctx20):
         for k in range(4):
-            assert zeta_deriv_neg(k, ctx20).constant == gkbj_auto(k, ctx20)
+            assert zeta_deriv_neg(k, ctx20).params == gkbj_auto(k, ctx20).params
 
 
 

@@ -51,7 +51,7 @@ print("Optimal truncation at work: order 0 series at x = 8")
 print("-" * 70)
 for tail in (3, 6, 10, 20, 40):
     poly = build_lambda_terms(0, tail + 1)
-    value, err, used = eval_term_poly(poly, 8, ctx, reserve_last_tail=True)
+    value, err, used = eval_term_poly(poly, 8, ctx)
     print(f"requested {tail:3d} tail terms, used {used:3d}: "
           f"value = {mpmath.nstr(value, 20)}, err estimate = {mpmath.nstr(err, 2)}")
 print("(the evaluator refuses to sum past the smallest term, so the")

@@ -13,7 +13,6 @@ Quick start::
 """
 
 from .asymptotic import (
-    DEFAULT_TAIL_TERMS,
     TermPoly,
     build_lambda_terms,
     eval_lambda,
@@ -57,7 +56,6 @@ __all__ = [
     "ArgumentTooSmall",
     "CheckReport",
     "DEFAULT_CONTEXT",
-    "DEFAULT_TAIL_TERMS",
     "HzetaError",
     "NonConvergent",
     "ParameterSearchFailed",

@@ -27,6 +27,7 @@ exact sums, which would detect any sign or offset slip immediately.
 
 from __future__ import annotations
 
+import itertools
 import math
 import threading
 from dataclasses import dataclass
@@ -53,11 +54,10 @@ __all__ = [
     "eval_term_poly",
     "integrate_lambda_terms",
     "log_coefficient_poly",
+    "plan",
     "shift_threshold",
-    "DEFAULT_TAIL_TERMS",
+    "tail_length",
 ]
-
-DEFAULT_TAIL_TERMS = 20
 
 
 @dataclass(frozen=True)
@@ -161,20 +161,14 @@ def build_lambda_terms(k: int, tail_terms: int) -> TermPoly:
     return poly
 
 
-def eval_term_poly(
-    poly: TermPoly,
-    x: Real,
-    ctx: PrecisionContext = DEFAULT_CONTEXT,
-    *,
-    reserve_last_tail: bool = False,
-):
+def eval_term_poly(poly: TermPoly, x: Real, ctx: PrecisionContext = DEFAULT_CONTEXT):
     """Numeric value of a term list at ``x`` plus an error estimate.
 
     The tail is summed in order under an optimal-truncation guard: once
     term magnitudes start growing, summation stops at the smallest term.
     The estimate is twice the first omitted tail term plus a rounding
-    floor scaled by the largest intermediate.  With ``reserve_last_tail``
-    the final tail entry is never summed and only feeds the estimate.
+    floor scaled by the largest intermediate.  The final tail entry is
+    never summed and only feeds the estimate.
 
     Returns ``(value, err, tail_terms_used)``.
     """
@@ -191,7 +185,7 @@ def eval_term_poly(
                 term *= logx
             total += term
             scale += abs(term)
-        n_avail = len(poly.tail_terms) - (1 if reserve_last_tail else 0)
+        n_avail = len(poly.tail_terms) - 1
         omitted = mpmath.mpf(0)
         prev_mag = None
         used = 0
@@ -212,23 +206,26 @@ def eval_term_poly(
 def eval_lambda(
     k: int,
     x: Real,
-    tail_terms: int = DEFAULT_TAIL_TERMS,
+    tail_terms: int | None = None,
     ctx: PrecisionContext = DEFAULT_CONTEXT,
 ) -> Result:
     """Truncated order-k remainder at argument ``x + 1`` (pass x >= 1).
 
-    ``params["tail_terms"]`` counts the tail terms summed.
+    At most ``tail_terms`` tail terms are summed, by default the
+    :func:`tail_length` at x; ``params["tail_terms"]`` counts those summed.
 
     Raises :class:`ArgumentTooSmall` when the truncation estimate
     exceeds one part in 10^3 of the value, signalling that the caller
     must shift the argument upward first.
     """
-    if tail_terms < 1:
-        raise ValueError("tail_terms must be >= 1")
     if not x >= 1:
         raise ValueError("series argument must be >= 1; shift first")
+    if tail_terms is None:
+        tail_terms = tail_length(k, x, ctx)
+    if tail_terms < 1:
+        raise ValueError("tail_terms must be >= 1")
     poly = build_lambda_terms(k, tail_terms + 1)
-    value, err, used = eval_term_poly(poly, x, ctx, reserve_last_tail=True)
+    value, err, used = eval_term_poly(poly, x, ctx)
     if err > mpmath.mpf("1e-3") * abs(value):
         raise ArgumentTooSmall(
             f"truncation error {mpmath.nstr(err, 3)} too large for order {k} at x={x}"
@@ -277,3 +274,30 @@ def shift_threshold(ctx: PrecisionContext = DEFAULT_CONTEXT) -> int:
     """Smallest argument at which the truncated series is trusted for
     this precision; smaller arguments must be shifted up."""
     return max(20, math.ceil(0.9 * ctx.target_digits))
+
+
+def plan(k: int, x: Real, ctx: PrecisionContext = DEFAULT_CONTEXT) -> tuple[int, int]:
+    """Shift count n lifting x to :func:`shift_threshold`, and the tail length at x + n."""
+    n = max(0, math.ceil(shift_threshold(ctx) - x))
+    return n, tail_length(k, x + n, ctx)
+
+
+def tail_length(k: int, y: Real, ctx: PrecisionContext = DEFAULT_CONTEXT) -> int:
+    """Tail terms to sum for the order-k series at y > 0: the nonzero tail
+    entries before the first whose bound falls below 10^-working_digits
+    or stops decreasing (near s = 2 pi y), and at least one, so that at
+    large y the held-back entry still feeds the estimate.  The entry of
+    1/y^(s-1) is at most 2 zeta(2) k! (s-2)! / ((2 pi)^(k+s) y^(s-1)),
+    since |B_2m| <= 2 zeta(2) (2m)! / (2 pi)^2m (Johansson,
+    arXiv:1309.2877).
+    """
+    log_y = math.log(y)
+    floor = -ctx.working_digits * math.log(10)
+    log_const = math.log(math.pi**2 / 3) + math.lgamma(k + 1) - k * math.log(2 * math.pi)
+    prev = math.inf
+    # B_{k+s} vanishes for odd k + s, so only every other s has an entry
+    for terms, s in enumerate(itertools.count(2 + k % 2, 2)):
+        bound = log_const + math.lgamma(s - 1) - s * math.log(2 * math.pi) - (s - 1) * log_y
+        if bound < floor or bound >= prev:
+            return max(terms, 1)
+        prev = bound

@@ -15,10 +15,11 @@ Common flags: --digits D (default 20, or the HZETA_DIGITS environment
 variable), --json for one JSON object per line: a Result's fields, with
 ``params`` the digits plus the series parameters the route used.
 Override flags are accepted only where they take effect: dz and const
-take --w-trial, the trial argument for L_k, and --terms, its tail
-length (default 20), which needs --w-trial; hz and gamma take --terms,
-the tail length of the shifted series at non-integer arguments.  Exit
-codes: 0 success, 1 computation error, 2 usage error.
+take --w-trial, the trial argument for L_k, and --terms, which caps its
+tail length (default: the count planned for --digits) and needs
+--w-trial; hz and gamma take --terms, which caps the tail of the
+shifted series at non-integer arguments.  Exit codes: 0 success,
+1 computation error or unwritable -o file, 2 usage error.
 """
 
 from __future__ import annotations
@@ -228,7 +229,7 @@ def run(argv: list[str]) -> int:
         finally:
             if sink is not out:
                 sink.close()
-    except (HzetaError, ValueError, ZeroDivisionError) as exc:
+    except (HzetaError, ValueError, ZeroDivisionError, OSError) as exc:
         print(f"hzeta: error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -14,9 +14,8 @@ from fractions import Fraction
 from typing import Callable
 
 import mpmath
-from mpmath import mp
 
-from .asymptotic import DEFAULT_TAIL_TERMS, build_lambda_terms, eval_lambda, shift_threshold
+from .asymptotic import eval_lambda, shift_threshold
 from .errors import ParameterSearchFailed
 from .gengamma import exact_log_gengamma
 from .mpcore import (
@@ -31,7 +30,6 @@ from .mpcore import (
 
 __all__ = ["gkbj_constant", "gkbj_auto", "limit_constant", "varpi", "kinkelin_logvarpi"]
 
-_AUTO_TAIL_LADDER = (20, 40, 80, 120, 160, 200)
 _MAX_TRIAL_W = 10**6
 
 _MEMO: dict = {}
@@ -58,11 +56,12 @@ def _memoized(
 
 
 def gkbj_constant(
-    k: int, w: int, tail_terms: int, ctx: PrecisionContext = DEFAULT_CONTEXT
+    k: int, w: int, tail_terms: int | None = None, ctx: PrecisionContext = DEFAULT_CONTEXT
 ) -> Result:
     """Order-k constant by the trial method at the given parameters.
 
-    value = exact sum at w minus the truncated series at w; the error
+    value = exact sum at w minus the truncated series at w, with at most
+    ``tail_terms`` tail terms (default: the planned count); the error
     estimate is the series truncation bound plus a rounding allowance
     for the exact sum's magnitude.  ``params`` records ``w_used`` and
     the ``tail_terms`` summed.
@@ -78,27 +77,12 @@ def gkbj_constant(
     return Result("L", k, None, value, err, "trial-method", params)
 
 
-def _truncation_estimate(k: int, w: int, tail_terms: int) -> mpmath.mpf:
-    """Magnitude of the first omitted (or first diverging) tail term,
-    computed cheaply at low precision."""
-    poly = build_lambda_terms(k, tail_terms + 1)
-    with mp.workdps(8):
-        wf = mpmath.mpf(w)
-        prev = None
-        for i, (c, q) in enumerate(poly.tail_terms):
-            mag = abs(to_mpf(c)) / wf**q
-            if i >= tail_terms or (prev is not None and mag >= prev):
-                return 2 * mag
-            prev = mag
-        return mpmath.mpf(0)
-
-
 def gkbj_auto(k: int, ctx: PrecisionContext = DEFAULT_CONTEXT) -> Result:
     """Order-k constant with parameters chosen so err <= 10^-target.
 
     Results are memoized per (k, precision).  Raises
-    :class:`ParameterSearchFailed` when no trial argument up to 10^6
-    with at most 200 tail terms meets the bound.
+    :class:`ParameterSearchFailed` when no trial argument up to 10^6,
+    with its planned tail length, meets the bound.
     """
     if k < 0:
         raise ValueError("order must be non-negative")
@@ -110,16 +94,12 @@ def _search(k: int, ctx: PrecisionContext) -> Result:
         bound = mpmath.mpf(10) ** (-ctx.target_digits)
     w = shift_threshold(ctx)
     while w <= _MAX_TRIAL_W:
-        for tail in _AUTO_TAIL_LADDER:
-            if _truncation_estimate(k, w, tail) > bound / 4:
-                continue
-            rec = gkbj_constant(k, w, tail, ctx)
-            if rec.err <= bound:
-                return rec
-            break  # bound missed on rounding, not truncation: retry larger w
-        w *= 2
+        rec = gkbj_constant(k, w, None, ctx)
+        if rec.err <= bound:
+            return rec
+        w *= 2  # lowers the truncation error; the rounding floor grows with w
     raise ParameterSearchFailed(
-        f"no (w <= {_MAX_TRIAL_W}, tail <= {_AUTO_TAIL_LADDER[-1]}) reaches "
+        f"no trial argument w <= {_MAX_TRIAL_W} reaches "
         f"err <= 1e-{ctx.target_digits} for order {k}"
     )
 
@@ -131,15 +111,15 @@ def limit_constant(
     tail_terms: int | None = None,
 ) -> Result:
     """Order-k constant L_k: the automatic search (:func:`gkbj_auto`), or,
-    given ``w_trial``, the trial method at that argument with
-    ``tail_terms`` tail terms (default 20).  ``tail_terms`` without
-    ``w_trial`` is rejected rather than ignored.
+    given ``w_trial``, the trial method at that argument with at most
+    ``tail_terms`` tail terms (default: the planned count).
+    ``tail_terms`` without ``w_trial`` is rejected rather than ignored.
     """
     if w_trial is None:
         if tail_terms is not None:
             raise ValueError("tail_terms takes effect only with w_trial")
         return gkbj_auto(k, ctx)
-    return gkbj_constant(k, w_trial, tail_terms or DEFAULT_TAIL_TERMS, ctx)
+    return gkbj_constant(k, w_trial, tail_terms, ctx)
 
 
 def varpi(k: int, ctx: PrecisionContext = DEFAULT_CONTEXT) -> Result:

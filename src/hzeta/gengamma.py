@@ -11,12 +11,11 @@ same shift chain, from a different base, gives zeta'(-k, w) in
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 import mpmath
 
-from .asymptotic import DEFAULT_TAIL_TERMS, eval_lambda, shift_threshold
+from .asymptotic import eval_lambda, plan
 from .mpcore import DEFAULT_CONTEXT, PrecisionContext, Real, Result, as_exact, to_mpf
 
 __all__ = ["exact_log_gengamma", "shift_log_gengamma", "shifted_series", "log_gengamma"]
@@ -91,21 +90,17 @@ def shifted_series(
     ctx: PrecisionContext = DEFAULT_CONTEXT,
     tail_terms: int | None = None,
 ):
-    """``base`` plus the order-k remainder series at x + n, with the shift
-    count n (chosen here and nowhere else) lifting x to the asymptotic
-    threshold, then brought back down to x by :func:`shift_log_gengamma`.
+    """``base`` plus the order-k remainder series at x + n, with n and the
+    tail length from :func:`~hzeta.asymptotic.plan`, then brought back
+    down to x by :func:`shift_log_gengamma`.
 
     Returns ``(value, err, params)``: err adds ``base_err``, the series
     estimate and a rounding allowance; ``params["tail_terms"]`` counts
-    the tail terms summed (at most ``tail_terms``, default 20).
+    the tail terms summed (at most ``tail_terms`` when given).
     """
-    terms = tail_terms if tail_terms is not None else DEFAULT_TAIL_TERMS
-    threshold = shift_threshold(ctx)
     with ctx.workprec(5):
-        if isinstance(x, Fraction):
-            n = max(0, math.ceil(threshold - x))
-        else:
-            n = max(0, int(mpmath.ceil(threshold - x)))
+        n, planned = plan(k, x - 1, ctx)
+        terms = planned if tail_terms is None else tail_terms
         lam = eval_lambda(k, x + n - 1, terms, ctx)
         shifted = to_mpf(base) + lam.value
         value = shift_log_gengamma(k, x, n, shifted, ctx)

@@ -211,7 +211,7 @@ def zeta_positive(s: int, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpmath.mpf
 
 
 def bendersky_recursion_check(
-    k: int, x: Real, ctx: PrecisionContext = DEFAULT_CONTEXT, tail_terms: int = 20
+    k: int, x: Real, ctx: PrecisionContext = DEFAULT_CONTEXT
 ) -> CheckReport:
     """Order-raising recursion: the order-(k+1) remainder equals
     (k+1) * (termwise integral of the order-k remainder) plus the exact
@@ -224,14 +224,14 @@ def bendersky_recursion_check(
         raise ValueError("order must be non-negative")
     t0 = time.perf_counter()
     x_ref = 2 * shift_threshold(ctx)
-    upper = build_lambda_terms(k + 1, tail_terms + 1)
-    lower = integrate_lambda_terms(build_lambda_terms(k, tail_terms + 1))
+    upper = build_lambda_terms(k + 1, 20 + 1)  # 20 tail terms, one held back
+    lower = integrate_lambda_terms(build_lambda_terms(k, 20 + 1))
     hk_bk1 = harmonic(k) * bernoulli(k + 1)
     with ctx.workprec(5):
 
         def sides(pt):
-            lv, le, _ = eval_term_poly(upper, pt, ctx, reserve_last_tail=True)
-            rv, re, _ = eval_term_poly(lower, pt, ctx, reserve_last_tail=True)
+            lv, le, _ = eval_term_poly(upper, pt, ctx)
+            rv, re, _ = eval_term_poly(lower, pt, ctx)
             pe = as_exact(pt)
             if isinstance(pe, Fraction):
                 corr = to_mpf(phi(k + 1, pe + 1) / (k + 1) + hk_bk1 * pe)
@@ -467,13 +467,13 @@ def log_coefficient_check(k: int, ctx: PrecisionContext = DEFAULT_CONTEXT) -> Ch
 
 
 def stabilization_check(
-    k: int, ctx: PrecisionContext = DEFAULT_CONTEXT, tail_terms: int = 20
+    k: int, ctx: PrecisionContext = DEFAULT_CONTEXT
 ) -> CheckReport:
     """The trial-method constant must not depend on the trial argument:
-    values at w = 50, 100, 200 agree within their reported errors.  This
-    is the strongest detector of any slip in the series construction."""
+    values at w = 50, 100, 200 (20 tail terms) agree within their
+    reported errors.  The strongest detector of a slip in the series."""
     t0 = time.perf_counter()
-    records = [gkbj_constant(k, w, tail_terms, ctx) for w in (50, 100, 200)]
+    records = [gkbj_constant(k, w, 20, ctx) for w in (50, 100, 200)]
     with ctx.workprec():
         values = [r.value for r in records]
         residual = max(values) - min(values)

@@ -19,6 +19,8 @@ from hzeta import (
     log_coefficient_poly,
     shift_threshold,
 )
+from hzeta.asymptotic import plan, tail_length
+from hzeta.mpcore import to_mpf
 
 
 def as_dicts(poly):
@@ -210,6 +212,52 @@ class TestThreshold:
         assert shift_threshold(PrecisionContext(20)) == 20
         assert shift_threshold(PrecisionContext(30)) == 27
         assert shift_threshold(PrecisionContext(50)) == 45
+
+
+class TestPlan:
+    @staticmethod
+    def log10_bound(k, s, y):
+        """log10 of 2 zeta(2) k! (s-2)! / ((2 pi)^(k+s) y^(s-1)), the bound on
+        the tail entry of inverse power s - 1."""
+        with mpmath.mp.workdps(30):
+            b = (2 * mpmath.zeta(2) * mpmath.factorial(k) * mpmath.factorial(s - 2)
+                 / ((2 * mpmath.pi) ** (k + s) * to_mpf(y) ** (s - 1)))
+            return mpmath.log10(b)
+
+    @pytest.mark.parametrize("digits", [20, 100, 200])
+    @pytest.mark.parametrize(
+        "x", [0, Fraction(-4, 7), Fraction(71, 3), 150, mpmath.mpf("2.75")], ids=str)
+    @pytest.mark.parametrize("k", [0, 1, 4, 9])
+    def test_shift_clears_threshold_and_tail_reaches_working_precision(self, k, x, digits):
+        ctx = PrecisionContext(target_digits=digits)
+        n, terms = plan(k, x, ctx)
+        y = x + n
+        assert n >= 0 and y >= shift_threshold(ctx)
+        assert n == 0 or y - 1 < shift_threshold(ctx)
+        # nonzero entries have k + s even; the first one held back is the
+        # first whose bound is below 10^-working_digits
+        s_held = 2 + k % 2 + 2 * terms
+        assert self.log10_bound(k, s_held, y) < -ctx.working_digits
+        assert terms == 1 or self.log10_bound(k, s_held - 2, y) >= -ctx.working_digits
+
+    def test_tail_no_longer_than_before_at_low_precision(self, ctx20):
+        assert max(plan(k, x, ctx20)[1] for k in range(10) for x in (0, 20, 25)) <= 20
+
+    @pytest.mark.parametrize("k", [0, 1, 3])
+    def test_at_least_one_term_at_large_argument(self, ctx20, k):
+        # the first entry is already below 10^-working_digits; one is still
+        # planned so that the held-back entry feeds the estimate
+        assert plan(k, Fraction(10**37, 2), ctx20) == (0, 1)
+        assert eval_lambda(k, Fraction(10**37, 2), ctx=ctx20).params["tail_terms"] == 1
+
+    @pytest.mark.parametrize("y", [1, 2, 5])
+    @pytest.mark.parametrize("k", [0, 1, 4])
+    def test_small_argument_stops_at_the_bound_minimum(self, k, y):
+        # sized at y itself, not at the threshold a shift would reach
+        terms = tail_length(k, y, PrecisionContext(target_digits=200))
+        s_held = 2 + k % 2 + 2 * terms
+        assert self.log10_bound(k, s_held, y) >= self.log10_bound(k, s_held - 2, y)
+        assert terms == 1 or self.log10_bound(k, s_held - 2, y) < self.log10_bound(k, s_held - 4, y)
 
 
 class TestEvalTermPoly:

@@ -101,6 +101,14 @@ class TestDigitHandling:
         with mpmath.mp.workdps(digits + 20):
             assert mpmath.nstr(mpmath.mpf(hi), digits, strip_zeros=False) == lo
 
+    def test_every_printed_digit_at_high_precision(self, capsys):
+        assert run(["hz", "-k", "0", "-w", "3/7", "--digits", "120", "--json"]) == 0
+        rec = json.loads(lines(capsys)[0])
+        with mpmath.mp.workdps(160):
+            oracle = mpmath.zeta(0, mpmath.mpf(3) / 7, 1)
+            assert rec["value"] == mpmath.nstr(oracle, 120, strip_zeros=False)
+            assert mpmath.mpf(rec["err_estimate"]) <= mpmath.mpf(10) ** -120
+
     def test_env_var_default(self, capsys, monkeypatch):
         monkeypatch.setenv("HZETA_DIGITS", "12")
         assert run(["dz", "-k", "1"]) == 0
@@ -133,6 +141,13 @@ class TestExitCodes:
 
     def test_nonpositive_offset(self, capsys):
         assert run(["hz", "-k", "1", "-w", "0"]) == 1
+
+    def test_unwritable_output_file(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "table.txt"
+        assert run(["table", "--kmax", "1", "-o", str(target)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("hzeta: error: ")
+        assert err.strip().count("\n") == 0  # one-line diagnostic, no traceback
 
     @pytest.mark.parametrize(
         "argv",
@@ -184,7 +199,7 @@ class TestParameterOverrides:
         "argv, tail_terms",
         [
             (["gamma", "-k", "0", "-x", "1/3", "--terms", "30"], 30),
-            (["hz", "-k", "1", "-w", "1/4"], 20),
+            (["hz", "-k", "1", "-w", "1/4"], 16),
         ],
         ids=["gamma-terms", "hz-default-terms"],
     )

@@ -4,8 +4,10 @@ import mpmath
 import pytest
 
 from hzeta import (
+    PrecisionContext,
     hurwitz_deriv,
     hurwitz_deriv_integer,
+    log_gengamma,
     zeta_deriv_neg,
     zeta_positive,
 )
@@ -53,7 +55,7 @@ class TestZetaDerivNeg:
     @pytest.mark.parametrize("k, w_trial, tail_terms", [(0, 150, 25), (1, 200, 30), (3, 120, None)])
     def test_trial_overrides(self, ctx20, k, w_trial, tail_terms):
         d = zeta_deriv_neg(k, ctx20, w_trial=w_trial, tail_terms=tail_terms)
-        const = gkbj_constant(k, w_trial, tail_terms or 20, ctx20)
+        const = gkbj_constant(k, w_trial, tail_terms or 7, ctx20)
         with ctx20.workprec():
             expected = to_mpf(harmonic(k) * bernoulli(k + 1) / (k + 1)) - const.value
         assert d.value == expected
@@ -154,3 +156,30 @@ class TestPrecisionScaling:
         b = hurwitz_deriv_integer(2, 7, ctx30)
         with ctx30.workprec():
             assert abs(a.value - b.value) <= mpmath.mpf(10) ** -30 * max(1, abs(b.value))
+
+
+class TestOracleGrid:
+    """Both shifted-series routes against mpmath at D + 40 digits, past the
+    precision a fixed-length tail could reach: the error estimate covers
+    the actual error and meets the requested 10^-D."""
+
+    @pytest.mark.parametrize("digits", [60, 100, 200])
+    @pytest.mark.parametrize("w", [Fraction(3, 7), Fraction(5, 2), Fraction(71, 3)], ids=str)
+    @pytest.mark.parametrize("k", [0, 1, 2, 4])
+    @pytest.mark.parametrize("route", [hurwitz_deriv, log_gengamma], ids=lambda f: f.__name__)
+    def test_value_within_err_within_target(self, route, k, w, digits):
+        res = route(k, w, PrecisionContext(target_digits=digits))
+        with mpmath.mp.workdps(digits + 40):
+            oracle = mpmath.zeta(-k, to_mpf(w), 1)
+            if route is log_gengamma:  # log Gamma_k(w) = zeta'(-k, w) - zeta'(-k)
+                oracle -= mpmath.zeta(-k, 1, 1)
+            assert abs(res.value - oracle) <= res.err <= mpmath.mpf(10) ** -digits
+
+    @pytest.mark.parametrize(
+        "k, w", [(1, Fraction(10**17 + 1, 2)), (3, Fraction(2 * 10**16 + 1, 2)),
+                 (0, Fraction(10**37 + 1, 2))], ids=str)
+    def test_large_argument_needs_no_shift_and_one_term(self, ctx20, k, w):
+        res = hurwitz_deriv(k, w, ctx20)
+        with mpmath.mp.workdps(80):
+            oracle = mpmath.zeta(-k, to_mpf(w), 1)
+            assert abs(res.value - oracle) <= res.err <= mpmath.mpf(10) ** -20 * abs(oracle)

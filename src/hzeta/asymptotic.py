@@ -30,7 +30,7 @@ from __future__ import annotations
 import itertools
 import math
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import mpmath
@@ -66,12 +66,16 @@ class TermPoly:
     plus a tail of ``coeff * x^(-inv_power)`` entries.
 
     No two main terms share a ``(power, has_log)`` key; tail entries are
-    unique in ``inv_power`` and sorted by it.
+    unique in ``inv_power`` and sorted by it.  ``_mpf_coeffs`` maps an
+    mpmath precision to the coefficients as mpf, filled by
+    :func:`eval_term_poly`; it lives and dies with the term list, so
+    :func:`~hzeta.mpcore.clear_caches` drops it with the cached lists.
     """
 
     k: int
     main_terms: tuple[tuple[Fraction, int, bool], ...]
     tail_terms: tuple[tuple[Fraction, int], ...]
+    _mpf_coeffs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 def _merge_main(terms) -> tuple[tuple[Fraction, int, bool], ...]:
@@ -116,15 +120,18 @@ def _main_terms_generic(k: int) -> list:
 
 
 def _tail_generic(k: int, count: int) -> list:
+    # B_{k+s} vanishes for odd k + s: the count nonzero entries sit at
+    # every other s from 2 + k % 2, and the largest index grows the table once
+    first = 2 + k % 2
+    bernoulli(k + first + 2 * (count - 1))
     kfac = math.factorial(k)
     out = []
-    s = 2
-    while len(out) < count:
+    for s in range(first, first + 2 * count, 2):
         b = bernoulli(k + s)
-        if b:
-            c = (-1) ** s * kfac * math.factorial(s - 2) * b / math.factorial(k + s)
-            out.append((c, s - 1))
-        s += 1
+        sign = -1 if s % 2 else 1
+        c = Fraction(sign * kfac * math.factorial(s - 2) * b.numerator,
+                     math.factorial(k + s) * b.denominator)
+        out.append((c, s - 1))
     return out
 
 
@@ -150,11 +157,11 @@ def build_lambda_terms(k: int, tail_terms: int) -> TermPoly:
     poly = _TERMS_CACHE.get(key)
     if poly is not None:
         return poly
+    tail = _tail_generic(k, tail_terms)  # first: its largest index covers the main terms'
     if k >= 1:
         main = _main_terms_generic(k)
     else:
         main = [(Fraction(1), 1, True), (Fraction(1, 2), 0, True), (Fraction(-1), 1, False)]
-    tail = _tail_generic(k, tail_terms)
     poly = TermPoly(k=k, main_terms=_merge_main(main), tail_terms=_merge_tail(tail))
     with _TERMS_LOCK:
         _TERMS_CACHE[key] = poly
@@ -177,10 +184,17 @@ def eval_term_poly(poly: TermPoly, x: Real, ctx: PrecisionContext = DEFAULT_CONT
         if xf <= 0:
             raise ValueError("term-poly argument must be positive")
         logx = mpmath.log(xf)
+        coeffs = poly._mpf_coeffs.get(mpmath.mp.prec)
+        if coeffs is None:
+            coeffs = poly._mpf_coeffs[mpmath.mp.prec] = (
+                [to_mpf(c) for c, _, _ in poly.main_terms],
+                [to_mpf(c) for c, _ in poly.tail_terms],
+            )
+        main_coeffs, tail_coeffs = coeffs
         total = mpmath.mpf(0)
         scale = mpmath.mpf(0)
-        for c, p, has_log in poly.main_terms:
-            term = to_mpf(c) * xf**p
+        for c, (_, p, has_log) in zip(main_coeffs, poly.main_terms):
+            term = c * xf**p
             if has_log:
                 term *= logx
             total += term
@@ -189,8 +203,8 @@ def eval_term_poly(poly: TermPoly, x: Real, ctx: PrecisionContext = DEFAULT_CONT
         omitted = mpmath.mpf(0)
         prev_mag = None
         used = 0
-        for i, (c, q) in enumerate(poly.tail_terms):
-            term = to_mpf(c) / xf**q
+        for i, (c, (_, q)) in enumerate(zip(tail_coeffs, poly.tail_terms)):
+            term = c / xf**q
             mag = abs(term)
             if i >= n_avail or (prev_mag is not None and mag >= prev_mag):
                 omitted = mag

@@ -6,7 +6,9 @@ digits and results are reported to ``target`` digits.  Combinatorial
 quantities (Bernoulli numbers and polynomials, harmonic numbers, power
 sums) stay exact rationals until the final conversion to a big float,
 so the signs and coefficients of the divergent series downstream are
-never perturbed by rounding.
+never perturbed by rounding.  The Bernoulli table is built from integer
+tangent numbers (Brent & Harvey, arXiv:1108.0286), one Fraction per
+new entry.
 
 Convention: B_1 = -1/2 throughout.
 """
@@ -115,12 +117,20 @@ def as_exact(x: Real):
 class BernoulliCache:
     """Growable table of exact Bernoulli numbers (B_1 = -1/2).
 
-    Extension appends only, so previously returned values never change;
-    the lock makes concurrent growth safe.
+    B_2h comes from the tangent number T_h as
+    (-1)^(h-1) 2h T_h / (4^h (4^h - 1)), and the T_h from the integer
+    recurrence T[j] <- (j-k) T[j-1] + (j-k+2) T[j] of Brent & Harvey,
+    "Fast computation of Bernoulli, Tangent and Secant numbers"
+    (arXiv:1108.0286).  The table keeps that recurrence's last column,
+    so growth computes only the new entries and appends them:
+    previously returned values never change.  The lock makes concurrent
+    growth safe.
     """
 
     def __init__(self) -> None:
         self._values: list[Fraction] = [Fraction(1), Fraction(-1, 2)]
+        # column[k-1] = T[h] after pass k of the recurrence, h = len(column)
+        self._column: list[int] = []
         self._lock = threading.Lock()
 
     def get(self, n: int) -> Fraction:
@@ -132,18 +142,22 @@ class BernoulliCache:
         return self._values[n]
 
     def _grow(self, n: int) -> None:
-        values = self._values
+        values, column = self._values, self._column
         while len(values) <= n:
-            m = len(values)
-            if m % 2 and m > 1:
+            if len(values) % 2:
                 values.append(Fraction(0))
                 continue
-            # defining recurrence: sum_{j=0}^{m} C(m+1, j) B_j = 0
-            acc = Fraction(0)
-            for j in range(m):
-                if values[j]:
-                    acc += math.comb(m + 1, j) * values[j]
-            values.append(-acc / (m + 1))
+            # next column h: pass 1 sets T[h] = (h-1)!, pass k uses pass k
+            # of column h-1 and pass k-1 of column h; T_h is its last entry
+            h = len(column) + 1
+            new = [(h - 1) * column[0] if column else 1]
+            for k in range(2, h + 1):
+                up = (h - k) * column[k - 1] if k < h else 0
+                new.append(up + (h - k + 2) * new[-1])
+            column[:] = new
+            four = 4**h
+            sign = 1 if h % 2 else -1
+            values.append(Fraction(sign * 2 * h * new[-1], four * (four - 1)))
 
 
 _BERNOULLI = BernoulliCache()

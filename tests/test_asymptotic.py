@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import mpmath
@@ -9,6 +10,7 @@ from hzeta import (
     ArgumentTooSmall,
     PrecisionContext,
     TermPoly,
+    bernoulli,
     bernoulli_poly,
     build_lambda_terms,
     eval_lambda,
@@ -20,7 +22,7 @@ from hzeta import (
     shift_threshold,
 )
 from hzeta.asymptotic import plan, tail_length
-from hzeta.mpcore import to_mpf
+from hzeta.mpcore import clear_caches, to_mpf
 
 
 def as_dicts(poly):
@@ -70,6 +72,19 @@ class TestBuildTerms:
         powers = [q for _, q in poly.tail_terms]
         assert powers == sorted(powers)
         assert len(powers) == 7
+
+    @pytest.mark.parametrize("k", range(13))
+    def test_tail_entries_match_reference_formula(self, k):
+        # (-1)^s k! (s-2)! B_{k+s} / (k+s)! at x^-(s-1), nonzero entries only
+        reference = []
+        s = 2
+        while len(reference) < 60:
+            c = Fraction((-1) ** s * math.factorial(k) * math.factorial(s - 2)) * bernoulli(k + s)
+            c /= math.factorial(k + s)
+            if c:
+                reference.append((c, s - 1))
+            s += 1
+        assert build_lambda_terms(k, 60).tail_terms == tuple(reference)
 
 
 class TestEvalLambda:
@@ -267,3 +282,21 @@ class TestEvalTermPoly:
         _, err, used = eval_term_poly(poly, 2, ctx20)
         assert used < 30
         assert err > 0
+
+    def test_cached_coefficients_follow_the_precision(self, ctx20, ctx30):
+        # one term list evaluated at two precisions gives, at each, the bits
+        # of a fresh copy that has never been evaluated
+        poly = build_lambda_terms(3, 21)
+        for ctx in (ctx20, ctx30, ctx20):
+            value, err, used = eval_term_poly(poly, Fraction(81, 2), ctx)
+            fresh = TermPoly(poly.k, poly.main_terms, poly.tail_terms)
+            ref_value, ref_err, ref_used = eval_term_poly(fresh, Fraction(81, 2), ctx)
+            assert (value._mpf_, err._mpf_, used) == (ref_value._mpf_, ref_err._mpf_, ref_used)
+
+    def test_clear_caches_drops_cached_coefficients(self, ctx20):
+        poly = build_lambda_terms(2, 11)
+        eval_term_poly(poly, 30, ctx20)
+        assert poly._mpf_coeffs
+        clear_caches()
+        rebuilt = build_lambda_terms(2, 11)
+        assert rebuilt is not poly and not rebuilt._mpf_coeffs

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 from fractions import Fraction
 
 import mpmath
@@ -7,18 +9,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hzeta import PrecisionContext, bernoulli, bernoulli_poly, harmonic, phi
-from hzeta.mpcore import to_mpf
+from hzeta.mpcore import BernoulliCache, to_mpf
 
 
 def akiyama_tanigawa(n):
-    """Independent Bernoulli oracle (first-kind convention gives B_1 = +1/2;
-    flip the sign to land on B_1 = -1/2)."""
-    row = [Fraction(1, m + 1) for m in range(n + 1)]
-    for j in range(1, n + 1):
-        for m in range(n + 1 - j):
-            row[m] = (m + 1) * (row[m] - row[m + 1])
-    b = row[0]
-    return -b if n == 1 else b
+    """Independent Bernoulli oracle: B_0..B_n in one Akiyama-Tanigawa sweep
+    (first-kind convention gives B_1 = +1/2; flip the sign to land on
+    B_1 = -1/2)."""
+    row, out = [], []
+    for m in range(n + 1):
+        row.append(Fraction(1, m + 1))
+        for j in range(m, 0, -1):
+            row[j - 1] = j * (row[j - 1] - row[j])
+        out.append(row[0])
+    if n >= 1:
+        out[1] = -out[1]
+    return out
 
 
 class TestBernoulli:
@@ -28,12 +34,13 @@ class TestBernoulli:
         assert bernoulli(2) == Fraction(1, 6)
 
     def test_b12(self):
-        assert akiyama_tanigawa(12) == Fraction(-691, 2730)
+        assert akiyama_tanigawa(12)[12] == Fraction(-691, 2730)
         assert bernoulli(12) == Fraction(-691, 2730)
 
     def test_against_independent_oracle(self):
-        for n in range(25):
-            assert bernoulli(n) == akiyama_tanigawa(n)
+        oracle = akiyama_tanigawa(200)
+        for n in range(201):
+            assert bernoulli(n) == oracle[n]
 
     def test_odd_vanish(self):
         for m in range(1, 21):
@@ -48,6 +55,47 @@ class TestBernoulli:
     def test_negative_index_rejected(self):
         with pytest.raises(ValueError):
             bernoulli(-1)
+
+
+class TestBernoulliGrowth:
+    def test_one_call_matches_index_by_index(self):
+        whole, stepwise = BernoulliCache(), BernoulliCache()
+        whole.get(300)
+        for n in range(301):
+            stepwise.get(n)
+        assert whole._values == stepwise._values
+
+    def test_growth_appends_only(self):
+        table = BernoulliCache()
+        table.get(12)
+        before = list(table._values)
+        table.get(200)
+        assert len(table._values) == 201
+        assert all(a is b for a, b in zip(before, table._values[:13], strict=True))
+
+    def test_concurrent_growth_matches_serial(self):
+        serial, shared = BernoulliCache(), BernoulliCache()
+        targets = (57, 120, 181, 250)
+        for n in targets:
+            serial.get(n)
+        start = threading.Barrier(len(targets))
+
+        def grow(n):
+            start.wait(timeout=30)
+            shared.get(n)
+
+        threads = [threading.Thread(target=grow, args=(n,)) for n in targets]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert shared._values == serial._values
 
 
 class TestBernoulliPoly:

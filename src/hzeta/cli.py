@@ -13,7 +13,8 @@ selftest  run the identity suite
 
 Common flags: --digits D (default 20, or the HZETA_DIGITS environment
 variable), --json for one JSON object per line: a Result's fields, with
-``params`` the digits plus the series parameters the route used.
+``params`` the digits plus the series parameters the route used; for
+selftest, one check report per line, with the pass count on stderr.
 Override flags are accepted only where they take effect: dz and const
 take --w-trial, the trial argument for L_k, and --terms, which caps its
 tail length (default: the count planned for --digits) and needs
@@ -202,7 +203,8 @@ def _run_selftest(args, ctx, out: TextIO) -> int:
         print(f"[{status}] {rep.name}{loc}  residual={record['residual']}"
               f" tol={record['tolerance']} ({rep.elapsed:.2f}s)", file=out)
     failed = sum(not rep.passed for rep in reports)
-    print(f"selftest {args.level}: {len(reports) - failed}/{len(reports)} passed", file=out)
+    print(f"selftest {args.level}: {len(reports) - failed}/{len(reports)} passed",
+          file=sys.stderr if args.json else out)
     return 0 if failed == 0 else 1
 
 

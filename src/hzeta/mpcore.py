@@ -41,6 +41,12 @@ __all__ = [
 ]
 
 
+# 10^-(W-2) per (working digits, mpmath precision): the power is taken at the
+# precision of the call that first needs it, so a cached value has the bits a
+# fresh one would
+_FLOOR_POWERS: dict[tuple[int, int], mpmath.mpf] = {}
+
+
 @dataclass(frozen=True)
 class PrecisionContext:
     """Requested output precision plus guard digits for internal work."""
@@ -65,7 +71,11 @@ class PrecisionContext:
 
     def rounding_floor(self, scale) -> mpmath.mpf:
         """Absolute rounding allowance for a computation of the given magnitude."""
-        return abs(scale) * mpmath.mpf(10) ** (-(self.working_digits - 2))
+        key = (self.working_digits, mp.prec)
+        power = _FLOOR_POWERS.get(key)
+        if power is None:
+            power = _FLOOR_POWERS[key] = mpmath.mpf(10) ** (-(self.working_digits - 2))
+        return abs(scale) * power
 
 
 DEFAULT_CONTEXT = PrecisionContext()

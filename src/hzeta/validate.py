@@ -96,12 +96,24 @@ def quadrature(
 ):
     """Tanh-sinh (double-exponential) quadrature of f over (a, b).
 
-    Levels double until successive estimates differ by less than the
-    convergence target 10^-(target + guard/2); the returned error is the
-    last inter-level difference.  Integrable endpoint singularities of
-    logarithmic type need no special handling: node offsets from the
-    endpoints are computed without cancellation and the weights decay
-    doubly exponentially.
+    Levels halve the step until one of two exits is reached:
+
+    - the difference between successive estimates is at most the
+      convergence target 10^-(target + guard/2) times the scale
+      max(1, |estimate|); the error returned is that difference, or the
+      rounding floor ``ctx.rounding_floor(scale)`` if larger;
+    - the next level's difference, predicted as delta^2 / prev_delta
+      from the last two contracting differences, is at or below the
+      rounding floor; the current estimate is returned with the rounding
+      floor as error, which is what the next level would report.  The
+      prediction is exact at a constant contraction ratio and
+      overestimates for tanh-sinh, whose ratio only shrinks (Takahasi &
+      Mori 1974; Bailey, Jeyabalan & Li 2005), so the skipped level
+      could not have changed the error.
+
+    Integrable endpoint singularities of logarithmic type need no
+    special handling: node offsets from the endpoints are computed
+    without cancellation and the weights decay doubly exponentially.
 
     When the level differences stop contracting at a small plateau (the
     integrand itself carries error at that scale) the plateau value is
@@ -160,6 +172,10 @@ def quadrature(
                 raise NonConvergent(
                     f"level differences stalled at {mpmath.nstr(delta, 3)}"
                 )
+            if prev_delta is not None and delta < prev_delta:
+                floor = ctx.rounding_floor(scale)
+                if delta**2 / prev_delta <= floor:
+                    return estimate, floor
             prev_delta = delta
         if prev_delta is not None and prev_delta <= plateau_limit * scale:
             return estimate, 2 * prev_delta

@@ -69,6 +69,13 @@ class TestJsonOutput:
         (line,) = lines(capsys)
         assert json.dumps(json.loads(line), sort_keys=True) == line
 
+    def test_selftest_prints_only_json_lines(self, capsys):
+        assert run(["selftest", "--level", "quick", "--digits", "12", "--json"]) == 0
+        captured = capsys.readouterr()
+        records = [json.loads(ln) for ln in captured.out.splitlines()]
+        assert records and all(rec["passed"] for rec in records)
+        assert captured.err.startswith("selftest quick:")
+
     def test_record_fields(self, capsys):
         assert run(["hz", "-k", "1", "-w", "5.5", "--json", "--digits", "15"]) == 0
         rec = json.loads(lines(capsys)[0])

@@ -184,3 +184,12 @@ class TestPrecisionContext:
         with ctx.workprec():
             assert mpmath.mp.dps == 55
         assert mpmath.mp.dps == before
+
+    def test_rounding_floor_has_the_bits_of_a_fresh_power(self):
+        # the power is cached per precision: a value cached at W+5 digits
+        # must not be reused at W
+        ctx = PrecisionContext(20)
+        for extra in (5, 0, 5):
+            with ctx.workprec(extra):
+                fresh = mpmath.mpf(3) * mpmath.mpf(10) ** -(ctx.working_digits - 2)
+                assert ctx.rounding_floor(-3)._mpf_ == fresh._mpf_

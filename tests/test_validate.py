@@ -15,6 +15,7 @@ from hzeta import (
     gint_moment_check,
     jeffery_difference_check,
     log_coefficient_check,
+    log_gengamma,
     quadrature,
     selftest,
     stabilization_check,
@@ -60,6 +61,57 @@ class TestQuadrature:
         with hi.workprec():
             assert abs(vhi + 1) <= ehi + hi.rounding_floor(1)
             assert abs(vlo - vhi) < mpmath.mpf("1e-20")
+
+
+def _package_log_gamma(ctx, calls=None):
+    """t -> log Gamma(t+1) through the package's order-0 route."""
+
+    def f(t):
+        if calls is not None:
+            calls.append(t)
+        return log_gengamma(0, t + 1, ctx).value
+
+    return f
+
+
+# (integrand for a context, a, b, oracle evaluated at D+30 digits)
+HONESTY_CASES = {
+    "package-log-gamma": (
+        _package_log_gamma, 0, 1, lambda: mpmath.log(2 * mpmath.pi) / 2 - 1),
+    "log": (lambda ctx: mpmath.log, 0, 1, lambda: mpmath.mpf(-1)),
+    "mpmath-log-gamma": (
+        lambda ctx: lambda t: mpmath.loggamma(t + 1), 0, Fraction(11, 2),
+        lambda: mpmath.quad(lambda t: mpmath.loggamma(t + 1), [0, mpmath.mpf(11) / 2])),
+    "exp": (lambda ctx: mpmath.exp, 0, 3, lambda: mpmath.e**3 - 1),
+}
+
+
+class TestQuadratureHonesty:
+    """The returned error covers the actual error against an oracle
+    computed independently at D+30 digits, whichever exit was taken."""
+
+    @pytest.mark.parametrize("digits", [15, 20, 30, 50])
+    @pytest.mark.parametrize("case", sorted(HONESTY_CASES))
+    def test_error_covers_actual(self, case, digits):
+        make, a, b, oracle = HONESTY_CASES[case]
+        ctx = PrecisionContext(digits)
+        val, err = quadrature(make(ctx), a, b, ctx)
+        with mpmath.mp.workdps(digits + 30):
+            assert abs(val - oracle()) <= err
+
+    def test_stops_a_level_early(self):
+        # at D=20 the differences 3.3e-12, 5.9e-25 predict a next one of
+        # 1e-37, below the rounding floor 1e-33: level 5's 134 nodes are skipped
+        calls = []
+        ctx = PrecisionContext(20)
+        quadrature(_package_log_gamma(ctx, calls), 0, 1, ctx)
+        assert len(calls) <= 141
+
+    def test_runs_on_while_the_prediction_is_above_the_floor(self):
+        calls = []
+        ctx = PrecisionContext(30)
+        quadrature(_package_log_gamma(ctx, calls), 0, 1, ctx)
+        assert len(calls) == 285
 
 
 class TestZetaPositive:

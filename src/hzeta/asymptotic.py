@@ -67,7 +67,8 @@ class TermPoly:
 
     No two main terms share a ``(power, has_log)`` key; tail entries are
     unique in ``inv_power`` and sorted by it.  ``_mpf_coeffs`` maps an
-    mpmath precision to the coefficients as mpf, filled by
+    mpmath precision to the main coefficients as mpf and the tail in
+    fixed point (:func:`_coefficients`), filled by
     :func:`eval_term_poly`; it lives and dies with the term list, so
     :func:`~hzeta.mpcore.clear_caches` drops it with the cached lists.
     """
@@ -168,14 +169,72 @@ def build_lambda_terms(k: int, tail_terms: int) -> TermPoly:
     return poly
 
 
+def _coefficients(poly: TermPoly):
+    """A term list's coefficients at the ambient mpmath precision, cached
+    in ``poly._mpf_coeffs``: ``(main, wp, frac, tail)``.
+
+    ``main`` holds the main coefficients as mpf.  The tail is in fixed
+    point at ``wp = mp.prec + 10`` bits: each entry is
+    ``(floor(c 2^wp), d, turn)`` with d the step in q from the previous
+    entry (from 0 for the first).  Powers of 1/x are held at
+    ``frac = wp + g`` bits, g the bit length of the largest |c|, so that a
+    factorially large coefficient does not lift a power's truncation above
+    2^-wp.  ``turn`` is None for the first entry, else ``(log r, r)`` with
+    r = |c / c_prev| exact: the entry's magnitude is at least its
+    predecessor's iff r >= x^d.
+    """
+    cached = poly._mpf_coeffs.get(mpmath.mp.prec)
+    if cached is None:
+        wp = mpmath.mp.prec + 10
+        g = max(abs(c.numerator) // c.denominator for c, _ in poly.tail_terms).bit_length()
+        tail = []
+        prev, prev_q = None, 0
+        for c, q in poly.tail_terms:
+            turn = None
+            if prev is not None:
+                ratio = abs(c / prev)
+                turn = (math.log(ratio.numerator) - math.log(ratio.denominator), ratio)
+            tail.append(((c.numerator << wp) // c.denominator, q - prev_q, turn))
+            prev, prev_q = c, q
+        main = [to_mpf(c) for c, _, _ in poly.main_terms]
+        cached = poly._mpf_coeffs[mpmath.mp.prec] = (main, wp, wp + g, tail)
+    return cached
+
+
+def _turns(d: int, turn, log_x: float, man: int, exp: int) -> bool:
+    """Whether a tail entry's magnitude is at least its predecessor's at
+    x = man * 2^exp: r >= x^d, by float logs (good to about 1e-13 here)
+    unless they are within 1e-9 of a tie, then exactly."""
+    log_ratio, ratio = turn
+    gap = log_ratio - d * log_x
+    if abs(gap) > 1e-9:
+        return gap > 0
+    lhs, rhs = ratio.numerator, ratio.denominator * man**d
+    if d * exp < 0:
+        lhs <<= -d * exp
+    else:
+        rhs <<= d * exp
+    return lhs >= rhs
+
+
 def eval_term_poly(poly: TermPoly, x: Real, ctx: PrecisionContext = DEFAULT_CONTEXT):
     """Numeric value of a term list at ``x`` plus an error estimate.
 
     The tail is summed in order under an optimal-truncation guard: once
     term magnitudes start growing, summation stops at the smallest term.
-    The estimate is twice the first omitted tail term plus a rounding
-    floor scaled by the largest intermediate.  The final tail entry is
-    never summed and only feeds the estimate.
+    That test compares exact magnitudes (:func:`_turns`).  The final tail
+    entry is never summed and only feeds the estimate.
+
+    The main terms and log x are evaluated in mpf.  The tail is summed
+    in fixed-point Python integers (:func:`_coefficients`): 1/x comes once
+    from x's mantissa and exponent, and each x^-q from the previous power
+    by one multiplication.  Every truncation is a floor, and a bound on
+    how far each summed term can fall below its exact value is carried
+    along, a few units of 2^-wp per term.
+
+    The estimate is twice a bound on the first omitted tail term, plus a
+    rounding floor scaled by the summed magnitudes, plus that absolute
+    fixed-point bound.
 
     Returns ``(value, err, tail_terms_used)``.
     """
@@ -184,13 +243,7 @@ def eval_term_poly(poly: TermPoly, x: Real, ctx: PrecisionContext = DEFAULT_CONT
         if xf <= 0:
             raise ValueError("term-poly argument must be positive")
         logx = mpmath.log(xf)
-        coeffs = poly._mpf_coeffs.get(mpmath.mp.prec)
-        if coeffs is None:
-            coeffs = poly._mpf_coeffs[mpmath.mp.prec] = (
-                [to_mpf(c) for c, _, _ in poly.main_terms],
-                [to_mpf(c) for c, _ in poly.tail_terms],
-            )
-        main_coeffs, tail_coeffs = coeffs
+        main_coeffs, wp, frac, tail = _coefficients(poly)
         total = mpmath.mpf(0)
         scale = mpmath.mpf(0)
         for c, (_, p, has_log) in zip(main_coeffs, poly.main_terms):
@@ -199,21 +252,34 @@ def eval_term_poly(poly: TermPoly, x: Real, ctx: PrecisionContext = DEFAULT_CONT
                 term *= logx
             total += term
             scale += abs(term)
-        n_avail = len(poly.tail_terms) - 1
-        omitted = mpmath.mpf(0)
-        prev_mag = None
+        man, exp = xf.man_exp
+        log_x = math.log(man) + exp * math.log(2)
+        steps = {}  # d -> floor(2^frac / x^d)
+        n_avail = len(tail) - 1
+        acc = acc_abs = slack = omitted = 0  # units of 2^-wp
+        # floor(2^frac x^-q), short of the exact value by at most e
+        power, e = 1 << frac, 0
         used = 0
-        for i, (c, (_, q)) in enumerate(zip(tail_coeffs, poly.tail_terms)):
-            term = c / xf**q
-            mag = abs(term)
-            if i >= n_avail or (prev_mag is not None and mag >= prev_mag):
-                omitted = mag
+        for i, (fixed, d, turn) in enumerate(tail):
+            step = steps.get(d)
+            if step is None:
+                shift = frac - d * exp  # negative: x^d > 2^frac, so the floor is 0
+                step = steps[d] = (1 << shift) // man**d if shift >= 0 else 0
+            power, e = (power * step) >> frac, ((e * (step + 1) + power) >> frac) + 2
+            term = (fixed * power) >> frac
+            # |term - c x^-q 2^wp|: the power's shortfall times |c| < 2^g, the
+            # coefficient's floor times x^-q, and this product's floor
+            bound = e + ((power + 2 * e) >> frac) + 2
+            if i >= n_avail or (turn is not None and _turns(d, turn, log_x, man, exp)):
+                omitted = abs(term) + bound
                 break
-            total += term
-            scale += mag
+            acc += term
+            acc_abs += abs(term)
+            slack += bound
             used += 1
-            prev_mag = mag
-        err = 2 * omitted + ctx.rounding_floor(scale)
+        total += mpmath.mpf((acc, -wp))
+        scale += mpmath.mpf((acc_abs, -wp))
+        err = mpmath.mpf((2 * omitted + slack, -wp)) + ctx.rounding_floor(scale)
         return total, err, used
 
 

@@ -66,7 +66,9 @@ def shift_log_gengamma(
 
     Repeated application of the product rule removes one factor
     ``(x+j)^k log(x+j)`` per step; rational x keeps the removed powers
-    exact.
+    exact.  At order 0 the n factors are log(x+j), and one log of the
+    rising product x (x+1) ... (x+n-1) removes them all
+    (:func:`_log_rising`).
     """
     if k < 0:
         raise ValueError("order must be non-negative")
@@ -77,9 +79,42 @@ def shift_log_gengamma(
         raise ValueError("argument must be positive")
     with ctx.workprec(5):
         total = to_mpf(value_at_shifted)
+        if k == 0:
+            return total - _log_rising(xe, n) if n else total
         for j in range(n):
             total -= _pow_log_term(xe + j, k)
         return total
+
+
+def _rising_product(start: int, step: int, n: int, bits: int) -> tuple[int, int]:
+    """``(m, s)`` with m 2^s = prod_{j<n} (start + j step), exactly while
+    the product fits in ``bits`` bits; past that each step floors it back
+    to ``bits`` bits, a relative shortfall below n 2^(1-bits) in all."""
+    prod, shift = 1, 0
+    for factor in range(start, start + n * step, step):
+        prod *= factor
+        excess = prod.bit_length() - bits
+        if excess > 0:
+            prod >>= excess
+            shift += excess
+    return prod, shift
+
+
+def _log_rising(xe, n: int) -> mpmath.mpf:
+    """log(x (x+1) ... (x+n-1)) for an exact x > 0 (Fraction or mpf), as
+    one log of an integer product: of the numerators p + j q over q^n for
+    x = p/q, of the mantissas m + j 2^-e times 2^(n e) for x = m 2^e.  The
+    product keeps mp.prec + 10 + log2(n) bits, so its truncation moves the
+    log by under 2^-(mp.prec + 9)."""
+    bits = mpmath.mp.prec + 10 + n.bit_length()
+    if isinstance(xe, Fraction):
+        p, q = xe.numerator, xe.denominator
+        prod, shift = _rising_product(p, q, n, bits)
+        return mpmath.log(mpmath.mpf((prod, shift)) / q**n)
+    man, exp = xe.man_exp
+    low = min(exp, 0)
+    prod, shift = _rising_product(man << (exp - low), 1 << -low, n, bits)
+    return mpmath.log(mpmath.mpf((prod, shift + n * low)))
 
 
 def shifted_series(

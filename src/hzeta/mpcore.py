@@ -114,9 +114,13 @@ def to_mpf(x: Real) -> mpmath.mpf:
 
 
 def as_exact(x: Real):
-    """Keep int/Fraction arguments exact (as Fraction); anything else becomes mpf."""
+    """Keep int/Fraction arguments exact (as Fraction) and an mpf as it is,
+    an exact binary rational whatever the ambient precision; anything
+    else becomes mpf."""
     if isinstance(x, (int, Fraction)):
         return Fraction(x)
+    if isinstance(x, mpmath.mpf):
+        return x
     return to_mpf(x)
 
 

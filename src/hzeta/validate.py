@@ -38,6 +38,7 @@ from .mpcore import (
     bernoulli_poly,
     harmonic,
     phi,
+    register_cache_clearer,
     to_mpf,
 )
 
@@ -87,6 +88,30 @@ def _report(name, k, x, residual, tolerance, t0) -> CheckReport:
 # quadrature
 
 
+# (mp.prec, t) -> (sig_lo, sig_hi, cosh t) of the tanh-sinh node at t: its
+# fractional distances to b and from a, and its weight factor
+_NODES: dict = {}
+
+
+@register_cache_clearer
+def _clear_nodes() -> None:
+    _NODES.clear()
+
+
+def _node(t: mpmath.mpf):
+    """The tanh-sinh node at t, computed once per mpmath precision."""
+    key = (mpmath.mp.prec, t._mpf_)
+    node = _NODES.get(key)
+    if node is None:
+        u = mpmath.pi / 2 * mpmath.sinh(t)
+        node = _NODES[key] = (
+            1 / (1 + mpmath.exp(2 * u)),  # fractional distance to b
+            1 / (1 + mpmath.exp(-2 * u)),  # fractional distance from a
+            mpmath.cosh(t),
+        )
+    return node
+
+
 def quadrature(
     f: Callable,
     a: Real,
@@ -115,6 +140,13 @@ def quadrature(
     special handling: node offsets from the endpoints are computed
     without cancellation and the weights decay doubly exponentially.
 
+    A node's offsets and cosh t depend only on t and the mpmath
+    precision, so they are computed once per precision and kept in a
+    table shared by every call (:func:`~hzeta.mpcore.clear_caches`
+    empties it).  The weight ``width * pi * cosh t * sig_lo * sig_hi``
+    and the abscissa are formed per call, in the same order either way,
+    so a value does not depend on what the table holds.
+
     When the level differences stop contracting at a small plateau (the
     integrand itself carries error at that scale) the plateau value is
     returned with the plateau as error; a plateau above 10^-target
@@ -133,10 +165,8 @@ def quadrature(
         t_max = mpmath.asinh(2 * u_max / mpmath.pi)
 
         def weighted(t):
-            u = mpmath.pi / 2 * mpmath.sinh(t)
-            sig_lo = 1 / (1 + mpmath.exp(2 * u))  # fractional distance to b
-            sig_hi = 1 / (1 + mpmath.exp(-2 * u))  # fractional distance from a
-            wgt = width * mpmath.pi * mpmath.cosh(t) * sig_lo * sig_hi
+            sig_lo, sig_hi, cosh_t = _node(t)
+            wgt = width * mpmath.pi * cosh_t * sig_lo * sig_hi
             if wgt == 0:
                 return mpmath.mpf(0)
             if sig_lo < sig_hi:

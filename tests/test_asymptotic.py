@@ -22,7 +22,7 @@ from hzeta import (
     shift_threshold,
 )
 from hzeta.asymptotic import plan, tail_length
-from hzeta.mpcore import clear_caches, to_mpf
+from hzeta.mpcore import clear_caches, harmonic, to_mpf
 
 
 def as_dicts(poly):
@@ -300,3 +300,62 @@ class TestEvalTermPoly:
         clear_caches()
         rebuilt = build_lambda_terms(2, 11)
         assert rebuilt is not poly and not rebuilt._mpf_coeffs
+
+
+def _mpf_rule_count(poly, x, ctx):
+    """Tail terms summed by the rule evaluated in mpf at working precision:
+    stop at the held-back last entry, or at the first entry whose rounded
+    magnitude is not below its predecessor's."""
+    with ctx.workprec(5):
+        xf = to_mpf(x)
+        prev = None
+        for i, (c, q) in enumerate(poly.tail_terms):
+            mag = abs(to_mpf(c) / xf**q)
+            if i == len(poly.tail_terms) - 1 or (prev is not None and mag >= prev):
+                return i
+            prev = mag
+
+
+class TestFixedPointTail:
+    """The tail summed in fixed-point integers against the remainder from
+    mpmath at D+40 digits, lambda_k(x) = zeta'(-k, x+1) - H_k B_(k+1)/(k+1):
+    the estimate covers the actual error, and the tail stops where the
+    magnitudes in mpf turn."""
+
+    @staticmethod
+    def check(k, x, terms, ctx):
+        res = eval_lambda(k, x, terms, ctx)
+        assert res.params["tail_terms"] == _mpf_rule_count(build_lambda_terms(k, terms + 1), x, ctx)
+        with mpmath.mp.workdps(ctx.target_digits + 40):
+            oracle = mpmath.zeta(-k, to_mpf(x) + 1, 1) - to_mpf(harmonic(k) * bernoulli(k + 1) / (k + 1))
+            assert abs(res.value - oracle) <= res.err
+
+    @pytest.mark.parametrize("times", [1, 10])
+    @pytest.mark.parametrize("digits", [20, 100, 400])
+    @pytest.mark.parametrize("k", [0, 1, 2, 6, 12])
+    def test_within_err_of_the_oracle(self, k, digits, times):
+        ctx = PrecisionContext(digits)
+        x = times * shift_threshold(ctx)
+        self.check(k, x, tail_length(k, x, ctx), ctx)
+
+    def test_trial_argument_with_a_long_tail(self, ctx20):
+        # `const --w-trial 150 --terms 25`: the magnitudes keep falling for
+        # all 25 terms, far below the fixed-point resolution
+        self.check(0, 150, 25, ctx20)
+        assert eval_lambda(0, 150, 25, ctx20).params["tail_terms"] == 25
+
+    @pytest.mark.parametrize("x", [Fraction(1, 2), 2, Fraction(81, 2), 10**6], ids=str)
+    @pytest.mark.parametrize("k", [0, 3, 12])
+    def test_rounding_part_covers_the_same_terms_in_mpf(self, ctx20, k, x):
+        # err less the truncation part still covers the difference to the
+        # summed terms at 60 digits, also below x = 1 where 1/x^q grows
+        poly = build_lambda_terms(k, 30)
+        value, err, used = eval_term_poly(poly, x, ctx20)
+        assert used == _mpf_rule_count(poly, x, ctx20)
+        with mpmath.mp.workdps(60):
+            xf = to_mpf(x)
+            terms = [to_mpf(c) * xf**p * (mpmath.log(xf) if has_log else 1)
+                     for c, p, has_log in poly.main_terms]
+            terms += [to_mpf(c) / xf**q for c, q in poly.tail_terms[:used + 1]]
+            omitted = abs(terms.pop())
+            assert abs(value - mpmath.fsum(terms)) <= err - 2 * omitted

@@ -3,7 +3,8 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from hzeta import exact_log_gengamma, log_gengamma, shift_log_gengamma
+from hzeta import PrecisionContext, exact_log_gengamma, log_gengamma, shift_log_gengamma
+from hzeta.mpcore import to_mpf
 
 
 class TestExactSum:
@@ -64,6 +65,30 @@ class TestShift:
         with ctx20.workprec():
             assert abs(out - lo.value) < mpmath.mpf("1e-33")
 
+    @pytest.mark.parametrize(
+        "digits, make_x, n",
+        [
+            (20, lambda: mpmath.mpf(1) / 3, 20),  # full mantissa, negative exponent
+            (20, lambda: mpmath.mpf(2) ** -60, 20),
+            (20, lambda: mpmath.mpf(12), 9),  # 3 * 2^2: positive exponent
+            (20, lambda: mpmath.mpf(2) ** 70 + 2**20, 5),
+            (20, lambda: Fraction(3, 7), 20),
+            (400, lambda: Fraction(3, 7), 360),
+            (400, lambda: mpmath.mpf(1) / 3, 360),
+        ],
+        ids=["third", "2^-60", "twelve", "2^70", "3/7", "3/7-D400", "third-D400"],
+    )
+    def test_order_zero_chain_is_the_sum_of_logs(self, digits, make_x, n):
+        # one log of the rising product against n logs at D+40 digits
+        ctx = PrecisionContext(digits)
+        with ctx.workprec(5):
+            x = make_x()
+        out = shift_log_gengamma(0, x, n, 0, ctx)
+        with mpmath.mp.workdps(digits + 40):
+            logs = [mpmath.log(to_mpf(x) + j) for j in range(n)]
+            floor = ctx.rounding_floor(mpmath.fsum(abs(v) for v in logs))
+            assert abs(out + mpmath.fsum(logs)) <= floor
+
     def test_rejects_nonpositive(self, ctx20):
         with pytest.raises(ValueError):
             shift_log_gengamma(1, 0, 1, mpmath.mpf(0), ctx20)
@@ -111,6 +136,18 @@ class TestLogGengamma:
         with mpmath.mp.workdps(40):
             oracle = mpmath.zeta(-1, mpmath.mpf(7) / 4, 1) - mpmath.zeta(-1, derivative=1)
             assert abs(g.value - oracle) < mpmath.mpf("1e-25")
+
+    def test_mpf_argument_is_not_rounded_to_the_ambient_precision(self):
+        # an mpf made at 60 digits keeps its bits when the call is made at
+        # mpmath's default 15
+        with mpmath.mp.workdps(60):
+            x = mpmath.mpf(1) / 3
+        ctx = PrecisionContext(40)
+        with mpmath.mp.workdps(15):
+            g = log_gengamma(0, x, ctx)
+        assert g.arg._mpf_ == x._mpf_
+        with mpmath.mp.workdps(80):
+            assert abs(g.value - mpmath.loggamma(x)) <= g.err <= mpmath.mpf(10) ** -40
 
     def test_rejects_nonpositive_and_bad_method(self, ctx20):
         with pytest.raises(ValueError):

@@ -143,6 +143,18 @@ class TestRealOffsets:
                 oracle = mpmath.zeta(-k, to_mpf(Fraction(w)), 1)
                 assert abs(d.value - oracle) < mpmath.mpf("1e-25")
 
+    def test_mpf_offset_is_not_rounded_to_the_ambient_precision(self):
+        # an mpf made at 60 digits keeps its bits when the call is made at
+        # mpmath's default 15; rounded to 53 bits it was off by 1.9e-18
+        with mpmath.mp.workdps(60):
+            w = mpmath.mpf(1) / 3
+        ctx = PrecisionContext(40)
+        with mpmath.mp.workdps(15):
+            d = hurwitz_deriv(1, w, ctx)
+        assert d.arg._mpf_ == w._mpf_
+        with mpmath.mp.workdps(80):
+            assert abs(d.value - mpmath.zeta(-1, w, 1)) <= d.err <= mpmath.mpf(10) ** -40
+
     def test_rejects_nonpositive(self, ctx20):
         with pytest.raises(ValueError):
             hurwitz_deriv(1, 0, ctx20)

@@ -4,6 +4,7 @@ import mpmath
 import pytest
 
 import hzeta.mpcore as mpcore
+import hzeta.validate as validate
 from hzeta import (
     NonConvergent,
     PrecisionContext,
@@ -112,6 +113,45 @@ class TestQuadratureHonesty:
         ctx = PrecisionContext(30)
         quadrature(_package_log_gamma(ctx, calls), 0, 1, ctx)
         assert len(calls) == 285
+
+
+class TestNodeTable:
+    """Tanh-sinh nodes are computed once per precision and shared; a
+    quadrature value does not depend on what the table holds."""
+
+    CASES = [
+        (lambda t: mpmath.log(t), 0, 1),
+        (lambda t: mpmath.exp(-t) * mpmath.sqrt(t), 0, 3),
+        (lambda t: 1 / (1 + t * t), -1, Fraction(5, 2)),
+    ]
+
+    @classmethod
+    def run(cls, ctx):
+        return [tuple(v._mpf_ for v in quadrature(f, a, b, ctx)) for f, a, b in cls.CASES]
+
+    def test_bit_identical_after_clear_caches(self, ctx20):
+        f = _package_log_gamma(ctx20)
+        first = quadrature(f, 0, 1, ctx20), self.run(ctx20)
+        clear_caches()
+        again = quadrature(f, 0, 1, ctx20), self.run(ctx20)
+        assert [v._mpf_ for v in first[0]] == [v._mpf_ for v in again[0]]
+        assert first[1] == again[1]
+
+    def test_interleaved_precisions_match_separate_runs(self, ctx20, ctx30):
+        separate = {}
+        for ctx in (ctx20, ctx30):
+            clear_caches()
+            separate[ctx] = self.run(ctx)
+        clear_caches()
+        for _ in range(2):
+            for ctx in (ctx20, ctx30):
+                assert self.run(ctx) == separate[ctx]
+
+    def test_clear_caches_empties_the_table(self, ctx20):
+        quadrature(mpmath.log, 0, 1, ctx20)
+        assert validate._NODES
+        clear_caches()
+        assert not validate._NODES
 
 
 class TestZetaPositive:

@@ -62,8 +62,8 @@ def gkbj_constant(
 
     value = exact sum at w minus the truncated series at w, with at most
     ``tail_terms`` tail terms (default: the planned count); the error
-    estimate is the series truncation bound plus a rounding allowance
-    for the exact sum's magnitude.  ``params`` records ``w_used`` and
+    estimate adds the series' and the exact sum's errors and a rounding
+    allowance for the difference.  ``params`` records ``w_used`` and
     the ``tail_terms`` summed.
     """
     if k < 0:
@@ -72,7 +72,7 @@ def gkbj_constant(
     exact = exact_log_gengamma(k, w, ctx)
     with ctx.workprec():
         value = exact.value - lam.value
-        err = lam.err + ctx.rounding_floor(abs(exact.value))
+        err = lam.err + exact.err + ctx.rounding_floor(abs(value))
     params = {"w_used": w, "tail_terms": lam.params["tail_terms"]}
     return Result("L", k, None, value, err, "trial-method", params)
 

@@ -11,12 +11,26 @@ same shift chain, from a different base, gives zeta'(-k, w) in
 
 from __future__ import annotations
 
+import bisect
+import itertools
+import math
+import threading
 from fractions import Fraction
 
 import mpmath
+from mpmath.libmp import dps_to_prec, from_man_exp, round_ceiling, round_nearest
 
 from .asymptotic import eval_lambda, plan
-from .mpcore import DEFAULT_CONTEXT, PrecisionContext, Real, Result, as_exact, to_mpf
+from .mpcore import (
+    DEFAULT_CONTEXT,
+    PrecisionContext,
+    Real,
+    Result,
+    as_exact,
+    bernoulli,
+    register_cache_clearer,
+    to_mpf,
+)
 
 __all__ = ["exact_log_gengamma", "shift_log_gengamma", "shifted_series", "log_gengamma"]
 
@@ -36,23 +50,137 @@ def _pow_log_term(base, k: int) -> mpmath.mpf:
     return base**k * mpmath.log(base)
 
 
+class PrimeLogTable:
+    """The primes in order and, per fixed-point precision wp, the entries
+    ``floor(log p 2^wp)`` of a prefix of them.
+
+    Each entry comes from one :func:`mpmath.ln` at wp + 10 bits (good to
+    an ulp there), so it is short of ``log p 2^wp`` by less than
+    1 + 2^-9 log p units and above it by at most 2^-9 log p.  Primes come
+    from a segmented sieve whose segment is dropped once its primes are
+    appended.  Both lists grow append-only under the lock: previously
+    returned entries never change.
+    """
+
+    def __init__(self) -> None:
+        self._primes: list[int] = [2, 3, 5, 7]
+        self._sieved = 10  # every prime below this is in _primes
+        self._entries: dict[int, list[int]] = {}
+        self._lock = threading.Lock()
+
+    def upto(self, w: int, wp: int) -> tuple[list[int], list[int]]:
+        """The primes p <= w and their entries at wp, as two equal-length lists."""
+        if w >= self._sieved:
+            with self._lock:
+                self._sieve(w)
+        primes = self._primes
+        count = bisect.bisect_right(primes, w)
+        entries = self._entries.get(wp)
+        if entries is None or len(entries) < count:
+            with self._lock:
+                entries = self._entries.setdefault(wp, [])
+                for p in primes[len(entries):count]:
+                    entries.append(_floor_log(p, wp))
+        return primes[:count], entries[:count]
+
+    def _sieve(self, w: int) -> None:
+        while self._sieved <= w:
+            lo = self._sieved
+            hi = min(max(w + 1, 2 * lo), lo * lo)  # the primes below lo sieve [lo, lo^2)
+            segment = bytearray([1]) * (hi - lo)
+            for p in self._primes:
+                if p * p >= hi:
+                    break
+                start = max(p * p, -(-lo // p) * p) - lo
+                segment[start::p] = bytes(len(range(start, hi - lo, p)))
+            self._primes.extend(itertools.compress(range(lo, hi), segment))
+            self._sieved = hi
+
+
+def _floor_log(p: int, wp: int) -> int:
+    """floor(log p 2^wp) from one logarithm at wp + 10 bits."""
+    man, exp = mpmath.ln(p, prec=wp + 10).man_exp
+    return man << (exp + wp) if exp + wp >= 0 else man >> -(exp + wp)
+
+
+_PRIME_LOGS = PrimeLogTable()
+# k -> (a, den): sum_{i<=n} i^k = n (a_0 n^k + a_1 n^(k-1) + ... + a_k) / den
+_POWER_SUMS: dict[int, tuple[list[int], int]] = {}
+
+
+@register_cache_clearer
+def _clear_exact_sum_caches() -> None:
+    global _PRIME_LOGS
+    _PRIME_LOGS = PrimeLogTable()
+    _POWER_SUMS.clear()
+
+
+def _power_sum(k: int, n: int) -> int:
+    """sum_{i=1}^n i^k, exactly, by Faulhaber's formula
+    (k+1) S = sum_j C(k+1, j) B_j n^(k+1-j) with B_1 = +1/2, in integers."""
+    cached = _POWER_SUMS.get(k)
+    if cached is None:
+        coeffs = [math.comb(k + 1, j) * (-bernoulli(j) if j == 1 else bernoulli(j))
+                  for j in range(k + 1)]
+        lcm = math.lcm(*(c.denominator for c in coeffs))
+        cached = _POWER_SUMS[k] = ([c.numerator * (lcm // c.denominator) for c in coeffs],
+                                   lcm * (k + 1))
+    coeffs, den = cached
+    acc = 0
+    for a in coeffs:
+        acc = acc * n + a
+    return acc * n // den
+
+
 def exact_log_gengamma(
     k: int, w: int, ctx: PrecisionContext = DEFAULT_CONTEXT
 ) -> Result:
     """log Gamma_k(w+1) as the exact sum of m^k log m, m = 1..w.
 
-    Terms grow with m, so forward summation keeps the relative error of
-    the working-precision accumulation bounded.  err is 0 up to rounding.
+    The sum is taken in fixed-point Python integers at ``wp = mp.prec +
+    10`` bits (mp.prec that of ``ctx.workprec(5)``): log m is the sum of
+    the entries ``floor(log p 2^wp)`` over m's prime factors
+    (:class:`PrimeLogTable`, π(w) logarithms per precision, kept across
+    calls), and grouping the m by prime power gives
+    ``sum_p floor(log p 2^wp) c_p`` with the exact integer
+    ``c_p = sum_(p^e <= w) p^(ek) S_k(floor(w/p^e))``, S_k the power sum.
+    The total is converted to mpf once.
+
+    err is explicit: each m's fixed-point log is off by less than
+    Ω(m) + 1 units of 2^-wp (Ω(m) prime factors counted with
+    multiplicity; the + 1 covers the entries' own logarithms while
+    Ω(m) log m < 2^9, for m up to about 10^8), so the sum is off by less
+    than sum_m m^k (Ω(m) + 1) = sum_p c_p + S_k(w) - 1 units, to which
+    the half-ulp of the final conversion is added.  Nothing here reads
+    mpmath's global precision.
     """
     if k < 0:
         raise ValueError("order must be non-negative")
     if not isinstance(w, int) or w < 0:
         raise ValueError("upper limit must be a non-negative integer")
-    with ctx.workprec(5):
-        total = mpmath.mpf(0)
-        for m in range(2, w + 1):  # m = 1 contributes nothing
-            total += mpmath.mpf(m**k) * mpmath.log(m)
-    return Result("gengamma", k, w + 1, total, mpmath.mpf(0), "exact-sum", {})
+    prec = dps_to_prec(ctx.working_digits + 5)  # mp.prec under ctx.workprec(5)
+    wp = prec + 10
+    total = 0
+    slack = _power_sum(k, max(w, 1)) - 1  # the + 1 per m >= 2
+    sums: dict[int, int] = {}  # floor(w / p^e) -> S_k of it
+    for p, entry in zip(*_PRIME_LOGS.upto(w, wp)):
+        pk = p**k
+        c, q, qk = 0, p, pk
+        while q <= w:
+            n = w // q
+            s = sums.get(n)
+            if s is None:
+                s = sums[n] = _power_sum(k, n)
+            c += qk * s
+            q, qk = q * p, qk * pk
+        total += c * entry
+        slack += c
+    excess = total.bit_length() - prec
+    if excess > 0:
+        slack += 1 << (excess - 1)  # half an ulp of the conversion
+    value = mpmath.mp.make_mpf(from_man_exp(total, -wp, prec, round_nearest))
+    err = mpmath.mp.make_mpf(from_man_exp(slack, -wp, prec, round_ceiling))
+    return Result("gengamma", k, w + 1, value, err, "exact-sum", {})
 
 
 def shift_log_gengamma(

@@ -51,7 +51,7 @@ def hurwitz_deriv_integer(
     gamma_part = exact_log_gengamma(k, w - 1, ctx)
     with ctx.workprec():
         value = base.value + gamma_part.value
-        err = base.err + ctx.rounding_floor(abs(gamma_part.value))
+        err = base.err + gamma_part.err + ctx.rounding_floor(abs(value))
     return Result("hurwitz_deriv", k, w, value, err, "exact-sum", {})
 
 

@@ -1,9 +1,14 @@
+import math
+import sys
+import threading
 from fractions import Fraction
 
 import mpmath
 import pytest
 
-from hzeta import PrecisionContext, exact_log_gengamma, log_gengamma, shift_log_gengamma
+from hzeta import PrecisionContext, clear_caches, exact_log_gengamma, log_gengamma, shift_log_gengamma
+from hzeta import gengamma
+from hzeta.gengamma import PrimeLogTable
 from hzeta.mpcore import to_mpf
 
 
@@ -32,7 +37,10 @@ class TestExactSum:
 
     def test_err_zero_and_method(self, ctx20):
         g = exact_log_gengamma(2, 10, ctx20)
-        assert g.err == 0
+        with mpmath.mp.workdps(80):
+            oracle = mpmath.fsum(mpmath.mpf(m) ** 2 * mpmath.log(m) for m in range(2, 11))
+            assert 0 < g.err
+            assert abs(g.value - oracle) <= g.err
         assert g.method == "exact-sum"
         assert g.arg == 11
 
@@ -47,6 +55,107 @@ class TestExactSum:
                     assert abs(hi.value - lo.value - step) < ctx20.rounding_floor(
                         abs(hi.value) + abs(step) + 1
                     )
+
+
+class TestExactSumOracleGrid:
+    """The fixed-point exact sum against mpmath at D + 60 digits: the
+    explicit err covers the actual error."""
+
+    @pytest.mark.parametrize("digits", [20, 100, 400])
+    @pytest.mark.parametrize("k", [0, 1, 2, 6, 12])
+    def test_value_within_err(self, k, digits):
+        ctx = PrecisionContext(digits)
+        limits = (1, 2, 5, 20, 90, 360)
+        with mpmath.mp.workdps(digits + 60):
+            oracle, m = mpmath.mpf(0), 1
+            for w in limits:
+                while m < w:
+                    m += 1
+                    oracle += mpmath.mpf(m) ** k * mpmath.log(m)
+                g = exact_log_gengamma(k, w, ctx)
+                assert abs(g.value - oracle) <= g.err, (w, g.err)
+                assert (g.err == 0) == (w == 1)
+
+    @pytest.mark.parametrize("k, x", [(0, 5), (2, 7)])
+    def test_integer_log_gengamma_reports_its_rounding(self, ctx20, k, x):
+        # both were off by about 1e-41 and 5e-40 with err 0
+        g = log_gengamma(k, x, ctx20)
+        with mpmath.mp.workdps(80):
+            oracle = mpmath.fsum(mpmath.mpf(m) ** k * mpmath.log(m) for m in range(2, x))
+            assert 0 < abs(g.value - oracle) <= g.err <= mpmath.mpf(10) ** -35
+
+
+def _count_logs(monkeypatch):
+    calls = []
+    for name in ("ln", "log"):
+        original = getattr(mpmath, name)
+
+        def counted(*args, _original=original, **kwargs):
+            calls.append(args[0])
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(mpmath, name, counted)
+    return calls
+
+
+class TestPrimeLogTable:
+    def test_pi_of_w_logarithms_per_precision(self, monkeypatch):
+        clear_caches()
+        calls = _count_logs(monkeypatch)
+        ctx = PrecisionContext(100)
+        for k in range(6):
+            exact_log_gengamma(k, 90, ctx)
+        assert len(calls) == 24  # pi(90)
+        exact_log_gengamma(3, 60, ctx)
+        assert len(calls) == 24
+
+    def test_clear_caches_empties_the_table(self, monkeypatch):
+        exact_log_gengamma(1, 30, PrecisionContext(20))
+        clear_caches()
+        assert gengamma._PRIME_LOGS._entries == {}
+        calls = _count_logs(monkeypatch)
+        exact_log_gengamma(1, 30, PrecisionContext(20))
+        assert len(calls) == 10  # pi(30)
+
+    def test_primes_and_entries(self):
+        table = PrimeLogTable()
+        wp = 200
+        for w in (8, 30, 31, 1000, 12000):  # grows in stages, past lo^2 of the first
+            primes, entries = table.upto(w, wp)
+            assert primes == [p for p in range(2, w + 1) if all(p % d for d in range(2, math.isqrt(p) + 1))]
+            assert len(entries) == len(primes)
+        with mpmath.mp.workprec(wp + 64):
+            for p, entry in zip(primes[:50] + primes[-50:], entries[:50] + entries[-50:]):
+                # the floor of a logarithm good to an ulp at wp + 10 bits
+                shortfall, slack = mpmath.log(p) * 2**wp - entry, mpmath.log(p) / 2**9
+                assert -slack <= shortfall < 1 + slack
+
+    def test_concurrent_sums_match_serial(self):
+        jobs = [(PrecisionContext(20), 3, 2000), (PrecisionContext(100), 1, 900),
+                (PrecisionContext(20), 0, 2400), (PrecisionContext(100), 5, 1100)]
+        serial = [exact_log_gengamma(k, w, ctx) for ctx, k, w in jobs]
+        clear_caches()
+        start = threading.Barrier(len(jobs))
+        results = [None] * len(jobs)
+
+        def run(i):
+            ctx, k, w = jobs[i]
+            start.wait(timeout=30)
+            results[i] = exact_log_gengamma(k, w, ctx)
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(len(jobs))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for a, b in zip(results, serial, strict=True):
+            assert (a.value._mpf_, a.err._mpf_) == (b.value._mpf_, b.err._mpf_)
 
 
 class TestShift:

@@ -195,3 +195,29 @@ class TestOracleGrid:
         with mpmath.mp.workdps(80):
             oracle = mpmath.zeta(-k, to_mpf(w), 1)
             assert abs(res.value - oracle) <= res.err <= mpmath.mpf(10) ** -20 * abs(oracle)
+
+
+class TestExactRoutesOracleGrid:
+    """The routes built on the exact sum against mpmath at D + 40 digits:
+    the error estimate covers the actual error and meets 10^-D."""
+
+    @pytest.mark.parametrize("digits", [20, 100])
+    @pytest.mark.parametrize("k", range(5))
+    def test_constant_and_zeta_derivative(self, k, digits):
+        ctx = PrecisionContext(digits)
+        const, deriv = gkbj_auto(k, ctx), zeta_deriv_neg(k, ctx)
+        with mpmath.mp.workdps(digits + 40):
+            oracle = mpmath.zeta(-k, 1, 1)
+            head = to_mpf(harmonic(k) * bernoulli(k + 1) / (k + 1))
+            bound = mpmath.mpf(10) ** -digits
+            assert abs(deriv.value - oracle) <= deriv.err <= bound
+            assert abs(const.value - (head - oracle)) <= const.err <= bound
+
+    @pytest.mark.parametrize("digits", [20, 100])
+    @pytest.mark.parametrize("w", [2, 17, 50])
+    @pytest.mark.parametrize("k", range(5))
+    def test_integer_offset(self, k, w, digits):
+        res = hurwitz_deriv_integer(k, w, PrecisionContext(digits))
+        with mpmath.mp.workdps(digits + 40):
+            oracle = mpmath.zeta(-k, w, 1)
+            assert abs(res.value - oracle) <= res.err <= mpmath.mpf(10) ** -digits

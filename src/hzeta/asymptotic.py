@@ -27,6 +27,7 @@ exact sums, which would detect any sign or offset slip immediately.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import threading
@@ -34,6 +35,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import mpmath
+from mpmath.libmp import fzero, from_man_exp, mpf_abs, mpf_add, mpf_log, mpf_mul, mpf_pow_int
+from mpmath.libmp import round_nearest
 
 from .errors import ArgumentTooSmall
 from .mpcore import (
@@ -138,6 +141,7 @@ def _tail_generic(k: int, count: int) -> list:
 
 _TERMS_CACHE: dict[tuple[int, int], TermPoly] = {}
 _TERMS_LOCK = threading.Lock()
+_TOO_SMALL = mpmath.mpf("1e-3")  # eval_lambda's largest err / |value|
 
 
 @register_cache_clearer
@@ -173,8 +177,8 @@ def _coefficients(poly: TermPoly):
     """A term list's coefficients at the ambient mpmath precision, cached
     in ``poly._mpf_coeffs``: ``(main, wp, frac, tail)``.
 
-    ``main`` holds the main coefficients as mpf.  The tail is in fixed
-    point at ``wp = mp.prec + 10`` bits: each entry is
+    ``main`` holds the main coefficients as raw mpf values (``_mpf_``).
+    The tail is in fixed point at ``wp = mp.prec + 10`` bits: each entry is
     ``(floor(c 2^wp), d, turn)`` with d the step in q from the previous
     entry (from 0 for the first).  Powers of 1/x are held at
     ``frac = wp + g`` bits, g the bit length of the largest |c|, so that a
@@ -196,7 +200,7 @@ def _coefficients(poly: TermPoly):
                 turn = (math.log(ratio.numerator) - math.log(ratio.denominator), ratio)
             tail.append(((c.numerator << wp) // c.denominator, q - prev_q, turn))
             prev, prev_q = c, q
-        main = [to_mpf(c) for c, _, _ in poly.main_terms]
+        main = [to_mpf(c)._mpf_ for c, _, _ in poly.main_terms]
         cached = poly._mpf_coeffs[mpmath.mp.prec] = (main, wp, wp + g, tail)
     return cached
 
@@ -217,24 +221,38 @@ def _turns(d: int, turn, log_x: float, man: int, exp: int) -> bool:
     return lhs >= rhs
 
 
+def _power_up(base: int, n: int, frac: int) -> int:
+    """An upper bound on 2^frac (base 2^-frac)^n, by squaring with every
+    product rounded up."""
+    power = 1 << frac
+    while n:
+        if n & 1:
+            power = ((power * base) >> frac) + 1
+        base, n = ((base * base) >> frac) + 1, n >> 1
+    return power
+
+
 def eval_term_poly(poly: TermPoly, x: Real, ctx: PrecisionContext = DEFAULT_CONTEXT):
     """Numeric value of a term list at ``x`` plus an error estimate.
 
-    The tail is summed in order under an optimal-truncation guard: once
-    term magnitudes start growing, summation stops at the smallest term.
-    That test compares exact magnitudes (:func:`_turns`).  The final tail
-    entry is never summed and only feeds the estimate.
+    The tail is summed under an optimal-truncation guard: the u entries
+    summed are those before the first whose magnitude is not below its
+    predecessor's, by a test on exact magnitudes (:func:`_turns`), and
+    never the final entry, which only feeds the estimate.
 
-    The main terms and log x are evaluated in mpf.  The tail is summed
-    in fixed-point Python integers (:func:`_coefficients`): 1/x comes once
-    from x's mantissa and exponent, and each x^-q from the previous power
-    by one multiplication.  Every truncation is a floor, and a bound on
-    how far each summed term can fall below its exact value is carried
-    along, a few units of 2^-wp per term.
+    The main terms and log x are evaluated in mpf.  The u tail entries
+    are summed by Horner's rule in fixed-point Python integers
+    (:func:`_coefficients`), ``a <- floor((floor(c 2^wp) + a) s_d 2^-frac)``
+    from the last entry down, with ``s_d = floor(2^frac / x^d)`` from x's
+    mantissa and exponent, and likewise over |c| for the scale.  The
+    summed magnitudes fall, so the bracket of step i (of u) is below
+    (u - i) 2^frac, and the step is off by at most 3 + u - i units of
+    2^-wp times the powers x^-q it meets: the sum is off by at most
+    u (u + 7) / 2 units times the largest x^-q, which is 1 for x >= 1 and
+    below x^-q of the held-back entry for x < 1.
 
-    The estimate is twice a bound on the first omitted tail term, plus a
-    rounding floor scaled by the summed magnitudes, plus that absolute
-    fixed-point bound.
+    The estimate is twice a bound on the held-back entry, plus a rounding
+    floor scaled by the summed magnitudes, plus that fixed-point bound.
 
     Returns ``(value, err, tail_terms_used)``.
     """
@@ -242,45 +260,46 @@ def eval_term_poly(poly: TermPoly, x: Real, ctx: PrecisionContext = DEFAULT_CONT
         xf = to_mpf(x)
         if xf <= 0:
             raise ValueError("term-poly argument must be positive")
-        logx = mpmath.log(xf)
         main_coeffs, wp, frac, tail = _coefficients(poly)
-        total = mpmath.mpf(0)
-        scale = mpmath.mpf(0)
+        # mpf arithmetic on the raw values, as the mpf operators do it
+        prec, xv = mpmath.mp.prec, xf._mpf_
+        logx = mpf_log(xv, prec, round_nearest)
+        total = scale = fzero
         for c, (_, p, has_log) in zip(main_coeffs, poly.main_terms):
-            term = c * xf**p
+            if p:  # x^1 is exact, and so is c x^0
+                c = mpf_mul(c, xv if p == 1 else mpf_pow_int(xv, p, prec, round_nearest),
+                            prec, round_nearest)
             if has_log:
-                term *= logx
-            total += term
-            scale += abs(term)
+                c = mpf_mul(c, logx, prec, round_nearest)
+            total = mpf_add(total, c, prec, round_nearest)
+            scale = mpf_add(scale, mpf_abs(c), prec, round_nearest)
         man, exp = xf.man_exp
         log_x = math.log(man) + exp * math.log(2)
+        used = len(tail) - 1
+        for i in range(1, used):
+            _, d, turn = tail[i]
+            if _turns(d, turn, log_x, man, exp):
+                used = i
+                break
         steps = {}  # d -> floor(2^frac / x^d)
-        n_avail = len(tail) - 1
-        acc = acc_abs = slack = omitted = 0  # units of 2^-wp
-        # floor(2^frac x^-q), short of the exact value by at most e
-        power, e = 1 << frac, 0
-        used = 0
-        for i, (fixed, d, turn) in enumerate(tail):
+        acc = acc_abs = 0  # units of 2^-wp
+        for fixed, d, _ in reversed(tail[:used]):
             step = steps.get(d)
             if step is None:
                 shift = frac - d * exp  # negative: x^d > 2^frac, so the floor is 0
                 step = steps[d] = (1 << shift) // man**d if shift >= 0 else 0
-            power, e = (power * step) >> frac, ((e * (step + 1) + power) >> frac) + 2
-            term = (fixed * power) >> frac
-            # |term - c x^-q 2^wp|: the power's shortfall times |c| < 2^g, the
-            # coefficient's floor times x^-q, and this product's floor
-            bound = e + ((power + 2 * e) >> frac) + 2
-            if i >= n_avail or (turn is not None and _turns(d, turn, log_x, man, exp)):
-                omitted = abs(term) + bound
-                break
-            acc += term
-            acc_abs += abs(term)
-            slack += bound
-            used += 1
-        total += mpmath.mpf((acc, -wp))
-        scale += mpmath.mpf((acc_abs, -wp))
-        err = mpmath.mpf((2 * omitted + slack, -wp)) + ctx.rounding_floor(scale)
-        return total, err, used
+            acc = ((fixed + acc) * step) >> frac
+            acc_abs = ((abs(fixed) + acc_abs) * step) >> frac
+        # 2^frac x^-q of the held-back entry, rounded up from 1/x rounded up
+        shift = frac - exp
+        inverse = (1 << shift) // man + 1 if shift >= 0 else 1
+        power = _power_up(inverse, poly.tail_terms[used][1], frac)
+        omitted = ((abs(tail[used][0]) + 1) * (power + 1) >> frac) + 1
+        slack = ((used * (used + 7) // 2) * max(power, 1 << frac) >> frac) + 1
+        total = mpf_add(total, from_man_exp(acc, -wp, prec, round_nearest), prec, round_nearest)
+        scale = mpf_add(scale, from_man_exp(acc_abs, -wp, prec, round_nearest), prec, round_nearest)
+        err = mpmath.mpf((2 * omitted + slack, -wp)) + ctx.rounding_floor(mpmath.mp.make_mpf(scale))
+        return mpmath.mp.make_mpf(total), err, used
 
 
 def eval_lambda(
@@ -306,7 +325,7 @@ def eval_lambda(
         raise ValueError("tail_terms must be >= 1")
     poly = build_lambda_terms(k, tail_terms + 1)
     value, err, used = eval_term_poly(poly, x, ctx)
-    if err > mpmath.mpf("1e-3") * abs(value):
+    if err > _TOO_SMALL * abs(value):
         raise ArgumentTooSmall(
             f"truncation error {mpmath.nstr(err, 3)} too large for order {k} at x={x}"
         )
@@ -362,6 +381,18 @@ def plan(k: int, x: Real, ctx: PrecisionContext = DEFAULT_CONTEXT) -> tuple[int,
     return n, tail_length(k, x + n, ctx)
 
 
+@functools.lru_cache(maxsize=None)
+def _tail_bound(k: int, terms: int) -> float:
+    """log_const + lgamma(s-1) - s log(2 pi) of :func:`tail_length`'s
+    entry ``terms``: its bound less (s-1) log y, kept per (k, terms)."""
+    s = 2 + k % 2 + 2 * terms
+    log_const = math.log(math.pi**2 / 3) + math.lgamma(k + 1) - k * math.log(2 * math.pi)
+    return log_const + math.lgamma(s - 1) - s * math.log(2 * math.pi)
+
+
+register_cache_clearer(_tail_bound.cache_clear)
+
+
 def tail_length(k: int, y: Real, ctx: PrecisionContext = DEFAULT_CONTEXT) -> int:
     """Tail terms to sum for the order-k series at y > 0: the nonzero tail
     entries before the first whose bound falls below 10^-working_digits
@@ -369,15 +400,14 @@ def tail_length(k: int, y: Real, ctx: PrecisionContext = DEFAULT_CONTEXT) -> int
     large y the held-back entry still feeds the estimate.  The entry of
     1/y^(s-1) is at most 2 zeta(2) k! (s-2)! / ((2 pi)^(k+s) y^(s-1)),
     since |B_2m| <= 2 zeta(2) (2m)! / (2 pi)^2m (Johansson,
-    arXiv:1309.2877).
+    arXiv:1309.2877); its log less (s-1) log y is kept (:func:`_tail_bound`).
     """
     log_y = math.log(y)
     floor = -ctx.working_digits * math.log(10)
-    log_const = math.log(math.pi**2 / 3) + math.lgamma(k + 1) - k * math.log(2 * math.pi)
     prev = math.inf
     # B_{k+s} vanishes for odd k + s, so only every other s has an entry
     for terms, s in enumerate(itertools.count(2 + k % 2, 2)):
-        bound = log_const + math.lgamma(s - 1) - s * math.log(2 * math.pi) - (s - 1) * log_y
+        bound = _tail_bound(k, terms) - (s - 1) * log_y
         if bound < floor or bound >= prev:
             return max(terms, 1)
         prev = bound

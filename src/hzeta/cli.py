@@ -95,7 +95,7 @@ _OVERRIDES = {
 }
 
 # subcommand -> (help, arguments, override flags it accepts,
-#                library call returning the results to print)
+#                library call returning the results to print; None for selftest)
 _COMMANDS = {
     "dz": ("zeta'(-k)", [_K], _TRIAL,
            lambda a, ctx: [zeta_deriv_neg(a.k, ctx, a.w_trial, a.terms)]),
@@ -119,10 +119,13 @@ _COMMANDS = {
               [("--kmax", {"type": _nonneg_int, "required": True}),
                ("-o", {"dest": "outfile", "default": None, "help": "write the table here"})],
               (), _table),
+    "selftest": ("run the identity suite",
+                 [("--level", {"choices": ("quick", "full"), "default": "quick"})], (), None),
 }
 
 
-def _build_parser() -> _Parser:
+def _build_parser(names=_COMMANDS) -> _Parser:
+    """The parser with the subcommands ``names``; each parses alone as among all."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--digits", type=_positive_int, default=None,
                         help="significant digits to report (default 20 or $HZETA_DIGITS)")
@@ -130,16 +133,13 @@ def _build_parser() -> _Parser:
 
     parser = _Parser(prog="hzeta", description="Hurwitz zeta derivatives and friends")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, arguments, overrides, _) in _COMMANDS.items():
+    for name in names:
+        help_text, arguments, overrides, _ = _COMMANDS[name]
         p = sub.add_parser(name, parents=[common], help=help_text)
         for flag, settings in arguments:
             p.add_argument(flag, **settings)
         for flag in overrides:
             p.add_argument(flag, default=None, **_OVERRIDES[flag])
-
-    p = sub.add_parser("selftest", parents=[common], help="run the identity suite")
-    p.add_argument("--level", choices=("quick", "full"), default="quick")
-
     return parser
 
 
@@ -210,7 +210,8 @@ def _run_selftest(args, ctx, out: TextIO) -> int:
 
 def run(argv: list[str]) -> int:
     """Dispatch a command line; returns the process exit status."""
-    parser = _build_parser()
+    # the full parser's usage and errors list every subcommand
+    parser = _build_parser(argv[:1] if argv and argv[0] in _COMMANDS else _COMMANDS)
     try:
         args = parser.parse_args(argv)
         if "w_trial" in vars(args) and args.w_trial is None and args.terms is not None:
@@ -221,9 +222,9 @@ def run(argv: list[str]) -> int:
     out = sys.stdout
     try:
         ctx = _context(args)
-        if args.command not in _COMMANDS:
-            return _run_selftest(args, ctx, out)
         call = _COMMANDS[args.command][3]
+        if call is None:
+            return _run_selftest(args, ctx, out)
         sink = open(args.outfile, "w") if getattr(args, "outfile", None) else out
         try:
             for result in call(args, ctx):

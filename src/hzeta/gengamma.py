@@ -300,8 +300,9 @@ def log_gengamma(
             raise ValueError("exact summation needs an integer argument")
         return exact_log_gengamma(k, int(xe) - 1, ctx)
 
-    from .constants import gkbj_auto  # deferred: constants builds on the exact sum
-
-    limit_const = gkbj_auto(k, ctx)
+    limit_const = constants.gkbj_auto(k, ctx)
     value, err, params = shifted_series(k, xe, limit_const.value, limit_const.err, ctx, tail_terms)
     return Result("gengamma", k, xe, value, err, "asymptotic-shift", params)
+
+
+from . import constants  # noqa: E402  last: constants builds on the exact sum above

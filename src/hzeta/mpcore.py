@@ -15,6 +15,7 @@ Convention: B_1 = -1/2 throughout.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import threading
 from dataclasses import dataclass
@@ -23,6 +24,7 @@ from typing import Callable, Optional, Union
 
 import mpmath
 from mpmath import mp
+from mpmath.libmp import dps_to_prec
 
 Real = Union[int, Fraction, float, mpmath.mpf]
 
@@ -45,6 +47,7 @@ __all__ = [
 # precision of the call that first needs it, so a cached value has the bits a
 # fresh one would
 _FLOOR_POWERS: dict[tuple[int, int], mpmath.mpf] = {}
+_IN_FORCE = contextlib.nullcontext()  # stateless, so one instance serves every nesting
 
 
 @dataclass(frozen=True)
@@ -66,8 +69,12 @@ class PrecisionContext:
         return self.target_digits + max(self.guard_digits, 10)
 
     def workprec(self, extra: int = 0):
-        """mpmath context manager running at working precision (+ extra)."""
-        return mp.workdps(self.working_digits + extra)
+        """mpmath context manager running at working precision (+ extra); a
+        no-op when mp.prec is already that of these digits (and so is mp.dps)."""
+        digits = self.working_digits + extra
+        if mp.prec == dps_to_prec(digits):
+            return _IN_FORCE
+        return mp.workdps(digits)
 
     def rounding_floor(self, scale) -> mpmath.mpf:
         """Absolute rounding allowance for a computation of the given magnitude."""

@@ -21,6 +21,7 @@ from hzeta import (
     log_coefficient_poly,
     shift_threshold,
 )
+from hzeta import asymptotic, hurwitz_deriv, log_gengamma
 from hzeta.asymptotic import plan, tail_length
 from hzeta.mpcore import clear_caches, harmonic, to_mpf
 
@@ -275,6 +276,39 @@ class TestPlan:
         assert terms == 1 or self.log10_bound(k, s_held - 2, y) < self.log10_bound(k, s_held - 4, y)
 
 
+def closed_form_tail_length(k, y, ctx):
+    """tail_length with every bound computed afresh, in the same float order."""
+    log_y = math.log(y)
+    floor = -ctx.working_digits * math.log(10)
+    log_const = math.log(math.pi**2 / 3) + math.lgamma(k + 1) - k * math.log(2 * math.pi)
+    prev = math.inf
+    for terms, s in enumerate(range(2 + k % 2, 10**6, 2)):
+        bound = log_const + math.lgamma(s - 1) - s * math.log(2 * math.pi) - (s - 1) * log_y
+        if bound < floor or bound >= prev:
+            return max(terms, 1)
+        prev = bound
+
+
+class TestTailBoundTable:
+    @pytest.mark.parametrize("digits", [20, 1000])
+    def test_same_counts_as_the_closed_form_loop(self, digits):
+        clear_caches()
+        ctx = PrecisionContext(digits)
+        for k in range(13):
+            for y in (1, 2, 20, 10**6, Fraction(81, 2), mpmath.mpf("27.25")):
+                assert tail_length(k, y, ctx) == closed_form_tail_length(k, y, ctx)
+
+    def test_grows_on_demand_and_clears(self):
+        clear_caches()
+        tail_length(0, 20, PrecisionContext(20))
+        short = asymptotic._tail_bound.cache_info().currsize
+        assert 0 < short < 40
+        tail_length(0, 900, PrecisionContext(1000))
+        assert asymptotic._tail_bound.cache_info().currsize > 10 * short
+        clear_caches()
+        assert asymptotic._tail_bound.cache_info().currsize == 0
+
+
 class TestEvalTermPoly:
     def test_divergence_guard_stops_at_smallest(self, ctx20):
         # at x = 2 the order-0 tail turns early; the guard must stop there
@@ -359,3 +393,72 @@ class TestFixedPointTail:
             terms += [to_mpf(c) / xf**q for c, q in poly.tail_terms[:used + 1]]
             omitted = abs(terms.pop())
             assert abs(value - mpmath.fsum(terms)) <= err - 2 * omitted
+
+    @pytest.mark.parametrize("x", [Fraction(1, 60), Fraction(1, 2), 10**6], ids=str)
+    def test_horner_bound_at_high_precision(self, x):
+        # k = 12 at D=400 against the same terms at 440 digits: below x = 1
+        # the sum stops after a few entries whose powers exceed 1, at 10^6
+        # it runs to the held-back last entry, far below 2^-wp
+        ctx = PrecisionContext(400)
+        poly = build_lambda_terms(12, 80)
+        value, err, used = eval_term_poly(poly, x, ctx)
+        assert used == _mpf_rule_count(poly, x, ctx)
+        assert (used == 79) == (x > 1)
+        with mpmath.mp.workdps(440):
+            xf = to_mpf(x)
+            terms = [to_mpf(c) * xf**p * (mpmath.log(xf) if has_log else 1)
+                     for c, p, has_log in poly.main_terms]
+            terms += [to_mpf(c) / xf**q for c, q in poly.tail_terms[:used + 1]]
+            omitted = abs(terms.pop())
+            assert abs(value - mpmath.fsum(terms)) <= err - 2 * omitted
+
+
+    @pytest.mark.parametrize("x", [2, Fraction(81, 2), 10**6], ids=str)
+    @pytest.mark.parametrize("digits", [20, 400])
+    @pytest.mark.parametrize("k", [0, 12])
+    def test_fixed_point_bound_alone(self, monkeypatch, k, digits, x):
+        # a tail without main terms, and a rounding floor cut to the half
+        # ulp of the tail's conversion: what is left of err must cover the
+        # Horner sum's own truncations
+        monkeypatch.setattr(PrecisionContext, "rounding_floor",
+                            lambda self, scale: abs(scale) * mpmath.mpf((1, -mpmath.mp.prec)))
+        full = build_lambda_terms(k, 40)
+        poly = TermPoly(k, (), full.tail_terms)
+        value, err, used = eval_term_poly(poly, x, PrecisionContext(digits))
+        with mpmath.mp.workdps(digits + 40):
+            xf = to_mpf(x)
+            terms = [to_mpf(c) / xf**q for c, q in poly.tail_terms[:used + 1]]
+            omitted = abs(terms.pop())
+            assert abs(value - mpmath.fsum(terms)) <= err - 2 * omitted
+
+
+# The _mpf_ of values taken at commit 67f798b, before the series tail was
+# summed by Horner's rule: that change kept every bit.  A deliberate change
+# of bits updates these values and says so in CHANGES.md.
+NODE = (0xB504F333F9DE6484597D89B3754ABE9F1D6F60BA893BA84CED17AC85833399154AFC, -271)
+GOLDEN = [
+    (hurwitz_deriv, 0, "node", 20, (1, 1414650217242284414547423402030771651013, -130, 131)),
+    (hurwitz_deriv, 1, Fraction(1, 3), 20, (0, 7973343444416863456069937788165505067, -126, 123)),
+    (hurwitz_deriv, 3, Fraction(7, 2), 30,
+     (0, 89030910680932111994221350552477702721455401559, -152, 156)),
+    (log_gengamma, 0, "node", 20, (1, 163855900707318640085358536930480509381, -130, 127)),
+    (log_gengamma, 2, Fraction(5, 4), 100,
+     (1, 5290075286154262409238760581946472128516711533280129500419258795983721994377075440672361269958488525190810554436741, -385, 382)),  # noqa: E501
+    (gkbj_constant, 0, 20, 20, (0, 305369706185294378530777554956125767, -118, 118)),
+    (gkbj_constant, 3, 50, 100,
+     (1, 25434431051373179371279628005068286092475861545479732180805666361041423168543228279252845058455450608460223390011, -379, 374)),  # noqa: E501
+]
+
+
+@pytest.mark.parametrize("fn, k, arg, digits, bits", GOLDEN,
+                         ids=[f"{g[0].__name__}-{g[1]}-{g[2]}-D{g[3]}" for g in GOLDEN])
+def test_golden_bits(fn, k, arg, digits, bits):
+    ctx = PrecisionContext(digits)
+    if arg == "node":  # a quadrature-like node: a 272-bit mantissa, kept exact
+        with mpmath.mp.workprec(300):
+            arg = mpmath.mpf(NODE)
+    if fn is gkbj_constant:
+        res = fn(k, arg, None, ctx)
+    else:
+        res = fn(k, arg, ctx)
+    assert res.value._mpf_ == bits

@@ -3,7 +3,7 @@ import json
 import mpmath
 import pytest
 
-from hzeta.cli import run
+from hzeta.cli import _COMMANDS, _build_parser, run
 
 
 def lines(capsys):
@@ -175,6 +175,40 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err.strip().count("\n") == 0  # one-line diagnostic
         assert "error" in captured.err
+
+
+class TestParserForTheCommand:
+    """`run` builds only the named subcommand's parser; help, errors and
+    exit codes are those of the parser with every subcommand."""
+
+    @staticmethod
+    def full_parser(argv, capsys):
+        try:
+            _build_parser().parse_args(argv)
+            code = 0
+        except SystemExit as exc:
+            code = int(exc.code or 0)
+        return code, capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["--help"], ["-h"], ["bogus"], [], ["--digits", "5", "dz", "-k", "1"],
+         ["hz", "-k", "1"], ["gamma", "-k", "0", "-x", "1/2", "--bogus"],
+         *([name, "--help"] for name in _COMMANDS)],
+        ids=" ".join)
+    def test_same_output_and_exit_code_as_the_full_parser(self, argv, capsys):
+        expected_code, expected = self.full_parser(argv, capsys)
+        assert expected_code == (0 if argv[-1:] in (["-h"], ["--help"]) else 2)
+        assert run(argv) == expected_code
+        got = capsys.readouterr()
+        assert (got.out, got.err) == (expected.out, expected.err)
+        assert expected.out or expected.err
+
+    def test_subcommand_help_lists_no_siblings(self, capsys):
+        assert run(["hz", "--help"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("usage: hzeta hz ")
+        assert "kinkelin" not in out
 
 
 class TestParameterOverrides:

@@ -27,10 +27,8 @@ exact sums, which would detect any sign or offset slip immediately.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
-import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -46,7 +44,7 @@ from .mpcore import (
     Result,
     bernoulli,
     harmonic,
-    register_cache_clearer,
+    memo,
     to_mpf,
 )
 
@@ -139,16 +137,10 @@ def _tail_generic(k: int, count: int) -> list:
     return out
 
 
-_TERMS_CACHE: dict[tuple[int, int], TermPoly] = {}
-_TERMS_LOCK = threading.Lock()
 _TOO_SMALL = mpmath.mpf("1e-3")  # eval_lambda's largest err / |value|
 
 
-@register_cache_clearer
-def _clear_terms_cache() -> None:
-    _TERMS_CACHE.clear()
-
-
+@memo
 def build_lambda_terms(k: int, tail_terms: int) -> TermPoly:
     """Symbolic remainder expansion of order k (argument ``x + 1``).
 
@@ -158,19 +150,12 @@ def build_lambda_terms(k: int, tail_terms: int) -> TermPoly:
         raise ValueError("expansion order must be non-negative")
     if tail_terms < 1:
         raise ValueError("tail_terms must be >= 1")
-    key = (k, tail_terms)
-    poly = _TERMS_CACHE.get(key)
-    if poly is not None:
-        return poly
     tail = _tail_generic(k, tail_terms)  # first: its largest index covers the main terms'
     if k >= 1:
         main = _main_terms_generic(k)
     else:
         main = [(Fraction(1), 1, True), (Fraction(1, 2), 0, True), (Fraction(-1), 1, False)]
-    poly = TermPoly(k=k, main_terms=_merge_main(main), tail_terms=_merge_tail(tail))
-    with _TERMS_LOCK:
-        _TERMS_CACHE[key] = poly
-    return poly
+    return TermPoly(k=k, main_terms=_merge_main(main), tail_terms=_merge_tail(tail))
 
 
 def _coefficients(poly: TermPoly):
@@ -381,16 +366,13 @@ def plan(k: int, x: Real, ctx: PrecisionContext = DEFAULT_CONTEXT) -> tuple[int,
     return n, tail_length(k, x + n, ctx)
 
 
-@functools.lru_cache(maxsize=None)
+@memo
 def _tail_bound(k: int, terms: int) -> float:
     """log_const + lgamma(s-1) - s log(2 pi) of :func:`tail_length`'s
     entry ``terms``: its bound less (s-1) log y, kept per (k, terms)."""
     s = 2 + k % 2 + 2 * terms
     log_const = math.log(math.pi**2 / 3) + math.lgamma(k + 1) - k * math.log(2 * math.pi)
     return log_const + math.lgamma(s - 1) - s * math.log(2 * math.pi)
-
-
-register_cache_clearer(_tail_bound.cache_clear)
 
 
 def tail_length(k: int, y: Real, ctx: PrecisionContext = DEFAULT_CONTEXT) -> int:

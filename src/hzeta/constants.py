@@ -9,9 +9,7 @@ Kinkelin's constant follow from them by fixed rational offsets.
 
 from __future__ import annotations
 
-import threading
 from fractions import Fraction
-from typing import Callable
 
 import mpmath
 
@@ -24,35 +22,13 @@ from .mpcore import (
     Result,
     bernoulli,
     harmonic,
-    register_cache_clearer,
+    memo,
     to_mpf,
 )
 
 __all__ = ["gkbj_constant", "gkbj_auto", "limit_constant", "varpi", "kinkelin_logvarpi"]
 
 _MAX_TRIAL_W = 10**6
-
-_MEMO: dict = {}
-_MEMO_LOCK = threading.Lock()
-
-
-@register_cache_clearer
-def _clear_memo() -> None:
-    with _MEMO_LOCK:
-        _MEMO.clear()
-
-
-def _memoized(
-    quantity: str, k: int, ctx: PrecisionContext, compute: Callable[[], Result]
-) -> Result:
-    """The memo entry for (quantity, k, precision), computed on a miss."""
-    key = (quantity, k, ctx.target_digits, ctx.working_digits)
-    rec = _MEMO.get(key)
-    if rec is None:
-        rec = compute()
-        with _MEMO_LOCK:
-            _MEMO[key] = rec
-    return rec
 
 
 def gkbj_constant(
@@ -77,19 +53,18 @@ def gkbj_constant(
     return Result("L", k, None, value, err, "trial-method", params)
 
 
+@memo
 def gkbj_auto(k: int, ctx: PrecisionContext = DEFAULT_CONTEXT) -> Result:
-    """Order-k constant with parameters chosen so err <= 10^-target.
+    """Order-k constant with parameters chosen so err <= 10^-target: the
+    trial method from :func:`shift_threshold` up, doubling w until the
+    bound is met.
 
-    Results are memoized per (k, precision).  Raises
+    Results are memoized per (k, context).  Raises
     :class:`ParameterSearchFailed` when no trial argument up to 10^6,
     with its planned tail length, meets the bound.
     """
     if k < 0:
         raise ValueError("order must be non-negative")
-    return _memoized("L", k, ctx, lambda: _search(k, ctx))
-
-
-def _search(k: int, ctx: PrecisionContext) -> Result:
     with ctx.workprec():
         bound = mpmath.mpf(10) ** (-ctx.target_digits)
     w = shift_threshold(ctx)
@@ -122,6 +97,7 @@ def limit_constant(
     return gkbj_constant(k, w_trial, tail_terms, ctx)
 
 
+@memo
 def varpi(k: int, ctx: PrecisionContext = DEFAULT_CONTEXT) -> Result:
     """Jeffery's summation constants: the x = 0 slope of log Gamma_k(x+1).
 
@@ -132,31 +108,24 @@ def varpi(k: int, ctx: PrecisionContext = DEFAULT_CONTEXT) -> Result:
     """
     if k < 1:
         raise ValueError("summation constants start at k = 1")
-
-    def compute() -> Result:
-        if k == 1:
-            base = gkbj_auto(0, ctx)
-            with ctx.workprec():
-                value = -base.value - mpmath.mpf(1) / 2
-                err = base.err
-        else:
-            base = gkbj_auto(k - 1, ctx)
-            with ctx.workprec():
-                value = to_mpf(harmonic(k) * bernoulli(k)) - k * base.value
-                err = k * base.err
-        return Result("varpi", k, None, value, err, "trial-method", base.params)
-
-    return _memoized("varpi", k, ctx, compute)
+    if k == 1:
+        base = gkbj_auto(0, ctx)
+        with ctx.workprec():
+            value = -base.value - mpmath.mpf(1) / 2
+            err = base.err
+    else:
+        base = gkbj_auto(k - 1, ctx)
+        with ctx.workprec():
+            value = to_mpf(harmonic(k) * bernoulli(k)) - k * base.value
+            err = k * base.err
+    return Result("varpi", k, None, value, err, "trial-method", base.params)
 
 
+@memo
 def kinkelin_logvarpi(ctx: PrecisionContext = DEFAULT_CONTEXT) -> Result:
     """Kinkelin's constant log varpi = 2 L_1 - 1/6 (equivalently 1/12 - varpi(2))."""
-
-    def compute() -> Result:
-        base = gkbj_auto(1, ctx)
-        with ctx.workprec():
-            value = 2 * base.value - to_mpf(Fraction(1, 6))
-            err = 2 * base.err
-        return Result("kinkelin", 1, None, value, err, "trial-method", base.params)
-
-    return _memoized("kinkelin", 1, ctx, compute)
+    base = gkbj_auto(1, ctx)
+    with ctx.workprec():
+        value = 2 * base.value - to_mpf(Fraction(1, 6))
+        err = 2 * base.err
+    return Result("kinkelin", 1, None, value, err, "trial-method", base.params)

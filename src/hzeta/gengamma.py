@@ -28,7 +28,7 @@ from .mpcore import (
     Result,
     as_exact,
     bernoulli,
-    register_cache_clearer,
+    memo,
     to_mpf,
 )
 
@@ -103,29 +103,25 @@ def _floor_log(p: int, wp: int) -> int:
     return man << (exp + wp) if exp + wp >= 0 else man >> -(exp + wp)
 
 
-_PRIME_LOGS = PrimeLogTable()
-# k -> (a, den): sum_{i<=n} i^k = n (a_0 n^k + a_1 n^(k-1) + ... + a_k) / den
-_POWER_SUMS: dict[int, tuple[list[int], int]] = {}
+@memo
+def _prime_logs() -> PrimeLogTable:
+    """The shared table, made on first use; :func:`~hzeta.mpcore.clear_caches` drops it."""
+    return PrimeLogTable()
 
 
-@register_cache_clearer
-def _clear_exact_sum_caches() -> None:
-    global _PRIME_LOGS
-    _PRIME_LOGS = PrimeLogTable()
-    _POWER_SUMS.clear()
+@memo
+def _faulhaber(k: int) -> tuple[tuple[int, ...], int]:
+    """``(a, den)`` with sum_{i<=n} i^k = n (a_0 n^k + a_1 n^(k-1) + ... + a_k) / den,
+    from Faulhaber's formula (k+1) S = sum_j C(k+1, j) B_j n^(k+1-j), B_1 = +1/2."""
+    coeffs = [math.comb(k + 1, j) * (-bernoulli(j) if j == 1 else bernoulli(j))
+              for j in range(k + 1)]
+    lcm = math.lcm(*(c.denominator for c in coeffs))
+    return tuple(c.numerator * (lcm // c.denominator) for c in coeffs), lcm * (k + 1)
 
 
 def _power_sum(k: int, n: int) -> int:
-    """sum_{i=1}^n i^k, exactly, by Faulhaber's formula
-    (k+1) S = sum_j C(k+1, j) B_j n^(k+1-j) with B_1 = +1/2, in integers."""
-    cached = _POWER_SUMS.get(k)
-    if cached is None:
-        coeffs = [math.comb(k + 1, j) * (-bernoulli(j) if j == 1 else bernoulli(j))
-                  for j in range(k + 1)]
-        lcm = math.lcm(*(c.denominator for c in coeffs))
-        cached = _POWER_SUMS[k] = ([c.numerator * (lcm // c.denominator) for c in coeffs],
-                                   lcm * (k + 1))
-    coeffs, den = cached
+    """sum_{i=1}^n i^k, exactly, in integers (:func:`_faulhaber`)."""
+    coeffs, den = _faulhaber(k)
     acc = 0
     for a in coeffs:
         acc = acc * n + a
@@ -163,7 +159,7 @@ def exact_log_gengamma(
     total = 0
     slack = _power_sum(k, max(w, 1)) - 1  # the + 1 per m >= 2
     sums: dict[int, int] = {}  # floor(w / p^e) -> S_k of it
-    for p, entry in zip(*_PRIME_LOGS.upto(w, wp)):
+    for p, entry in zip(*_prime_logs().upto(w, wp)):
         pk = p**k
         c, q, qk = 0, p, pk
         while q <= w:
@@ -230,19 +226,21 @@ def _rising_product(start: int, step: int, n: int, bits: int) -> tuple[int, int]
 
 def _log_rising(xe, n: int) -> mpmath.mpf:
     """log(x (x+1) ... (x+n-1)) for an exact x > 0 (Fraction or mpf), as
-    one log of an integer product: of the numerators p + j q over q^n for
-    x = p/q, of the mantissas m + j 2^-e times 2^(n e) for x = m 2^e.  The
-    product keeps mp.prec + 10 + log2(n) bits, so its truncation moves the
-    log by under 2^-(mp.prec + 9)."""
+    one log of the integer product of the numerators p + j q over q^n,
+    for x = p/q (an mpf m 2^e is m / 2^-e, or m 2^e / 1).  The product
+    keeps mp.prec + 10 + log2(n) bits, so its truncation moves the log by
+    under 2^-(mp.prec + 9)."""
     bits = mpmath.mp.prec + 10 + n.bit_length()
     if isinstance(xe, Fraction):
         p, q = xe.numerator, xe.denominator
-        prod, shift = _rising_product(p, q, n, bits)
-        return mpmath.log(mpmath.mpf((prod, shift)) / q**n)
-    man, exp = xe.man_exp
-    low = min(exp, 0)
-    prod, shift = _rising_product(man << (exp - low), 1 << -low, n, bits)
-    return mpmath.log(mpmath.mpf((prod, shift + n * low)))
+    else:
+        man, exp = xe.man_exp
+        p, q = (man, 1 << -exp) if exp < 0 else (man << exp, 1)
+    prod, shift = _rising_product(p, q, n, bits)
+    # q = odd 2^z: 2^(n z) goes to the exponent, since an mpf of that integer
+    # costs more than the log (mpmath strips its trailing zeros a byte at a time)
+    z = (q & -q).bit_length() - 1
+    return mpmath.log(mpmath.mpf((prod, shift - n * z)) / (q >> z) ** n)
 
 
 def shifted_series(

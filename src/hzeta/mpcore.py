@@ -16,15 +16,16 @@ Convention: B_1 = -1/2 throughout.
 from __future__ import annotations
 
 import contextlib
+import functools
 import math
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Union
+from typing import Optional, Union
 
 import mpmath
 from mpmath import mp
-from mpmath.libmp import dps_to_prec
+from mpmath.libmp import dps_to_prec, from_float
 
 Real = Union[int, Fraction, float, mpmath.mpf]
 
@@ -39,14 +40,9 @@ __all__ = [
     "phi",
     "harmonic",
     "clear_caches",
-    "register_cache_clearer",
 ]
 
 
-# 10^-(W-2) per (working digits, mpmath precision): the power is taken at the
-# precision of the call that first needs it, so a cached value has the bits a
-# fresh one would
-_FLOOR_POWERS: dict[tuple[int, int], mpmath.mpf] = {}
 _IN_FORCE = contextlib.nullcontext()  # stateless, so one instance serves every nesting
 
 
@@ -78,11 +74,7 @@ class PrecisionContext:
 
     def rounding_floor(self, scale) -> mpmath.mpf:
         """Absolute rounding allowance for a computation of the given magnitude."""
-        key = (self.working_digits, mp.prec)
-        power = _FLOOR_POWERS.get(key)
-        if power is None:
-            power = _FLOOR_POWERS[key] = mpmath.mpf(10) ** (-(self.working_digits - 2))
-        return abs(scale) * power
+        return abs(scale) * _floor_power(self.working_digits, mp.prec)
 
 
 DEFAULT_CONTEXT = PrecisionContext()
@@ -121,14 +113,16 @@ def to_mpf(x: Real) -> mpmath.mpf:
 
 
 def as_exact(x: Real):
-    """Keep int/Fraction arguments exact (as Fraction) and an mpf as it is,
-    an exact binary rational whatever the ambient precision; anything
-    else becomes mpf."""
+    """Keep int/Fraction arguments exact (as Fraction), and an mpf or a float
+    as an mpf of exactly its value; anything else (an mpmath constant, a
+    string) raises TypeError rather than be rounded at the ambient precision."""
     if isinstance(x, (int, Fraction)):
         return Fraction(x)
     if isinstance(x, mpmath.mpf):
         return x
-    return to_mpf(x)
+    if isinstance(x, float):
+        return mp.make_mpf(from_float(x))  # 53 bits, never rounded
+    raise TypeError(f"expected an int, Fraction, float or mpf argument, not {type(x).__name__}")
 
 
 # ---------------------------------------------------------------------------
@@ -185,22 +179,29 @@ _BERNOULLI = BernoulliCache()
 _HARMONIC: list[Fraction] = [Fraction(0)]
 _HARMONIC_LOCK = threading.Lock()
 
-_CACHE_CLEARERS: list[Callable[[], None]] = []
+_MEMOS: list = []  # every function wrapped by memo
 
 
-def register_cache_clearer(fn: Callable[[], None]) -> Callable[[], None]:
-    """Register a callback run by :func:`clear_caches` (internal use)."""
-    _CACHE_CLEARERS.append(fn)
-    return fn
+def memo(fn):
+    """``lru_cache(maxsize=None)`` on fn, emptied by :func:`clear_caches` (internal use)."""
+    cached = functools.lru_cache(maxsize=None)(fn)
+    _MEMOS.append(cached)
+    return cached
+
+
+@memo
+def _floor_power(working_digits: int, prec: int) -> mpmath.mpf:
+    """10^-(W-2) at mpmath precision ``prec``, which the caller has in force."""
+    return mpmath.mpf(10) ** (-(working_digits - 2))
 
 
 def clear_caches() -> None:
-    """Reset every internal memo table (Bernoulli, harmonic, series, constants)."""
+    """Reset every internal table: the memos, Bernoulli, harmonic, prime logs."""
     global _BERNOULLI
     _BERNOULLI = BernoulliCache()
     del _HARMONIC[1:]
-    for fn in _CACHE_CLEARERS:
-        fn()
+    for fn in _MEMOS:
+        fn.cache_clear()
 
 
 def bernoulli(n: int) -> Fraction:

@@ -37,8 +37,8 @@ from .mpcore import (
     bernoulli,
     bernoulli_poly,
     harmonic,
+    memo,
     phi,
-    register_cache_clearer,
     to_mpf,
 )
 
@@ -88,28 +88,18 @@ def _report(name, k, x, residual, tolerance, t0) -> CheckReport:
 # quadrature
 
 
-# (mp.prec, t) -> (sig_lo, sig_hi, cosh t) of the tanh-sinh node at t: its
-# fractional distances to b and from a, and its weight factor
-_NODES: dict = {}
-
-
-@register_cache_clearer
-def _clear_nodes() -> None:
-    _NODES.clear()
-
-
-def _node(t: mpmath.mpf):
-    """The tanh-sinh node at t, computed once per mpmath precision."""
-    key = (mpmath.mp.prec, t._mpf_)
-    node = _NODES.get(key)
-    if node is None:
-        u = mpmath.pi / 2 * mpmath.sinh(t)
-        node = _NODES[key] = (
-            1 / (1 + mpmath.exp(2 * u)),  # fractional distance to b
-            1 / (1 + mpmath.exp(-2 * u)),  # fractional distance from a
-            mpmath.cosh(t),
-        )
-    return node
+@memo
+def _node(prec: int, t_mpf: tuple):
+    """``(sig_lo, sig_hi, cosh t)`` of the tanh-sinh node at t (raw value
+    ``t_mpf``): its fractional distances to b and from a, and its weight
+    factor, at mpmath precision ``prec``, which the caller has in force."""
+    t = mpmath.mp.make_mpf(t_mpf)
+    u = mpmath.pi / 2 * mpmath.sinh(t)
+    return (
+        1 / (1 + mpmath.exp(2 * u)),  # fractional distance to b
+        1 / (1 + mpmath.exp(-2 * u)),  # fractional distance from a
+        mpmath.cosh(t),
+    )
 
 
 def quadrature(
@@ -141,11 +131,9 @@ def quadrature(
     without cancellation and the weights decay doubly exponentially.
 
     A node's offsets and cosh t depend only on t and the mpmath
-    precision, so they are computed once per precision and kept in a
-    table shared by every call (:func:`~hzeta.mpcore.clear_caches`
-    empties it).  The weight ``width * pi * cosh t * sig_lo * sig_hi``
-    and the abscissa are formed per call, in the same order either way,
-    so a value does not depend on what the table holds.
+    precision, so they are memoized (:func:`_node`).  The weight
+    ``width * pi * cosh t * sig_lo * sig_hi`` and the abscissa are formed
+    per call, so a value does not depend on what the memo holds.
 
     When the level differences stop contracting at a small plateau (the
     integrand itself carries error at that scale) the plateau value is
@@ -165,7 +153,7 @@ def quadrature(
         t_max = mpmath.asinh(2 * u_max / mpmath.pi)
 
         def weighted(t):
-            sig_lo, sig_hi, cosh_t = _node(t)
+            sig_lo, sig_hi, cosh_t = _node(mpmath.mp.prec, t._mpf_)
             wgt = width * mpmath.pi * cosh_t * sig_lo * sig_hi
             if wgt == 0:
                 return mpmath.mpf(0)

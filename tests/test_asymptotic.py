@@ -21,7 +21,7 @@ from hzeta import (
     log_coefficient_poly,
     shift_threshold,
 )
-from hzeta import asymptotic, hurwitz_deriv, log_gengamma
+from hzeta import asymptotic, constants, hurwitz_deriv, log_gengamma, validate, zeta_deriv_neg
 from hzeta.asymptotic import plan, tail_length
 from hzeta.mpcore import clear_caches, harmonic, to_mpf
 
@@ -462,3 +462,33 @@ def test_golden_bits(fn, k, arg, digits, bits):
     else:
         res = fn(k, arg, ctx)
     assert res.value._mpf_ == bits
+
+
+# The _mpf_ of the memoized routes, taken at commit 8d84f93, before their
+# hand-written tables became lru_caches: that change kept every bit.  Each
+# is checked on a cold memo and again on the hit.
+GOLDEN_MEMO = [
+    ("gkbj_auto-2", 20, lambda ctx: constants.gkbj_auto(2, ctx).value,
+     (0, 323783532403769299930309335690291575, -123, 118)),
+    ("varpi-3", 20, lambda ctx: constants.varpi(3, ctx).value,
+     (1, 971350597211307899790928007070874725, -123, 120)),
+    ("kinkelin", 100, lambda ctx: constants.kinkelin_logvarpi(ctx).value,
+     (0, 26071699716399316333368286565749110058726852093791943129236601946586894076762428245394683613379366234477290323576355, -385, 384)),  # noqa: E501
+    ("zeta_deriv_neg-1", 30, lambda ctx: zeta_deriv_neg(1, ctx).value,
+     (1, 3777551130739993904177890859474496106083345797, -154, 152)),
+    ("quadrature-log-value", 20, lambda ctx: validate.quadrature(mpmath.log, 0, 1, ctx)[0],
+     (1, 1, 0, 1)),
+    ("quadrature-log-err", 20, lambda ctx: validate.quadrature(mpmath.log, 0, 1, ctx)[1],
+     (0, 121985903041, -134, 37)),
+    ("exact_log_gengamma-3-90", 100, lambda ctx: exact_log_gengamma(3, 90, ctx).value,
+     (0, 1372864993445082976099950947503582139060998391142164910236522750055552512151455230556584650656723702069421316364992495667, -373, 400)),  # noqa: E501
+]
+
+
+@pytest.mark.parametrize("digits, route, bits", [g[1:] for g in GOLDEN_MEMO],
+                         ids=[f"{g[0]}-D{g[1]}" for g in GOLDEN_MEMO])
+def test_golden_bits_of_memoized_routes(digits, route, bits):
+    ctx = PrecisionContext(digits)
+    clear_caches()
+    assert route(ctx)._mpf_ == bits
+    assert route(ctx)._mpf_ == bits

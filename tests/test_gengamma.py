@@ -112,7 +112,7 @@ class TestPrimeLogTable:
     def test_clear_caches_empties_the_table(self, monkeypatch):
         exact_log_gengamma(1, 30, PrecisionContext(20))
         clear_caches()
-        assert gengamma._PRIME_LOGS._entries == {}
+        assert gengamma._prime_logs.cache_info().currsize == 0
         calls = _count_logs(monkeypatch)
         exact_log_gengamma(1, 30, PrecisionContext(20))
         assert len(calls) == 10  # pi(30)

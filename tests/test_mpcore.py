@@ -8,8 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hzeta import PrecisionContext, bernoulli, bernoulli_poly, harmonic, phi
-from hzeta.mpcore import BernoulliCache, to_mpf
+from hzeta import PrecisionContext, bernoulli, bernoulli_poly, harmonic, hurwitz_deriv, phi
+from hzeta import mpcore
+from hzeta.mpcore import BernoulliCache, as_exact, clear_caches, to_mpf
+from hzeta.validate import selftest
 
 
 def akiyama_tanigawa(n):
@@ -193,3 +195,39 @@ class TestPrecisionContext:
             with ctx.workprec(extra):
                 fresh = mpmath.mpf(3) * mpmath.mpf(10) ** -(ctx.working_digits - 2)
                 assert ctx.rounding_floor(-3)._mpf_ == fresh._mpf_
+
+
+class TestAsExact:
+    @pytest.mark.parametrize("x", [mpmath.e, mpmath.pi, "3/7", "2.5", 1j, None],
+                             ids=["e", "pi", "str-rational", "str-decimal", "complex", "None"])
+    def test_rejects_what_it_cannot_keep_exact(self, x):
+        with pytest.raises(TypeError):
+            as_exact(x)
+
+    def test_an_mpmath_constant_is_rejected_at_the_entry_point(self):
+        with pytest.raises(TypeError):
+            hurwitz_deriv(0, mpmath.e, PrecisionContext(20))
+
+    @pytest.mark.parametrize("prec", [10, 53, 200])
+    def test_a_float_keeps_all_its_bits_at_any_ambient_precision(self, prec):
+        with mpmath.mp.workprec(prec):
+            man, exp = as_exact(0.1).man_exp
+        assert Fraction(man) * Fraction(2) ** exp == Fraction(0.1)
+
+    def test_a_float_argument_is_not_rounded_by_a_low_ambient_precision(self):
+        ctx = PrecisionContext(20)
+        ref = hurwitz_deriv(0, 0.1, ctx)
+        with mpmath.mp.workprec(10):
+            low = hurwitz_deriv(0, 0.1, ctx)
+        assert (low.value, low.err) == (ref.value, ref.err)
+        assert ref.value == hurwitz_deriv(0, mpmath.mpf(0.1), ctx).value
+
+
+class TestMemo:
+    def test_clear_caches_empties_every_memo(self):
+        selftest("quick", PrecisionContext(20))
+        filled = [fn for fn in mpcore._MEMOS if fn.cache_info().currsize]
+        assert mpcore._floor_power in filled
+        clear_caches()
+        for fn in mpcore._MEMOS:
+            assert fn.cache_info().currsize == 0, fn.__wrapped__.__qualname__

@@ -149,9 +149,9 @@ class TestNodeTable:
 
     def test_clear_caches_empties_the_table(self, ctx20):
         quadrature(mpmath.log, 0, 1, ctx20)
-        assert validate._NODES
+        assert validate._node.cache_info().currsize
         clear_caches()
-        assert not validate._NODES
+        assert validate._node.cache_info().currsize == 0
 
 
 class TestZetaPositive:

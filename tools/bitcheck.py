@@ -1,0 +1,78 @@
+"""Bit-for-bit comparison of hzeta's values, errors and params between two checkouts.
+
+Dump the cases of one checkout (from its root):
+
+    PYTHONPATH=src python tools/bitcheck.py OUT.json
+
+then compare two dumps:
+
+    python tools/bitcheck.py A.json B.json
+
+The 1,215 cases: ``hurwitz_deriv`` at 96 mpf nodes (full mantissas, in
+(0, 4) and (20, 300)) and 24 rationals, and ``gkbj_constant`` at eight
+trial arguments, for k in {0, 1, 3} and D in {20, 30, 100}; plus the
+residual and tolerance of each of the 63 ``selftest full`` checks at
+D=20.  The comparison prints each differing value with its distance and
+err, then one summary line.
+"""
+
+import json
+import random
+import sys
+from fractions import Fraction
+
+import mpmath
+
+
+def compare(path_a: str, path_b: str) -> None:
+    with open(path_a) as fa, open(path_b) as fb:
+        a, b = json.load(fa), json.load(fb)
+
+    def num(t):
+        return mpmath.mpf(((-1) ** t[0] * int(t[1]), t[2]))
+
+    diff = [k for k in a if a[k][0] != b[k][0]]
+    for k in diff:
+        print(k, "|delta| =", mpmath.nstr(abs(num(a[k][0]) - num(b[k][0])), 3),
+              "err =", mpmath.nstr(num(b[k][1]), 3))
+    rel = max(float(abs(num(a[k][1]) - num(b[k][1])) / num(a[k][1])) for k in a if int(a[k][1][1]))
+    print(f"{len(a)} cases: {len(diff)} values differ; {sum(a[k][1] != b[k][1] for k in a)} errs differ,"
+          f" by at most {rel:.1e} relative; {sum(a[k][2] != b[k][2] for k in a)} params differ")
+
+
+def dump(path: str) -> None:
+    from hzeta import PrecisionContext, gkbj_constant, hurwitz_deriv
+    from hzeta.validate import selftest
+
+    def bits(v):
+        return [v._mpf_[0], str(v._mpf_[1]), v._mpf_[2]]
+
+    out = {}
+    for D in (20, 30, 100):
+        ctx, rng = PrecisionContext(D), random.Random(D)
+        with ctx.workprec(5):  # 64 nodes in (0, 4), 32 in (20, 300), full mantissas
+            nodes = [mpmath.mpf(rng.getrandbits(400)) / 2**400 * 4 for _ in range(64)]
+            nodes += [20 + mpmath.mpf(rng.getrandbits(400)) / 2**400 * 280 for _ in range(32)]
+        rats = [Fraction(rng.randint(1, 400), rng.randint(2, 97)) for _ in range(24)]
+        rats = [r if r.denominator != 1 else r + Fraction(1, 3) for r in rats]
+        for k in (0, 1, 3):
+            for i, x in enumerate(nodes + rats):
+                r = hurwitz_deriv(k, x, ctx)
+                out[f"hz D={D} k={k} #{i}"] = (bits(r.value), bits(r.err), r.params)
+            for w in (20, 25, 30, 45, 50, 100, 200, 400):
+                r = gkbj_constant(k, w, None, ctx)
+                out[f"L D={D} k={k} w={w}"] = (bits(r.value), bits(r.err), r.params)
+    for i, rep in enumerate(selftest("full", PrecisionContext(20))):
+        out[f"selftest #{i} {rep.name} k={rep.k}"] = (
+            bits(mpmath.mpf(rep.residual)), bits(mpmath.mpf(rep.tolerance)), rep.passed)
+    with open(path, "w") as f:
+        json.dump(out, f)
+
+
+if __name__ == "__main__":
+    if len(sys.argv) == 3:
+        compare(*sys.argv[1:])
+    elif len(sys.argv) == 2:
+        dump(sys.argv[1])
+    else:
+        sys.exit(__doc__)

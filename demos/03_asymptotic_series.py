@@ -8,6 +8,8 @@ evaluator stops at the smallest term on its own (optimal truncation).
 Run:  python demos/03_asymptotic_series.py
 """
 
+from fractions import Fraction
+
 import mpmath
 
 from hzeta import (
@@ -30,8 +32,8 @@ def render(poly):
         if has_log:
             body = (body + "*log x") if body else "log x"
         pieces.append(f"({c})" + (f"*{body}" if body else ""))
-    for c, q in poly.tail_terms:
-        pieces.append(f"({c})/x^{q}")
+    for num, den, q in poly.tail_terms:
+        pieces.append(f"({Fraction(num, den)})/x^{q}")
     return "  +  ".join(pieces)
 
 

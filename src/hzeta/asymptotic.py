@@ -42,6 +42,7 @@ from .mpcore import (
     PrecisionContext,
     Real,
     Result,
+    _tangents,
     bernoulli,
     harmonic,
     memo,
@@ -64,7 +65,8 @@ __all__ = [
 @dataclass(frozen=True)
 class TermPoly:
     """Symbolic expansion: main terms ``coeff * x^power * log(x)^{0,1}``
-    plus a tail of ``coeff * x^(-inv_power)`` entries.
+    plus a tail of ``(num, den, inv_power)`` entries for ``(num / den) * x^(-inv_power)``,
+    integers with num != 0 and den > 0, unreduced: fixed point needs no gcd.
 
     No two main terms share a ``(power, has_log)`` key; tail entries are
     unique in ``inv_power`` and sorted by it.  ``_mpf_coeffs`` maps an
@@ -76,7 +78,7 @@ class TermPoly:
 
     k: int
     main_terms: tuple[tuple[Fraction, int, bool], ...]
-    tail_terms: tuple[tuple[Fraction, int], ...]
+    tail_terms: tuple[tuple[int, int, int], ...]
     _mpf_coeffs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
@@ -87,15 +89,6 @@ def _merge_main(terms) -> tuple[tuple[Fraction, int, bool], ...]:
         acc[key] = acc.get(key, Fraction(0)) + c
     out = [(c, p, l) for (p, l), c in acc.items() if c]
     out.sort(key=lambda t: (-t[1], t[2]))
-    return tuple(out)
-
-
-def _merge_tail(terms) -> tuple[tuple[Fraction, int], ...]:
-    acc: dict[int, Fraction] = {}
-    for c, q in terms:
-        acc[q] = acc.get(q, Fraction(0)) + c
-    out = [(c, q) for q, c in acc.items() if c]
-    out.sort(key=lambda t: t[1])
     return tuple(out)
 
 
@@ -121,20 +114,25 @@ def _main_terms_generic(k: int) -> list:
     return terms
 
 
-def _tail_generic(k: int, count: int) -> list:
-    # B_{k+s} vanishes for odd k + s: the count nonzero entries sit at
-    # every other s from 2 + k % 2, and the largest index grows the table once
+def _tail_generic(k: int, count: int) -> tuple[tuple[int, int, int], ...]:
+    """The first ``count`` nonzero entries (-1)^s k! B_{k+s} / ((s-1) s ... (k+s))
+    of x^-(s-1), unreduced: with k + s = 2h, num = ±k! 2h T_h and
+    den = 4^h (4^h - 1) (s-1) s ... (k+s), from the tangent numbers T_h."""
+    # B_{k+s} vanishes for odd k + s, so s steps by 2; one call grows the table
     first = 2 + k % 2
-    bernoulli(k + first + 2 * (count - 1))
+    last = first + 2 * (count - 1)
+    bernoulli(k + last)
+    tangent = _tangents((k + last) // 2)
     kfac = math.factorial(k)
+    rising = math.factorial(k + first) // math.factorial(first - 2)  # (s-1) s ... (k+s)
     out = []
-    for s in range(first, first + 2 * count, 2):
-        b = bernoulli(k + s)
-        sign = -1 if s % 2 else 1
-        c = Fraction(sign * kfac * math.factorial(s - 2) * b.numerator,
-                     math.factorial(k + s) * b.denominator)
-        out.append((c, s - 1))
-    return out
+    for s in range(first, last + 1, 2):
+        h = (k + s) // 2
+        four = 1 << 2 * h
+        sign = 1 if (s + h) % 2 else -1
+        out.append((sign * kfac * 2 * h * tangent[h], four * (four - 1) * rising, s - 1))
+        rising = rising * (k + s + 1) * (k + s + 2) // ((s - 1) * s)
+    return tuple(out)
 
 
 _TOO_SMALL = mpmath.mpf("1e-3")  # eval_lambda's largest err / |value|
@@ -155,7 +153,7 @@ def build_lambda_terms(k: int, tail_terms: int) -> TermPoly:
         main = _main_terms_generic(k)
     else:
         main = [(Fraction(1), 1, True), (Fraction(1, 2), 0, True), (Fraction(-1), 1, False)]
-    return TermPoly(k=k, main_terms=_merge_main(main), tail_terms=_merge_tail(tail))
+    return TermPoly(k=k, main_terms=_merge_main(main), tail_terms=tail)
 
 
 def _coefficients(poly: TermPoly):
@@ -163,28 +161,27 @@ def _coefficients(poly: TermPoly):
     in ``poly._mpf_coeffs``: ``(main, wp, frac, tail)``.
 
     ``main`` holds the main coefficients as raw mpf values (``_mpf_``).
-    The tail is in fixed point at ``wp = mp.prec + 10`` bits: each entry is
-    ``(floor(c 2^wp), d, turn)`` with d the step in q from the previous
+    The tail is in fixed point at ``wp = mp.prec + 10`` bits: each entry
+    c = num / den is ``(floor(c 2^wp), d, turn)``, the floor taken as
+    ``(num << wp) // den``, with d the step in q from the previous
     entry (from 0 for the first).  Powers of 1/x are held at
     ``frac = wp + g`` bits, g the bit length of the largest |c|, so that a
     factorially large coefficient does not lift a power's truncation above
-    2^-wp.  ``turn`` is None for the first entry, else ``(log r, r)`` with
-    r = |c / c_prev| exact: the entry's magnitude is at least its
-    predecessor's iff r >= x^d.
+    2^-wp.  ``turn`` is None for the first entry, else
+    ``(log r, num, den, num_prev, den_prev)`` with r = |c / c_prev|: the
+    entry's magnitude is at least its predecessor's iff r >= x^d.
     """
     cached = poly._mpf_coeffs.get(mpmath.mp.prec)
     if cached is None:
         wp = mpmath.mp.prec + 10
-        g = max(abs(c.numerator) // c.denominator for c, _ in poly.tail_terms).bit_length()
+        g = max(abs(num) // den for num, den, _ in poly.tail_terms).bit_length()
         tail = []
         prev, prev_q = None, 0
-        for c, q in poly.tail_terms:
-            turn = None
-            if prev is not None:
-                ratio = abs(c / prev)
-                turn = (math.log(ratio.numerator) - math.log(ratio.denominator), ratio)
-            tail.append(((c.numerator << wp) // c.denominator, q - prev_q, turn))
-            prev, prev_q = c, q
+        for num, den, q in poly.tail_terms:
+            log_c = math.log(abs(num)) - math.log(den)
+            turn = None if prev is None else (log_c - prev[0], num, den, prev[1], prev[2])
+            tail.append(((num << wp) // den, q - prev_q, turn))
+            prev, prev_q = (log_c, num, den), q
         main = [to_mpf(c)._mpf_ for c, _, _ in poly.main_terms]
         cached = poly._mpf_coeffs[mpmath.mp.prec] = (main, wp, wp + g, tail)
     return cached
@@ -192,13 +189,13 @@ def _coefficients(poly: TermPoly):
 
 def _turns(d: int, turn, log_x: float, man: int, exp: int) -> bool:
     """Whether a tail entry's magnitude is at least its predecessor's at
-    x = man * 2^exp: r >= x^d, by float logs (good to about 1e-13 here)
-    unless they are within 1e-9 of a tie, then exactly."""
-    log_ratio, ratio = turn
+    x = man * 2^exp: r >= x^d, by float logs (good to 1e-12 at 1000 digits)
+    unless they are within 1e-9 of a tie, then by exact cross-products."""
+    log_ratio, num, den, num_prev, den_prev = turn
     gap = log_ratio - d * log_x
     if abs(gap) > 1e-9:
         return gap > 0
-    lhs, rhs = ratio.numerator, ratio.denominator * man**d
+    lhs, rhs = abs(num) * den_prev, den * abs(num_prev) * man**d
     if d * exp < 0:
         lhs <<= -d * exp
     else:
@@ -278,7 +275,7 @@ def eval_term_poly(poly: TermPoly, x: Real, ctx: PrecisionContext = DEFAULT_CONT
         # 2^frac x^-q of the held-back entry, rounded up from 1/x rounded up
         shift = frac - exp
         inverse = (1 << shift) // man + 1 if shift >= 0 else 1
-        power = _power_up(inverse, poly.tail_terms[used][1], frac)
+        power = _power_up(inverse, poly.tail_terms[used][2], frac)
         omitted = ((abs(tail[used][0]) + 1) * (power + 1) >> frac) + 1
         slack = ((used * (used + 7) // 2) * max(power, 1 << frac) >> frac) + 1
         total = mpf_add(total, from_man_exp(acc, -wp, prec, round_nearest), prec, round_nearest)
@@ -332,12 +329,12 @@ def integrate_lambda_terms(poly: TermPoly) -> TermPoly:
             main.append((-c / Fraction((p + 1) ** 2), p + 1, False))
         else:
             main.append((c / (p + 1), p + 1, False))
-    for c, q in poly.tail_terms:
+    for num, den, q in poly.tail_terms:
         if q == 1:
-            main.append((c, 0, True))
+            main.append((Fraction(num, den), 0, True))
         else:
-            tail.append((-c / (q - 1), q - 1))
-    return TermPoly(k=poly.k + 1, main_terms=_merge_main(main), tail_terms=_merge_tail(tail))
+            tail.append((-num, den * (q - 1), q - 1))
+    return TermPoly(k=poly.k + 1, main_terms=_merge_main(main), tail_terms=tuple(tail))
 
 
 def log_coefficient_poly(k: int) -> list[Fraction]:

@@ -124,22 +124,25 @@ _COMMANDS = {
 }
 
 
-def _build_parser(names=_COMMANDS) -> _Parser:
-    """The parser with the subcommands ``names``; each parses alone as among all."""
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--digits", type=_positive_int, default=None,
+def _add_command(parser: _Parser, name: str) -> _Parser:
+    """Give ``parser`` the flags of subcommand ``name``, common ones first."""
+    _, arguments, overrides, _ = _COMMANDS[name]
+    parser.add_argument("--digits", type=_positive_int, default=None,
                         help="significant digits to report (default 20 or $HZETA_DIGITS)")
-    common.add_argument("--json", action="store_true", help="emit JSON lines")
+    parser.add_argument("--json", action="store_true", help="emit JSON lines")
+    for flag, settings in arguments:
+        parser.add_argument(flag, **settings)
+    for flag in overrides:
+        parser.add_argument(flag, default=None, **_OVERRIDES[flag])
+    return parser
 
+
+def _build_parser() -> _Parser:
+    """The parser with every subcommand, whose usage and errors list them all."""
     parser = _Parser(prog="hzeta", description="Hurwitz zeta derivatives and friends")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in names:
-        help_text, arguments, overrides, _ = _COMMANDS[name]
-        p = sub.add_parser(name, parents=[common], help=help_text)
-        for flag, settings in arguments:
-            p.add_argument(flag, **settings)
-        for flag in overrides:
-            p.add_argument(flag, default=None, **_OVERRIDES[flag])
+    for name, (help_text, *_) in _COMMANDS.items():
+        _add_command(sub.add_parser(name, help=help_text), name)
     return parser
 
 
@@ -209,11 +212,18 @@ def _run_selftest(args, ctx, out: TextIO) -> int:
 
 
 def run(argv: list[str]) -> int:
-    """Dispatch a command line; returns the process exit status."""
-    # the full parser's usage and errors list every subcommand
-    parser = _build_parser(argv[:1] if argv and argv[0] in _COMMANDS else _COMMANDS)
+    """Dispatch a command line; returns the process exit status.  A known
+    subcommand is parsed by a parser of its own, anything else by the full one."""
     try:
-        args = parser.parse_args(argv)
+        if argv and argv[0] in _COMMANDS:
+            parser = _add_command(_Parser(prog=f"hzeta {argv[0]}"), argv[0])
+            args, extras = parser.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+            parser.prog = "hzeta"  # later errors read as the full parser's
+            if extras:
+                parser.error(f"unrecognized arguments: {' '.join(extras)}")
+        else:
+            parser = _build_parser()
+            args = parser.parse_args(argv)
         if "w_trial" in vars(args) and args.w_trial is None and args.terms is not None:
             parser.error("--terms takes effect only with --w-trial")
     except SystemExit as exc:

@@ -6,9 +6,10 @@ digits and results are reported to ``target`` digits.  Combinatorial
 quantities (Bernoulli numbers and polynomials, harmonic numbers, power
 sums) stay exact rationals until the final conversion to a big float,
 so the signs and coefficients of the divergent series downstream are
-never perturbed by rounding.  The Bernoulli table is built from integer
-tangent numbers (Brent & Harvey, arXiv:1108.0286), one Fraction per
-new entry.
+never perturbed by rounding.  The Bernoulli table holds integer
+tangent numbers (Brent & Harvey, arXiv:1108.0286) and makes a B_n
+Fraction only on request; the series tails downstream read the
+tangent numbers themselves.
 
 Convention: B_1 = -1/2 throughout.
 """
@@ -130,38 +131,46 @@ def as_exact(x: Real):
 
 
 class BernoulliCache:
-    """Growable table of exact Bernoulli numbers (B_1 = -1/2).
+    """Growable table of tangent numbers T_h, and the exact Bernoulli
+    numbers (B_1 = -1/2) made from them on request.
 
-    B_2h comes from the tangent number T_h as
-    (-1)^(h-1) 2h T_h / (4^h (4^h - 1)), and the T_h from the integer
-    recurrence T[j] <- (j-k) T[j-1] + (j-k+2) T[j] of Brent & Harvey,
+    B_2h = (-1)^(h-1) 2h T_h / (4^h (4^h - 1)), and the T_h come from the
+    integer recurrence T[j] <- (j-k) T[j-1] + (j-k+2) T[j] of Brent & Harvey,
     "Fast computation of Bernoulli, Tangent and Secant numbers"
     (arXiv:1108.0286).  The table keeps that recurrence's last column,
-    so growth computes only the new entries and appends them:
-    previously returned values never change.  The lock makes concurrent
-    growth safe.
+    so growth computes only the new T_h and appends them; a B_n Fraction
+    is made, and kept, when :meth:`get` first asks for it.  Previously
+    returned values never change.  The lock makes concurrent growth safe.
     """
 
     def __init__(self) -> None:
-        self._values: list[Fraction] = [Fraction(1), Fraction(-1, 2)]
+        self._tangents: list[int] = [0]  # T_h at index h; T_0 = 0 holds the place
         # column[k-1] = T[h] after pass k of the recurrence, h = len(column)
         self._column: list[int] = []
+        self._fractions: dict[int, Fraction] = {0: Fraction(1), 1: Fraction(-1, 2)}
         self._lock = threading.Lock()
 
     def get(self, n: int) -> Fraction:
         if n < 0:
             raise ValueError("Bernoulli index must be non-negative")
-        if n >= len(self._values):
-            with self._lock:
-                self._grow(n)
-        return self._values[n]
+        b = self._fractions.get(n)
+        if b is None:  # n = 2h >= 2 from T_h (odd n give 0)
+            h = n // 2
+            b = Fraction(0) if n % 2 else Fraction((-1) ** (h - 1) * n * self.tangents(h)[h],
+                                                   16**h - 4**h)
+            b = self._fractions.setdefault(n, b)  # one object per index, whoever made it
+        return b
 
-    def _grow(self, n: int) -> None:
-        values, column = self._values, self._column
-        while len(values) <= n:
-            if len(values) % 2:
-                values.append(Fraction(0))
-                continue
+    def tangents(self, h: int) -> list[int]:
+        """The table T_0, T_1, ... grown to at least T_h (append-only)."""
+        if h >= len(self._tangents):
+            with self._lock:
+                self._grow(h)
+        return self._tangents
+
+    def _grow(self, h_max: int) -> None:
+        tangents, column = self._tangents, self._column
+        while len(tangents) <= h_max:
             # next column h: pass 1 sets T[h] = (h-1)!, pass k uses pass k
             # of column h-1 and pass k-1 of column h; T_h is its last entry
             h = len(column) + 1
@@ -170,9 +179,7 @@ class BernoulliCache:
                 up = (h - k) * column[k - 1] if k < h else 0
                 new.append(up + (h - k + 2) * new[-1])
             column[:] = new
-            four = 4**h
-            sign = 1 if h % 2 else -1
-            values.append(Fraction(sign * 2 * h * new[-1], four * (four - 1)))
+            tangents.append(new[-1])
 
 
 _BERNOULLI = BernoulliCache()
@@ -207,6 +214,11 @@ def clear_caches() -> None:
 def bernoulli(n: int) -> Fraction:
     """Exact Bernoulli number B_n, cached."""
     return _BERNOULLI.get(n)
+
+
+def _tangents(h: int) -> list[int]:
+    """The tangent numbers T_0 = 0, T_1, ..., at least to T_h (internal use)."""
+    return _BERNOULLI.tangents(h)
 
 
 def bernoulli_poly(n: int, x: Real):

@@ -28,8 +28,21 @@ from hzeta.mpcore import clear_caches, harmonic, to_mpf
 
 def as_dicts(poly):
     main = {(p, l): c for c, p, l in poly.main_terms}
-    tail = {q: c for c, q in poly.tail_terms}
+    tail = {q: Fraction(num, den) for num, den, q in poly.tail_terms}
     return main, tail
+
+
+def tail_of(pairs):
+    """Tail triples from (Fraction, inv_power) pairs: equal powers summed,
+    zero sums dropped, sorted by power."""
+    acc = {}
+    for c, q in pairs:
+        acc[q] = acc.get(q, 0) + c
+    return tuple((c.numerator, c.denominator, q) for q, c in sorted(acc.items()) if c)
+
+
+def fractions(tail):
+    return tuple((Fraction(num, den), q) for num, den, q in tail)
 
 
 class TestBuildTerms:
@@ -70,7 +83,7 @@ class TestBuildTerms:
 
     def test_tail_entries_sorted_and_counted(self):
         poly = build_lambda_terms(4, 7)
-        powers = [q for _, q in poly.tail_terms]
+        powers = [q for _, _, q in poly.tail_terms]
         assert powers == sorted(powers)
         assert len(powers) == 7
 
@@ -79,13 +92,13 @@ class TestBuildTerms:
         # (-1)^s k! (s-2)! B_{k+s} / (k+s)! at x^-(s-1), nonzero entries only
         reference = []
         s = 2
-        while len(reference) < 60:
+        while len(reference) < 150:
             c = Fraction((-1) ** s * math.factorial(k) * math.factorial(s - 2)) * bernoulli(k + s)
             c /= math.factorial(k + s)
             if c:
                 reference.append((c, s - 1))
             s += 1
-        assert build_lambda_terms(k, 60).tail_terms == tuple(reference)
+        assert fractions(build_lambda_terms(k, 150).tail_terms) == tuple(reference)
 
 
 class TestEvalLambda:
@@ -131,11 +144,11 @@ def differentiate(poly: TermPoly) -> TermPoly:
                 tail.append((c, 1))
         elif p > 0:
             main.append((c * p, p - 1, False))
-    for c, q in poly.tail_terms:
+    for c, q in fractions(poly.tail_terms):
         tail.append((-c * q, q + 1))
-    from hzeta.asymptotic import _merge_main, _merge_tail
+    from hzeta.asymptotic import _merge_main
 
-    return TermPoly(poly.k - 1, _merge_main(main), _merge_tail(tail))
+    return TermPoly(poly.k - 1, _merge_main(main), tail_of(tail))
 
 
 main_term = st.tuples(
@@ -162,7 +175,7 @@ class TestIntegration:
         assert main == {(2, True): Fraction(1, 2), (2, False): Fraction(-1, 4)}
 
     def test_inverse_x_promotes_to_log(self):
-        poly = TermPoly(2, (), ((Fraction(-1, 360), 1),))
+        poly = TermPoly(2, (), tail_of([(Fraction(-1, 360), 1)]))
         out = integrate_lambda_terms(poly)
         main, tail = as_dicts(out)
         assert main == {(0, True): Fraction(-1, 360)}
@@ -170,17 +183,17 @@ class TestIntegration:
         # differentiating the promoted log term must recover the input
         back = differentiate(out)
         assert back.main_terms == poly.main_terms
-        assert back.tail_terms == poly.tail_terms
+        assert fractions(back.tail_terms) == fractions(poly.tail_terms)
 
     @given(st.lists(main_term, max_size=6), st.lists(tail_term, max_size=6))
     @settings(max_examples=120, deadline=None)
     def test_differentiation_round_trip(self, main, tail):
-        from hzeta.asymptotic import _merge_main, _merge_tail
+        from hzeta.asymptotic import _merge_main
 
-        poly = TermPoly(0, _merge_main(main), _merge_tail(tail))
+        poly = TermPoly(0, _merge_main(main), tail_of(tail))
         back = differentiate(integrate_lambda_terms(poly))
         assert back.main_terms == poly.main_terms
-        assert back.tail_terms == poly.tail_terms
+        assert fractions(back.tail_terms) == fractions(poly.tail_terms)
 
 
 class TestLogCoefficient:
@@ -309,6 +322,47 @@ class TestTailBoundTable:
         assert asymptotic._tail_bound.cache_info().currsize == 0
 
 
+class TestIntegerTail:
+    """The fixed-point tail made from unreduced integer triples against one
+    made from reduced Fractions: the same floors, the same g, and the same
+    turn decisions, also at arguments within an ulp of a tie."""
+
+    @staticmethod
+    def arguments(r, d):
+        """x near r^(1/d): at it and one ulp either side at the working
+        precision and at 53 bits, 1e-8 either side, and three others."""
+        root = mpmath.root(to_mpf(r), d)
+        xs = [mpmath.mpf(2), mpmath.mpf(81) / 2, mpmath.mpf(10**6)]
+        for prec in (mpmath.mp.prec, 53):
+            man, exp = mpmath.mpf(root, prec=prec).man_exp
+            xs += [mpmath.mpf((man + j, exp)) for j in (-1, 0, 1)]
+        return xs + [root * (1 + mpmath.mpf(j) / 10**8) for j in (-1, 1)]
+
+    @pytest.mark.parametrize("digits", [20, 100, 400])
+    def test_coefficients_match_a_fraction_reference(self, digits):
+        ties = 0
+        for k in (0, 1, 6, 12):
+            poly = build_lambda_terms(k, 60)
+            ref = fractions(poly.tail_terms)
+            with PrecisionContext(digits).workprec(5):
+                _, wp, frac, tail = asymptotic._coefficients(poly)
+                assert wp == mpmath.mp.prec + 10
+                assert frac - wp == max(abs(c.numerator) // c.denominator for c, _ in ref).bit_length()
+                assert [fixed for fixed, _, _ in tail] == [(c.numerator << wp) // c.denominator
+                                                           for c, _ in ref]
+                for i in range(1, len(ref)):
+                    (c_prev, q_prev), (c, q) = ref[i - 1], ref[i]
+                    d, r = q - q_prev, abs(c / c_prev)
+                    assert tail[i][1] == d
+                    for x in self.arguments(r, d):
+                        man, exp = x.man_exp
+                        log_x = math.log(man) + exp * math.log(2)
+                        ties += abs(tail[i][2][0] - d * log_x) <= 1e-9
+                        exact = r >= Fraction(man) ** d * Fraction(2) ** (d * exp)
+                        assert asymptotic._turns(d, tail[i][2], log_x, man, exp) == exact
+        assert ties > 0  # the exact cross-products were reached
+
+
 class TestEvalTermPoly:
     def test_divergence_guard_stops_at_smallest(self, ctx20):
         # at x = 2 the order-0 tail turns early; the guard must stop there
@@ -319,11 +373,11 @@ class TestEvalTermPoly:
 
     def test_cached_coefficients_follow_the_precision(self, ctx20, ctx30):
         # one term list evaluated at two precisions gives, at each, the bits
-        # of a fresh copy that has never been evaluated
+        # of a fresh copy that has never been evaluated, with its tail reduced
         poly = build_lambda_terms(3, 21)
         for ctx in (ctx20, ctx30, ctx20):
             value, err, used = eval_term_poly(poly, Fraction(81, 2), ctx)
-            fresh = TermPoly(poly.k, poly.main_terms, poly.tail_terms)
+            fresh = TermPoly(poly.k, poly.main_terms, tail_of(fractions(poly.tail_terms)))
             ref_value, ref_err, ref_used = eval_term_poly(fresh, Fraction(81, 2), ctx)
             assert (value._mpf_, err._mpf_, used) == (ref_value._mpf_, ref_err._mpf_, ref_used)
 
@@ -343,7 +397,7 @@ def _mpf_rule_count(poly, x, ctx):
     with ctx.workprec(5):
         xf = to_mpf(x)
         prev = None
-        for i, (c, q) in enumerate(poly.tail_terms):
+        for i, (c, q) in enumerate(fractions(poly.tail_terms)):
             mag = abs(to_mpf(c) / xf**q)
             if i == len(poly.tail_terms) - 1 or (prev is not None and mag >= prev):
                 return i
@@ -390,7 +444,7 @@ class TestFixedPointTail:
             xf = to_mpf(x)
             terms = [to_mpf(c) * xf**p * (mpmath.log(xf) if has_log else 1)
                      for c, p, has_log in poly.main_terms]
-            terms += [to_mpf(c) / xf**q for c, q in poly.tail_terms[:used + 1]]
+            terms += [to_mpf(c) / xf**q for c, q in fractions(poly.tail_terms[:used + 1])]
             omitted = abs(terms.pop())
             assert abs(value - mpmath.fsum(terms)) <= err - 2 * omitted
 
@@ -408,7 +462,7 @@ class TestFixedPointTail:
             xf = to_mpf(x)
             terms = [to_mpf(c) * xf**p * (mpmath.log(xf) if has_log else 1)
                      for c, p, has_log in poly.main_terms]
-            terms += [to_mpf(c) / xf**q for c, q in poly.tail_terms[:used + 1]]
+            terms += [to_mpf(c) / xf**q for c, q in fractions(poly.tail_terms[:used + 1])]
             omitted = abs(terms.pop())
             assert abs(value - mpmath.fsum(terms)) <= err - 2 * omitted
 
@@ -427,7 +481,7 @@ class TestFixedPointTail:
         value, err, used = eval_term_poly(poly, x, PrecisionContext(digits))
         with mpmath.mp.workdps(digits + 40):
             xf = to_mpf(x)
-            terms = [to_mpf(c) / xf**q for c, q in poly.tail_terms[:used + 1]]
+            terms = [to_mpf(c) / xf**q for c, q in fractions(poly.tail_terms[:used + 1])]
             omitted = abs(terms.pop())
             assert abs(value - mpmath.fsum(terms)) <= err - 2 * omitted
 

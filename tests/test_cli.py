@@ -1,3 +1,4 @@
+import argparse
 import json
 
 import mpmath
@@ -203,6 +204,22 @@ class TestParserForTheCommand:
         got = capsys.readouterr()
         assert (got.out, got.err) == (expected.out, expected.err)
         assert expected.out or expected.err
+
+    @pytest.mark.parametrize("argv", [
+        ["dz", "-k", "0"], ["hz", "-k", "1", "-w", "1/2"], ["const", "-k", "0"],
+        ["varpi", "-k", "1"], ["kinkelin"], ["gamma", "-k", "0", "-x", "3"],
+        ["table", "--kmax", "0"], ["selftest", "--level", "quick"]], ids=lambda a: a[0])
+    def test_one_parser_per_command_line(self, argv, monkeypatch, capsys):
+        made = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(parser, *args, **kwargs):
+            made.append(parser)
+            init(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        assert run([*argv, "--digits", "5"]) == 0
+        assert len(made) == 1
 
     def test_subcommand_help_lists_no_siblings(self, capsys):
         assert run(["hz", "--help"]) == 0

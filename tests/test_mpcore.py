@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hzeta import PrecisionContext, bernoulli, bernoulli_poly, harmonic, hurwitz_deriv, phi
+from hzeta import PrecisionContext, bernoulli, bernoulli_poly, build_lambda_terms, harmonic, hurwitz_deriv, phi
 from hzeta import mpcore
 from hzeta.mpcore import BernoulliCache, as_exact, clear_caches, to_mpf
 from hzeta.validate import selftest
@@ -44,6 +44,14 @@ class TestBernoulli:
         for n in range(201):
             assert bernoulli(n) == oracle[n]
 
+    def test_against_oracle_after_a_tail_grew_the_table(self):
+        # a series tail reads the tangent numbers directly; the Fractions
+        # made from them afterwards are the oracle's
+        clear_caches()
+        build_lambda_terms(12, 150)  # largest index 12 + 2 + 2 * 149 = 312
+        assert len(mpcore._BERNOULLI._tangents) == 157
+        assert [bernoulli(n) for n in range(301)] == akiyama_tanigawa(300)
+
     def test_odd_vanish(self):
         for m in range(1, 21):
             assert bernoulli(2 * m + 1) == 0
@@ -60,20 +68,24 @@ class TestBernoulli:
 
 
 class TestBernoulliGrowth:
+    """The tangent table T_0..T_h, and the B_n Fractions made from it on request."""
+
     def test_one_call_matches_index_by_index(self):
         whole, stepwise = BernoulliCache(), BernoulliCache()
         whole.get(300)
-        for n in range(301):
-            stepwise.get(n)
-        assert whole._values == stepwise._values
+        stepwise_values = [stepwise.get(n) for n in range(301)]
+        assert whole._tangents == stepwise._tangents and len(whole._tangents) == 151
+        assert [whole.get(n) for n in range(301)] == stepwise_values
 
     def test_growth_appends_only(self):
         table = BernoulliCache()
         table.get(12)
-        before = list(table._values)
+        before = list(table._tangents)
+        made = [table.get(n) for n in range(13)]
         table.get(200)
-        assert len(table._values) == 201
-        assert all(a is b for a, b in zip(before, table._values[:13], strict=True))
+        assert len(table._tangents) == 101
+        assert all(a is b for a, b in zip(before, table._tangents[:7], strict=True))
+        assert all(b is table.get(n) for n, b in enumerate(made))
 
     def test_concurrent_growth_matches_serial(self):
         serial, shared = BernoulliCache(), BernoulliCache()
@@ -97,7 +109,8 @@ class TestBernoulliGrowth:
         finally:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
-        assert shared._values == serial._values
+        assert shared._tangents == serial._tangents
+        assert [shared.get(n) for n in range(251)] == [serial.get(n) for n in range(251)]
 
 
 class TestBernoulliPoly:

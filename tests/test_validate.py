@@ -280,11 +280,12 @@ class TestSelftest:
             selftest("exhaustive", ctx20)
 
     def test_fault_injection_names_stabilization(self, ctx20):
-        # a corrupted Bernoulli value must surface as a stabilization failure
+        # a corrupted tangent number must surface as a stabilization failure:
+        # T_2 is the one source of B_4 and of the tail entries with k + s = 4
         clear_caches()
         try:
             mpcore.bernoulli(12)  # grow the table before poisoning it
-            mpcore._BERNOULLI._values[4] = Fraction(1, 3)
+            mpcore._BERNOULLI._tangents[2] = 3
             reports = selftest("quick", ctx20)
             failed = {r.name for r in reports if not r.passed}
             assert "stabilization" in failed

@@ -8,16 +8,25 @@ then compare two dumps:
 
     python tools/bitcheck.py A.json B.json
 
-The 1,215 cases: ``hurwitz_deriv`` at 96 mpf nodes (full mantissas, in
-(0, 4) and (20, 300)) and 24 rationals, and ``gkbj_constant`` at eight
-trial arguments, for k in {0, 1, 3} and D in {20, 30, 100}; plus the
-residual and tolerance of each of the 63 ``selftest full`` checks at
-D=20.  The comparison prints each differing value with its distance and
-err, then one summary line.
+The 1,303 numeric cases: ``hurwitz_deriv`` at 96 mpf nodes (full
+mantissas, in (0, 4) and (20, 300)) and 24 rationals, for k in {0, 1, 3}
+and D in {20, 30, 100}; ``gkbj_constant`` at eight trial arguments, for
+k in {0, 1, 3, 6, 12} and D in {20, 30, 100, 400}; and the residual and
+tolerance of each of the 63 ``selftest full`` checks at D=20.  Then the
+cold command path: stdout, stderr and exit status of ``cli.run([...,
+"--json"])`` for each of the 177 command lines of perfbench's cli-replay
+workload at seed 1, caches cleared before each as that workload does,
+with the selftest reports' ``elapsed`` dropped.  The comparison prints
+each differing value with its distance and err, and each differing
+command line, then one summary line for each part.
 """
 
+import contextlib
+import io
 import json
+import os
 import random
+import re
 import sys
 from fractions import Fraction
 
@@ -27,6 +36,12 @@ import mpmath
 def compare(path_a: str, path_b: str) -> None:
     with open(path_a) as fa, open(path_b) as fb:
         a, b = json.load(fa), json.load(fb)
+    cli = [k for k in a if k.startswith("cli ")]
+    cli_diff = [k for k in cli if a[k] != b[k]]
+    for k in cli_diff:
+        print(k, "output differs:", a[k], "->", b[k])
+    for k in cli:
+        del a[k], b[k]
 
     def num(t):
         return mpmath.mpf(((-1) ** t[0] * int(t[1]), t[2]))
@@ -38,6 +53,26 @@ def compare(path_a: str, path_b: str) -> None:
     rel = max(float(abs(num(a[k][1]) - num(b[k][1])) / num(a[k][1])) for k in a if int(a[k][1][1]))
     print(f"{len(a)} cases: {len(diff)} values differ; {sum(a[k][1] != b[k][1] for k in a)} errs differ,"
           f" by at most {rel:.1e} relative; {sum(a[k][2] != b[k][2] for k in a)} params differ")
+    print(f"{len(cli)} command lines: {len(cli_diff)} differ in stdout, stderr or exit status")
+
+
+def cli_outputs() -> dict:
+    """Output of each cli-replay command line (seed 1) on cleared caches."""
+    sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+    from perfbench.workloads import cli_replay
+
+    from hzeta.cli import run
+    from hzeta.mpcore import clear_caches
+
+    out = {}
+    for i, op in enumerate(cli_replay(1)):
+        clear_caches()
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            rc = run([*op["argv"], "--json"])
+        text = re.sub(r'"elapsed": [-+.e0-9]+, ', "", stdout.getvalue())  # selftest's wall clock
+        out[f"cli #{i} {' '.join(op['argv'])}"] = (text, stderr.getvalue(), rc)
+    return out
 
 
 def dump(path: str) -> None:
@@ -59,12 +94,16 @@ def dump(path: str) -> None:
             for i, x in enumerate(nodes + rats):
                 r = hurwitz_deriv(k, x, ctx)
                 out[f"hz D={D} k={k} #{i}"] = (bits(r.value), bits(r.err), r.params)
+    for D in (20, 30, 100, 400):
+        ctx = PrecisionContext(D)
+        for k in (0, 1, 3, 6, 12):
             for w in (20, 25, 30, 45, 50, 100, 200, 400):
                 r = gkbj_constant(k, w, None, ctx)
                 out[f"L D={D} k={k} w={w}"] = (bits(r.value), bits(r.err), r.params)
     for i, rep in enumerate(selftest("full", PrecisionContext(20))):
         out[f"selftest #{i} {rep.name} k={rep.k}"] = (
             bits(mpmath.mpf(rep.residual)), bits(mpmath.mpf(rep.tolerance)), rep.passed)
+    out.update(cli_outputs())
     with open(path, "w") as f:
         json.dump(out, f)
 

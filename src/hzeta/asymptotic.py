@@ -33,8 +33,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import mpmath
-from mpmath.libmp import fzero, from_man_exp, mpf_abs, mpf_add, mpf_log, mpf_mul, mpf_pow_int
-from mpmath.libmp import round_nearest
+from mpmath.libmp import from_man_exp, fzero, mpf_abs, mpf_add, mpf_gt, mpf_le, mpf_log, mpf_mul
+from mpmath.libmp import mpf_pow_int, round_nearest, to_float
 
 from .errors import ArgumentTooSmall
 from .mpcore import (
@@ -42,7 +42,9 @@ from .mpcore import (
     PrecisionContext,
     Real,
     Result,
+    _rounding_floor,
     _tangents,
+    _to_raw,
     bernoulli,
     harmonic,
     memo,
@@ -70,8 +72,8 @@ class TermPoly:
 
     No two main terms share a ``(power, has_log)`` key; tail entries are
     unique in ``inv_power`` and sorted by it.  ``_mpf_coeffs`` maps an
-    mpmath precision to the main coefficients as mpf and the tail in
-    fixed point (:func:`_coefficients`), filled by
+    mpmath precision to the main coefficients as raw mpf values and the
+    tail in fixed point (:func:`_coefficients`), filled by
     :func:`eval_term_poly`; it lives and dies with the term list, so
     :func:`~hzeta.mpcore.clear_caches` drops it with the cached lists.
     """
@@ -135,7 +137,7 @@ def _tail_generic(k: int, count: int) -> tuple[tuple[int, int, int], ...]:
     return tuple(out)
 
 
-_TOO_SMALL = mpmath.mpf("1e-3")  # eval_lambda's largest err / |value|
+_TOO_SMALL = mpmath.mpf("1e-3")._mpf_  # eval_lambda's largest err / |value|
 
 
 @memo
@@ -222,7 +224,8 @@ def eval_term_poly(poly: TermPoly, x: Real, ctx: PrecisionContext = DEFAULT_CONT
     predecessor's, by a test on exact magnitudes (:func:`_turns`), and
     never the final entry, which only feeds the estimate.
 
-    The main terms and log x are evaluated in mpf.  The u tail entries
+    The main terms and log x are evaluated on raw values at the precision
+    of ``ctx.workprec(5)``, as the mpf operators do it.  The u tail entries
     are summed by Horner's rule in fixed-point Python integers
     (:func:`_coefficients`), ``a <- floor((floor(c 2^wp) + a) s_d 2^-frac)``
     from the last entry down, with ``s_d = floor(2^frac / x^d)`` from x's
@@ -239,12 +242,11 @@ def eval_term_poly(poly: TermPoly, x: Real, ctx: PrecisionContext = DEFAULT_CONT
     Returns ``(value, err, tail_terms_used)``.
     """
     with ctx.workprec(5):
-        xf = to_mpf(x)
-        if xf <= 0:
+        prec = mpmath.mp.prec
+        xv = _to_raw(x, prec)
+        if mpf_le(xv, fzero):
             raise ValueError("term-poly argument must be positive")
         main_coeffs, wp, frac, tail = _coefficients(poly)
-        # mpf arithmetic on the raw values, as the mpf operators do it
-        prec, xv = mpmath.mp.prec, xf._mpf_
         logx = mpf_log(xv, prec, round_nearest)
         total = scale = fzero
         for c, (_, p, has_log) in zip(main_coeffs, poly.main_terms):
@@ -255,12 +257,13 @@ def eval_term_poly(poly: TermPoly, x: Real, ctx: PrecisionContext = DEFAULT_CONT
                 c = mpf_mul(c, logx, prec, round_nearest)
             total = mpf_add(total, c, prec, round_nearest)
             scale = mpf_add(scale, mpf_abs(c), prec, round_nearest)
-        man, exp = xf.man_exp
+        _, man, exp, _ = xv
         log_x = math.log(man) + exp * math.log(2)
         used = len(tail) - 1
         for i in range(1, used):
             _, d, turn = tail[i]
-            if _turns(d, turn, log_x, man, exp):
+            gap = turn[0] - d * log_x  # _turns decides the near ties, within 1e-9
+            if gap > 1e-9 or (gap >= -1e-9 and _turns(d, turn, log_x, man, exp)):
                 used = i
                 break
         steps = {}  # d -> floor(2^frac / x^d)
@@ -280,8 +283,9 @@ def eval_term_poly(poly: TermPoly, x: Real, ctx: PrecisionContext = DEFAULT_CONT
         slack = ((used * (used + 7) // 2) * max(power, 1 << frac) >> frac) + 1
         total = mpf_add(total, from_man_exp(acc, -wp, prec, round_nearest), prec, round_nearest)
         scale = mpf_add(scale, from_man_exp(acc_abs, -wp, prec, round_nearest), prec, round_nearest)
-        err = mpmath.mpf((2 * omitted + slack, -wp)) + ctx.rounding_floor(mpmath.mp.make_mpf(scale))
-        return mpmath.mp.make_mpf(total), err, used
+        err = mpf_add(from_man_exp(2 * omitted + slack, -wp, prec, round_nearest),
+                      _rounding_floor(ctx, scale, prec), prec, round_nearest)
+        return mpmath.mp.make_mpf(total), mpmath.mp.make_mpf(err), used
 
 
 def eval_lambda(
@@ -299,6 +303,12 @@ def eval_lambda(
     exceeds one part in 10^3 of the value, signalling that the caller
     must shift the argument upward first.
     """
+    value, err, used = _remainder(k, x, tail_terms, ctx)
+    return Result("lambda", k, x, value, err, "truncated-series", {"tail_terms": used})
+
+
+def _remainder(k: int, x: Real, tail_terms: int | None, ctx: PrecisionContext):
+    """:func:`eval_lambda` as ``(value, err, tail_terms_used)``, with no Result."""
     if not x >= 1:
         raise ValueError("series argument must be >= 1; shift first")
     if tail_terms is None:
@@ -307,11 +317,11 @@ def eval_lambda(
         raise ValueError("tail_terms must be >= 1")
     poly = build_lambda_terms(k, tail_terms + 1)
     value, err, used = eval_term_poly(poly, x, ctx)
-    if err > _TOO_SMALL * abs(value):
+    if mpf_gt(err._mpf_, mpf_mul(_TOO_SMALL, mpf_abs(value._mpf_), mpmath.mp.prec, round_nearest)):
         raise ArgumentTooSmall(
             f"truncation error {mpmath.nstr(err, 3)} too large for order {k} at x={x}"
         )
-    return Result("lambda", k, x, value, err, "truncated-series", {"tail_terms": used})
+    return value, err, used
 
 
 def integrate_lambda_terms(poly: TermPoly) -> TermPoly:
@@ -358,8 +368,10 @@ def shift_threshold(ctx: PrecisionContext = DEFAULT_CONTEXT) -> int:
 
 
 def plan(k: int, x: Real, ctx: PrecisionContext = DEFAULT_CONTEXT) -> tuple[int, int]:
-    """Shift count n lifting x to :func:`shift_threshold`, and the tail length at x + n."""
-    n = max(0, math.ceil(shift_threshold(ctx) - x))
+    """Shift count n lifting x to :func:`shift_threshold`, and the tail length at x + n.
+    n is 0 from the threshold up by an exact test, so no x beyond float range meets math.ceil."""
+    t = shift_threshold(ctx)
+    n = 0 if x >= t else math.ceil(t - x)
     return n, tail_length(k, x + n, ctx)
 
 
@@ -381,7 +393,11 @@ def tail_length(k: int, y: Real, ctx: PrecisionContext = DEFAULT_CONTEXT) -> int
     since |B_2m| <= 2 zeta(2) (2m)! / (2 pi)^2m (Johansson,
     arXiv:1309.2877); its log less (s-1) log y is kept (:func:`_tail_bound`).
     """
-    log_y = math.log(y)
+    try:  # float() rounds an mpf to nearest
+        log_y = math.log(to_float(y._mpf_, True, round_nearest) if isinstance(y, mpmath.mpf) else y)
+    except OverflowError:  # beyond float range: from y's mantissa and exponent, or p and q
+        log_y = (math.log(y.man) + y.exp * math.log(2) if isinstance(y, mpmath.mpf)
+                 else math.log(y.numerator) - math.log(y.denominator))
     floor = -ctx.working_digits * math.log(10)
     prev = math.inf
     # B_{k+s} vanishes for odd k + s, so only every other s has an entry

@@ -18,18 +18,20 @@ import threading
 from fractions import Fraction
 
 import mpmath
-from mpmath.libmp import dps_to_prec, from_man_exp, round_ceiling, round_nearest
+from mpmath.libmp import dps_to_prec, from_int, from_man_exp, mpf_add, mpf_div, mpf_log
+from mpmath.libmp import mpf_mul, mpf_pow_int, mpf_sub, round_ceiling, round_nearest
 
-from .asymptotic import eval_lambda, plan
+from .asymptotic import _remainder, plan
 from .mpcore import (
     DEFAULT_CONTEXT,
     PrecisionContext,
     Real,
     Result,
+    _rounding_floor,
+    _to_raw,
     as_exact,
     bernoulli,
     memo,
-    to_mpf,
 )
 
 __all__ = ["exact_log_gengamma", "shift_log_gengamma", "shifted_series", "log_gengamma"]
@@ -41,13 +43,6 @@ def _is_integer(x) -> bool:
     if isinstance(x, Fraction):
         return x.denominator == 1
     return mpmath.isint(x)
-
-
-def _pow_log_term(base, k: int) -> mpmath.mpf:
-    """(base)^k * log(base), with the power exact for rational bases."""
-    if isinstance(base, Fraction):
-        return to_mpf(base**k) * mpmath.log(to_mpf(base))
-    return base**k * mpmath.log(base)
 
 
 class PrimeLogTable:
@@ -189,10 +184,11 @@ def shift_log_gengamma(
     """Bring log Gamma_k(x+n) down to log Gamma_k(x).
 
     Repeated application of the product rule removes one factor
-    ``(x+j)^k log(x+j)`` per step; rational x keeps the removed powers
-    exact.  At order 0 the n factors are log(x+j), and one log of the
-    rising product x (x+1) ... (x+n-1) removes them all
-    (:func:`_log_rising`).
+    ``(x+j)^k log(x+j)`` per step, on raw values as the mpf operators do
+    it; for x = p/q the base (p + jq)/q is in lowest terms, so its power
+    (p + jq)^k / q^k is exact with no Fraction.  At order 0 the n factors
+    are log(x+j), and one log of the rising product x (x+1) ... (x+n-1)
+    removes them all (:func:`_log_rising`).
     """
     if k < 0:
         raise ValueError("order must be non-negative")
@@ -202,12 +198,26 @@ def shift_log_gengamma(
     if not xe > 0:
         raise ValueError("argument must be positive")
     with ctx.workprec(5):
-        total = to_mpf(value_at_shifted)
-        if k == 0:
-            return total - _log_rising(xe, n) if n else total
-        for j in range(n):
-            total -= _pow_log_term(xe + j, k)
-        return total
+        prec, rnd = mpmath.mp.prec, round_nearest
+        total = _to_raw(value_at_shifted, prec)
+        if n and k == 0:
+            total = mpf_sub(total, _log_rising(xe, n, prec), prec, rnd)
+        elif n and isinstance(xe, Fraction):
+            p, q = xe.numerator, xe.denominator
+            qv, qkv = from_int(q), from_int(q**k)
+            for num in range(p, p + n * q, q):  # at k = 1 the power is the base
+                base = mpf_div(from_int(num, prec, rnd), qv, prec, rnd)
+                power = base if k == 1 else mpf_div(from_int(num**k, prec, rnd), qkv, prec, rnd)
+                log = mpf_log(base, prec, rnd)
+                total = mpf_sub(total, mpf_mul(power, log, prec, rnd), prec, rnd)
+        elif n:
+            xv = xe._mpf_
+            for j in range(n):
+                base = mpf_add(xv, from_int(j), prec, rnd)
+                power = base if k == 1 else mpf_pow_int(base, k, prec, rnd)
+                log = mpf_log(base, prec, rnd)
+                total = mpf_sub(total, mpf_mul(power, log, prec, rnd), prec, rnd)
+    return mpmath.mp.make_mpf(total)
 
 
 def _rising_product(start: int, step: int, n: int, bits: int) -> tuple[int, int]:
@@ -224,13 +234,12 @@ def _rising_product(start: int, step: int, n: int, bits: int) -> tuple[int, int]
     return prod, shift
 
 
-def _log_rising(xe, n: int) -> mpmath.mpf:
-    """log(x (x+1) ... (x+n-1)) for an exact x > 0 (Fraction or mpf), as
-    one log of the integer product of the numerators p + j q over q^n,
-    for x = p/q (an mpf m 2^e is m / 2^-e, or m 2^e / 1).  The product
-    keeps mp.prec + 10 + log2(n) bits, so its truncation moves the log by
-    under 2^-(mp.prec + 9)."""
-    bits = mpmath.mp.prec + 10 + n.bit_length()
+def _log_rising(xe, n: int, prec: int) -> tuple:
+    """log(x (x+1) ... (x+n-1)), raw at precision prec, for an exact x > 0
+    (Fraction or mpf), as one log of the integer product of the numerators
+    p + j q over q^n, for x = p/q (an mpf m 2^e is m / 2^-e, or m 2^e / 1).
+    The product keeps prec + 10 + log2(n) bits: the log moves by < 2^-(prec + 9)."""
+    bits = prec + 10 + n.bit_length()
     if isinstance(xe, Fraction):
         p, q = xe.numerator, xe.denominator
     else:
@@ -240,7 +249,9 @@ def _log_rising(xe, n: int) -> mpmath.mpf:
     # q = odd 2^z: 2^(n z) goes to the exponent, since an mpf of that integer
     # costs more than the log (mpmath strips its trailing zeros a byte at a time)
     z = (q & -q).bit_length() - 1
-    return mpmath.log(mpmath.mpf((prod, shift - n * z)) / (q >> z) ** n)
+    rising = mpf_div(from_man_exp(prod, shift - n * z, prec, round_nearest),
+                     from_int((q >> z) ** n), prec, round_nearest)
+    return mpf_log(rising, prec, round_nearest)
 
 
 def shifted_series(
@@ -253,20 +264,24 @@ def shifted_series(
 ):
     """``base`` plus the order-k remainder series at x + n, with n and the
     tail length from :func:`~hzeta.asymptotic.plan`, then brought back
-    down to x by :func:`shift_log_gengamma`.
+    down to x by :func:`shift_log_gengamma`, on raw values in one precision
+    scope: the path of every real argument and so of every quadrature node.
 
     Returns ``(value, err, params)``: err adds ``base_err``, the series
     estimate and a rounding allowance; ``params["tail_terms"]`` counts
     the tail terms summed (at most ``tail_terms`` when given).
     """
+    rnd, make = round_nearest, mpmath.mp.make_mpf
     with ctx.workprec(5):
+        prec = mpmath.mp.prec
         n, planned = plan(k, x - 1, ctx)
         terms = planned if tail_terms is None else tail_terms
-        lam = eval_lambda(k, x + n - 1, terms, ctx)
-        shifted = to_mpf(base) + lam.value
-        value = shift_log_gengamma(k, x, n, shifted, ctx)
-        err = base_err + lam.err + ctx.rounding_floor(abs(shifted))
-    return value, err, lam.params
+        lam, lam_err, used = _remainder(k, x + n - 1, terms, ctx)
+        shifted = mpf_add(_to_raw(base, prec), lam._mpf_, prec, rnd)
+        value = shift_log_gengamma(k, x, n, make(shifted), ctx)
+        err = mpf_add(mpf_add(_to_raw(base_err, prec), lam_err._mpf_, prec, rnd),
+                      _rounding_floor(ctx, shifted, prec), prec, rnd)
+    return value, make(err), {"tail_terms": used}
 
 
 def log_gengamma(

@@ -9,17 +9,20 @@ package's standing cross-checks.
 
 from __future__ import annotations
 
-from fractions import Fraction
+import mpmath
 
 from .constants import limit_constant
 from .gengamma import exact_log_gengamma, shifted_series
-from .mpcore import DEFAULT_CONTEXT, PrecisionContext, Real, Result, as_exact, bernoulli, harmonic, to_mpf
+from .mpcore import DEFAULT_CONTEXT, PrecisionContext, Real, Result, _prec_of, _to_raw, as_exact
+from .mpcore import bernoulli, harmonic, memo
 
 __all__ = ["zeta_deriv_neg", "hurwitz_deriv_integer", "hurwitz_deriv"]
 
 
-def _head_fraction(k: int) -> Fraction:
-    return harmonic(k) * bernoulli(k + 1) / (k + 1)
+@memo
+def _head(k: int, prec: int) -> mpmath.mpf:
+    """H_k B_{k+1}/(k+1), rounded at precision ``prec`` as to_mpf rounds it."""
+    return mpmath.mp.make_mpf(_to_raw(harmonic(k) * bernoulli(k + 1) / (k + 1), prec))
 
 
 def zeta_deriv_neg(
@@ -36,7 +39,7 @@ def zeta_deriv_neg(
     """
     limit_const = limit_constant(k, ctx, w_trial, tail_terms)
     with ctx.workprec():
-        value = to_mpf(_head_fraction(k)) - limit_const.value
+        value = _head(k, mpmath.mp.prec) - limit_const.value
     return Result("zeta_deriv", k, None, value, limit_const.err, "exact-sum", limit_const.params)
 
 
@@ -73,5 +76,6 @@ def hurwitz_deriv(
     we = as_exact(w)
     if not we > 0:
         raise ValueError("offset must be positive")
-    value, err, params = shifted_series(k, we, _head_fraction(k), 0, ctx, tail_terms)
+    head = _head(k, _prec_of(ctx.working_digits + 5))  # at the precision of ctx.workprec(5)
+    value, err, params = shifted_series(k, we, head, 0, ctx, tail_terms)
     return Result("hurwitz_deriv", k, we, value, err, "asymptotic-shift", params)

@@ -26,7 +26,8 @@ from typing import Optional, Union
 
 import mpmath
 from mpmath import mp
-from mpmath.libmp import dps_to_prec, from_float
+from mpmath.libmp import dps_to_prec, from_float, from_int, fzero, mpf_abs, mpf_add, mpf_div
+from mpmath.libmp import mpf_mul, mpf_pos, mpf_pow_int, round_nearest
 
 Real = Union[int, Fraction, float, mpmath.mpf]
 
@@ -69,13 +70,13 @@ class PrecisionContext:
         """mpmath context manager running at working precision (+ extra); a
         no-op when mp.prec is already that of these digits (and so is mp.dps)."""
         digits = self.working_digits + extra
-        if mp.prec == dps_to_prec(digits):
+        if mp.prec == _prec_of(digits):
             return _IN_FORCE
         return mp.workdps(digits)
 
     def rounding_floor(self, scale) -> mpmath.mpf:
         """Absolute rounding allowance for a computation of the given magnitude."""
-        return abs(scale) * _floor_power(self.working_digits, mp.prec)
+        return mp.make_mpf(_rounding_floor(self, _to_raw(scale, mp.prec), mp.prec))
 
 
 DEFAULT_CONTEXT = PrecisionContext()
@@ -108,9 +109,17 @@ def to_mpf(x: Real) -> mpmath.mpf:
     Fractions are converted by a single exact-integer division so the
     result is correctly rounded.
     """
+    return mp.make_mpf(_to_raw(x, mp.prec))
+
+
+def _to_raw(x: Real, prec: int) -> tuple:
+    """``to_mpf(x)._mpf_`` at precision ``prec``, without the mpf (internal use)."""
     if isinstance(x, Fraction):
-        return mpmath.mpf(x.numerator) / x.denominator
-    return mpmath.mpf(x)
+        return mpf_div(from_int(x.numerator, prec, round_nearest), from_int(x.denominator),
+                       prec, round_nearest)
+    if isinstance(x, mpmath.mpf):
+        return mpf_pos(x._mpf_, prec, round_nearest)
+    return from_int(x, prec, round_nearest) if isinstance(x, int) else mp.mpf(x, prec=prec)._mpf_
 
 
 def as_exact(x: Real):
@@ -196,10 +205,19 @@ def memo(fn):
     return cached
 
 
+_prec_of = memo(dps_to_prec)  # mpmath's bits for a count of digits, per call of workprec
+
+
 @memo
-def _floor_power(working_digits: int, prec: int) -> mpmath.mpf:
-    """10^-(W-2) at mpmath precision ``prec``, which the caller has in force."""
-    return mpmath.mpf(10) ** (-(working_digits - 2))
+def _floor_power(working_digits: int, prec: int) -> tuple:
+    """10^-(W-2) at precision ``prec``, as a raw value."""
+    return mpf_pow_int(from_int(10), 2 - working_digits, prec, round_nearest)
+
+
+def _rounding_floor(ctx: PrecisionContext, v: tuple, prec: int) -> tuple:
+    """``ctx.rounding_floor`` of a raw value v at precision prec, raw (internal use)."""
+    return mpf_mul(mpf_abs(v, prec, round_nearest), _floor_power(ctx.working_digits, prec),
+                   prec, round_nearest)
 
 
 def clear_caches() -> None:
@@ -225,7 +243,7 @@ def bernoulli_poly(n: int, x: Real):
     """Bernoulli polynomial B_n(x) = sum_j C(n,j) B_j x^(n-j).
 
     Exact Fraction for int/Fraction arguments; big float (at the ambient
-    mpmath precision) otherwise.
+    mpmath precision, summed on raw values as the mpf operators do) otherwise.
     """
     if n < 0:
         raise ValueError("degree must be non-negative")
@@ -237,13 +255,15 @@ def bernoulli_poly(n: int, x: Real):
             if b:
                 acc += math.comb(n, j) * b * xq ** (n - j)
         return acc
-    xf = to_mpf(x)
-    acc = mpmath.mpf(0)
+    prec, acc = mp.prec, fzero
+    xv = _to_raw(x, prec)
     for j in range(n + 1):
         b = bernoulli(j)
         if b:
-            acc += to_mpf(math.comb(n, j) * b) * xf ** (n - j)
-    return acc
+            term = mpf_mul(_to_raw(math.comb(n, j) * b, prec),
+                           mpf_pow_int(xv, n - j, prec, round_nearest), prec, round_nearest)
+            acc = mpf_add(acc, term, prec, round_nearest)
+    return mp.make_mpf(acc)
 
 
 def phi(n: int, x: Real):

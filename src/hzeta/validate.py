@@ -17,6 +17,7 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 import mpmath
+from mpmath.libmp import fzero, mpf_add, mpf_lt, mpf_mul, mpf_pi, mpf_sub, round_nearest
 
 from .asymptotic import (
     build_lambda_terms,
@@ -90,15 +91,15 @@ def _report(name, k, x, residual, tolerance, t0) -> CheckReport:
 
 @memo
 def _node(prec: int, t_mpf: tuple):
-    """``(sig_lo, sig_hi, cosh t)`` of the tanh-sinh node at t (raw value
+    """``(sig_lo, sig_hi, cosh t)``, raw, of the tanh-sinh node at t (raw
     ``t_mpf``): its fractional distances to b and from a, and its weight
     factor, at mpmath precision ``prec``, which the caller has in force."""
     t = mpmath.mp.make_mpf(t_mpf)
     u = mpmath.pi / 2 * mpmath.sinh(t)
     return (
-        1 / (1 + mpmath.exp(2 * u)),  # fractional distance to b
-        1 / (1 + mpmath.exp(-2 * u)),  # fractional distance from a
-        mpmath.cosh(t),
+        (1 / (1 + mpmath.exp(2 * u)))._mpf_,  # fractional distance to b
+        (1 / (1 + mpmath.exp(-2 * u)))._mpf_,  # fractional distance from a
+        mpmath.cosh(t)._mpf_,
     )
 
 
@@ -133,7 +134,8 @@ def quadrature(
     A node's offsets and cosh t depend only on t and the mpmath
     precision, so they are memoized (:func:`_node`).  The weight
     ``width * pi * cosh t * sig_lo * sig_hi`` and the abscissa are formed
-    per call, so a value does not depend on what the memo holds.
+    per call, on raw values as the mpf operators do it, so a value does
+    not depend on what the memo holds.
 
     When the level differences stop contracting at a small plateau (the
     integrand itself carries error at that scale) the plateau value is
@@ -151,21 +153,24 @@ def quadrature(
         # clip nodes once the endpoint offset falls below working resolution
         u_max = (ctx.working_digits + 8) * mpmath.log(10) / 2
         t_max = mpmath.asinh(2 * u_max / mpmath.pi)
+        prec, rnd, av, bv, wv = mpmath.mp.prec, round_nearest, af._mpf_, bf._mpf_, width._mpf_
+        width_pi = mpf_mul(wv, mpf_pi(prec, rnd), prec, rnd)  # pi once per call
 
         def weighted(t):
-            sig_lo, sig_hi, cosh_t = _node(mpmath.mp.prec, t._mpf_)
-            wgt = width * mpmath.pi * cosh_t * sig_lo * sig_hi
-            if wgt == 0:
+            sig_lo, sig_hi, cosh_t = _node(prec, t._mpf_)
+            wgt = mpf_mul(mpf_mul(mpf_mul(width_pi, cosh_t, prec, rnd), sig_lo, prec, rnd),
+                          sig_hi, prec, rnd)
+            if wgt == fzero:
                 return mpmath.mpf(0)
-            if sig_lo < sig_hi:
-                x = bf - width * sig_lo
+            if mpf_lt(sig_lo, sig_hi):
+                x = mpf_sub(bv, mpf_mul(wv, sig_lo, prec, rnd), prec, rnd)
             else:
-                x = af + width * sig_hi
-            y = f(x)
+                x = mpf_add(av, mpf_mul(wv, sig_hi, prec, rnd), prec, rnd)
+            y = f(mpmath.mp.make_mpf(x))
             if not mpmath.isfinite(y):
                 # endpoint blow-up at a node whose weight already squashes it
                 return mpmath.mpf(0)
-            return wgt * y
+            return mpmath.mp.make_mpf(wgt) * y
 
         h = mpmath.mpf(1)
         n0 = int(mpmath.ceil(t_max / h))

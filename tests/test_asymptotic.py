@@ -501,21 +501,48 @@ GOLDEN = [
     (gkbj_constant, 0, 20, 20, (0, 305369706185294378530777554956125767, -118, 118)),
     (gkbj_constant, 3, 50, 100,
      (1, 25434431051373179371279628005068286092475861545479732180805666361041423168543228279252845058455450608460223390011, -379, 374)),  # noqa: E501
+    # value and err bits taken at commit bf4b4a3, before the series at a node
+    # ran on raw libmp values: the order >= 1 shift chain at a node and at a
+    # rational, B_n(x) at a node, and a quadrature whose weight product is
+    # inexact (width 3); bernoulli_poly runs under ctx.workprec(5) and has no err
+    (hurwitz_deriv, 1, "node", 20, (1, 194384946895224082267130210958834386963, -129, 128),
+     (0, 72835317147383658980685607629397132792877, -235, 136)),
+    (log_gengamma, 1, "node", 20, (1, 81805150260907819539813269355576249659, -129, 126),
+     (0, 28282222547820186625719580674736449717001, -233, 135)),
+    (log_gengamma, 3, Fraction(17, 7), 20, (0, 1275172087755793307056380424726851525, -120, 120),
+     (0, 23254657161538563363678733777518409953041, -225, 135)),
+    (bernoulli_poly, 2, "node", 20, (0, 65547909971462224489961157413610072140911, -136, 136), None),
+    (validate.quadrature, "log", 3, 20, (0, 25771025660524956779611835311643606524219, -136, 135),
+     (0, 882212407421, -135, 40)),
 ]
 
 
-@pytest.mark.parametrize("fn, k, arg, digits, bits", GOLDEN,
+def _golden(fn, k, arg, ctx):
+    """``(value, err)`` of one GOLDEN case, err None where fn has none."""
+    if fn is gkbj_constant:
+        res = fn(k, arg, None, ctx)
+    elif fn is bernoulli_poly:
+        with ctx.workprec(5):
+            return fn(k, arg), None
+    elif fn is validate.quadrature:  # k names the integrand, over (0, arg)
+        return fn(getattr(mpmath, k), 0, arg, ctx)
+    else:
+        res = fn(k, arg, ctx)
+    return res.value, res.err
+
+
+@pytest.mark.parametrize("fn, k, arg, digits, bits, err_bits",
+                         [g + (None,) * (6 - len(g)) for g in GOLDEN],
                          ids=[f"{g[0].__name__}-{g[1]}-{g[2]}-D{g[3]}" for g in GOLDEN])
-def test_golden_bits(fn, k, arg, digits, bits):
+def test_golden_bits(fn, k, arg, digits, bits, err_bits):
     ctx = PrecisionContext(digits)
     if arg == "node":  # a quadrature-like node: a 272-bit mantissa, kept exact
         with mpmath.mp.workprec(300):
             arg = mpmath.mpf(NODE)
-    if fn is gkbj_constant:
-        res = fn(k, arg, None, ctx)
-    else:
-        res = fn(k, arg, ctx)
-    assert res.value._mpf_ == bits
+    value, err = _golden(fn, k, arg, ctx)
+    assert value._mpf_ == bits
+    if err_bits is not None:
+        assert err._mpf_ == err_bits
 
 
 # The _mpf_ of the memoized routes, taken at commit 8d84f93, before their

@@ -150,6 +150,13 @@ class TestExitCodes:
     def test_nonpositive_offset(self, capsys):
         assert run(["hz", "-k", "1", "-w", "0"]) == 1
 
+    @pytest.mark.parametrize("command, flag", [("hz", "-w"), ("gamma", "-x")])
+    def test_argument_beyond_float_range(self, command, flag, capsys):
+        assert run([command, "-k", "0", flag, f"{10**400}/3"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert len(captured.out.splitlines()) == 1
+
     def test_unwritable_output_file(self, tmp_path, capsys):
         target = tmp_path / "missing" / "table.txt"
         assert run(["table", "--kmax", "1", "-o", str(target)]) == 1

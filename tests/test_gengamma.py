@@ -5,8 +5,16 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from mpmath.libmp import from_man_exp
 
-from hzeta import PrecisionContext, clear_caches, exact_log_gengamma, log_gengamma, shift_log_gengamma
+from hzeta import (
+    PrecisionContext,
+    clear_caches,
+    exact_log_gengamma,
+    hurwitz_deriv,
+    log_gengamma,
+    shift_log_gengamma,
+)
 from hzeta import gengamma
 from hzeta.gengamma import PrimeLogTable
 from hzeta.mpcore import to_mpf
@@ -187,22 +195,60 @@ class TestShift:
         ],
         ids=["third", "2^-60", "twelve", "2^70", "3/7", "3/7-D400", "third-D400"],
     )
-    def test_order_zero_chain_is_the_sum_of_logs(self, digits, make_x, n):
-        # one log of the rising product against n logs at D+40 digits
+    @pytest.mark.parametrize("k", [0, 1, 3, 12])
+    def test_chain_is_the_sum_of_its_terms(self, k, digits, make_x, n):
+        # order 0: one log of the rising product; order >= 1: n raw terms,
+        # exact powers at rational x; against sum (x+j)^k log(x+j) at D+40 digits
         ctx = PrecisionContext(digits)
         with ctx.workprec(5):
             x = make_x()
-        out = shift_log_gengamma(0, x, n, 0, ctx)
+        out = shift_log_gengamma(k, x, n, 0, ctx)
         with mpmath.mp.workdps(digits + 40):
-            logs = [mpmath.log(to_mpf(x) + j) for j in range(n)]
-            floor = ctx.rounding_floor(mpmath.fsum(abs(v) for v in logs))
-            assert abs(out + mpmath.fsum(logs)) <= floor
+            terms = [(to_mpf(x) + j) ** k * mpmath.log(to_mpf(x) + j) for j in range(n)]
+            floor = ctx.rounding_floor(mpmath.fsum(abs(v) for v in terms))
+            assert abs(out + mpmath.fsum(terms)) <= floor
 
     def test_rejects_nonpositive(self, ctx20):
         with pytest.raises(ValueError):
             shift_log_gengamma(1, 0, 1, mpmath.mpf(0), ctx20)
         with pytest.raises(ValueError):
             shift_log_gengamma(1, -2, 1, mpmath.mpf(0), ctx20)
+
+
+class TestAmbientPrecision:
+    """The node path reads the precision in one scope of its own: the
+    ambient mpmath precision changes no bit, and is restored."""
+
+    @staticmethod
+    def bits(fn, k, x, digits):
+        res = fn(k, x, PrecisionContext(digits))
+        return res.value._mpf_, res.err._mpf_, res.params
+
+    @pytest.mark.parametrize("ambient", [53, 2000])
+    @pytest.mark.parametrize("digits", [20, 100])
+    @pytest.mark.parametrize("k", [0, 1])
+    @pytest.mark.parametrize("fn", [hurwitz_deriv, log_gengamma], ids=lambda f: f.__name__)
+    def test_same_bits_at_any_ambient_precision(self, fn, k, digits, ambient):
+        node = mpmath.mp.make_mpf(from_man_exp(0xB504F333F9DE6484597D89B3754ABE9F1D6F60BA8, -163))
+        for x in (node, Fraction(29, 11)):
+            clear_caches()
+            expected = self.bits(fn, k, x, digits)
+            clear_caches()
+            prec = mpmath.mp.prec
+            with mpmath.mp.workprec(ambient):
+                got = self.bits(fn, k, x, digits)
+                assert mpmath.mp.prec == ambient
+            assert mpmath.mp.prec == prec
+            assert got == expected
+
+
+class TestBeyondFloatRange:
+    def test_log_gamma_of_a_huge_rational(self, ctx20):
+        x = Fraction(10**400, 3)
+        res = log_gengamma(0, x, ctx20)
+        assert res.params == {"tail_terms": 1}
+        with mpmath.mp.workdps(60):
+            assert abs(res.value - mpmath.loggamma(to_mpf(x))) <= res.err
 
 
 class TestLogGengamma:

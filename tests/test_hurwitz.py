@@ -196,6 +196,17 @@ class TestOracleGrid:
             oracle = mpmath.zeta(-k, to_mpf(w), 1)
             assert abs(res.value - oracle) <= res.err <= mpmath.mpf(10) ** -20 * abs(oracle)
 
+    @pytest.mark.parametrize("w", [Fraction(10**400, 3), "1e400"], ids=["10^400/3", "1e400"])
+    @pytest.mark.parametrize("k", [0, 1])
+    def test_argument_beyond_float_range(self, ctx20, k, w):
+        # no shift, one term: the plan compares with the threshold exactly and
+        # takes log w without float(w)
+        w = mpmath.mpf(w) if isinstance(w, str) else w
+        res = hurwitz_deriv(k, w, ctx20)
+        assert res.params == {"tail_terms": 1}
+        with mpmath.mp.workdps(60):
+            assert abs(res.value - mpmath.zeta(-k, to_mpf(w), 1)) <= res.err
+
 
 class TestExactRoutesOracleGrid:
     """The routes built on the exact sum against mpmath at D + 40 digits:

@@ -8,17 +8,24 @@ then compare two dumps:
 
     python tools/bitcheck.py A.json B.json
 
-The 1,303 numeric cases: ``hurwitz_deriv`` at 96 mpf nodes (full
-mantissas, in (0, 4) and (20, 300)) and 24 rationals, for k in {0, 1, 3}
-and D in {20, 30, 100}; ``gkbj_constant`` at eight trial arguments, for
-k in {0, 1, 3, 6, 12} and D in {20, 30, 100, 400}; and the residual and
-tolerance of each of the 63 ``selftest full`` checks at D=20.  Then the
-cold command path: stdout, stderr and exit status of ``cli.run([...,
-"--json"])`` for each of the 177 command lines of perfbench's cli-replay
-workload at seed 1, caches cleared before each as that workload does,
-with the selftest reports' ``elapsed`` dropped.  The comparison prints
-each differing value with its distance and err, and each differing
-command line, then one summary line for each part.
+The 3,271 numeric cases: ``hurwitz_deriv`` and ``log_gengamma`` at 96
+mpf nodes (full mantissas, in (0, 4) and (20, 300)) and 24 rationals, for
+k in {0, 1, 3} and D in {20, 30, 100}; ``bernoulli_poly(n, node)`` for n
+in {1, 2, 3} at the same nodes, at the precision of ``ctx.workprec(5)``;
+``gkbj_constant`` at eight trial arguments, for k in {0, 1, 3, 6, 12} and
+D in {20, 30, 100, 400}; the value and err of ``validate.quadrature`` over
+(0, b) for b in {1, 2, 3, 11/2} and D in {20, 30}, of log t, exp(-t) sqrt t
+and log_gengamma(0, t+1); and the residual and tolerance of each of the 63
+``selftest full`` checks at D=20.  Then five arguments beyond float range
+at D=20, ``hurwitz_deriv`` for k in {0, 1} at 10^400/3 and mpf('1e400'),
+and ``log_gengamma(0, 10^400/3)``, each recorded as its bits or as the name
+of the exception it raises.  Then the cold command path: stdout, stderr
+and exit status of ``cli.run([..., "--json"])`` for each of the 177
+command lines of perfbench's cli-replay workload at seed 1, caches cleared
+before each as that workload does, with the selftest reports' ``elapsed``
+dropped.  The comparison prints each differing value with its distance and
+err, each differing huge-argument case and each differing command line,
+then one summary line for each part.
 """
 
 import contextlib
@@ -40,7 +47,11 @@ def compare(path_a: str, path_b: str) -> None:
     cli_diff = [k for k in cli if a[k] != b[k]]
     for k in cli_diff:
         print(k, "output differs:", a[k], "->", b[k])
-    for k in cli:
+    huge = [k for k in a if k.startswith("huge ")]
+    huge_diff = [k for k in huge if a[k] != b[k]]
+    for k in huge_diff:  # an exception name, or the bits of a value
+        print(k, "differs:", *(v[0] if isinstance(v[0], str) else "a value" for v in (a[k], b[k])))
+    for k in cli + huge:
         del a[k], b[k]
 
     def num(t):
@@ -53,6 +64,7 @@ def compare(path_a: str, path_b: str) -> None:
     rel = max(float(abs(num(a[k][1]) - num(b[k][1])) / num(a[k][1])) for k in a if int(a[k][1][1]))
     print(f"{len(a)} cases: {len(diff)} values differ; {sum(a[k][1] != b[k][1] for k in a)} errs differ,"
           f" by at most {rel:.1e} relative; {sum(a[k][2] != b[k][2] for k in a)} params differ")
+    print(f"{len(huge)} huge-argument cases: {len(huge_diff)} differ")
     print(f"{len(cli)} command lines: {len(cli_diff)} differ in stdout, stderr or exit status")
 
 
@@ -76,30 +88,53 @@ def cli_outputs() -> dict:
 
 
 def dump(path: str) -> None:
-    from hzeta import PrecisionContext, gkbj_constant, hurwitz_deriv
-    from hzeta.validate import selftest
+    from hzeta import PrecisionContext, bernoulli_poly, gkbj_constant, hurwitz_deriv, log_gengamma
+    from hzeta.validate import quadrature, selftest
 
     def bits(v):
         return [v._mpf_[0], str(v._mpf_[1]), v._mpf_[2]]
 
+    def record(fn, *args):
+        try:
+            r = fn(*args)
+        except Exception as exc:
+            return (type(exc).__name__, None, None)
+        return (bits(r.value), bits(r.err), r.params)
+
     out = {}
+    zero = bits(mpmath.mpf(0))
     for D in (20, 30, 100):
         ctx, rng = PrecisionContext(D), random.Random(D)
         with ctx.workprec(5):  # 64 nodes in (0, 4), 32 in (20, 300), full mantissas
             nodes = [mpmath.mpf(rng.getrandbits(400)) / 2**400 * 4 for _ in range(64)]
             nodes += [20 + mpmath.mpf(rng.getrandbits(400)) / 2**400 * 280 for _ in range(32)]
+            for n in (1, 2, 3):
+                for i, x in enumerate(nodes):
+                    out[f"B D={D} n={n} #{i}"] = (bits(bernoulli_poly(n, x)), zero, None)
         rats = [Fraction(rng.randint(1, 400), rng.randint(2, 97)) for _ in range(24)]
         rats = [r if r.denominator != 1 else r + Fraction(1, 3) for r in rats]
-        for k in (0, 1, 3):
-            for i, x in enumerate(nodes + rats):
-                r = hurwitz_deriv(k, x, ctx)
-                out[f"hz D={D} k={k} #{i}"] = (bits(r.value), bits(r.err), r.params)
+        for name, fn in (("hz", hurwitz_deriv), ("lg", log_gengamma)):
+            for k in (0, 1, 3):
+                for i, x in enumerate(nodes + rats):
+                    out[f"{name} D={D} k={k} #{i}"] = record(fn, k, x, ctx)
+    for D in (20, 30):
+        ctx = PrecisionContext(D)
+        integrands = {"log": mpmath.log, "exp-sqrt": lambda t: mpmath.exp(-t) * mpmath.sqrt(t),
+                      "loggamma": lambda t: log_gengamma(0, t + 1, ctx).value}
+        for name, f in integrands.items():
+            for b in (1, 2, 3, Fraction(11, 2)):
+                value, err = quadrature(f, 0, b, ctx)
+                out[f"quad D={D} {name} b={b}"] = (bits(value), bits(err), None)
+    ctx = PrecisionContext(20)
+    for k in (0, 1):
+        for name, w in (("10^400/3", Fraction(10**400, 3)), ("1e400", mpmath.mpf("1e400"))):
+            out[f"huge hz k={k} w={name}"] = record(hurwitz_deriv, k, w, ctx)
+    out["huge lg k=0 x=10^400/3"] = record(log_gengamma, 0, Fraction(10**400, 3), ctx)
     for D in (20, 30, 100, 400):
         ctx = PrecisionContext(D)
         for k in (0, 1, 3, 6, 12):
             for w in (20, 25, 30, 45, 50, 100, 200, 400):
-                r = gkbj_constant(k, w, None, ctx)
-                out[f"L D={D} k={k} w={w}"] = (bits(r.value), bits(r.err), r.params)
+                out[f"L D={D} k={k} w={w}"] = record(gkbj_constant, k, w, None, ctx)
     for i, rep in enumerate(selftest("full", PrecisionContext(20))):
         out[f"selftest #{i} {rep.name} k={rep.k}"] = (
             bits(mpmath.mpf(rep.residual)), bits(mpmath.mpf(rep.tolerance)), rep.passed)

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -376,12 +377,14 @@ def plan(k: int, x: Real, ctx: PrecisionContext = DEFAULT_CONTEXT) -> tuple[int,
 
 
 @memo
-def _tail_bound(k: int, terms: int) -> float:
+def _tail_bounds(k: int) -> list[float]:
     """log_const + lgamma(s-1) - s log(2 pi) of :func:`tail_length`'s
-    entry ``terms``: its bound less (s-1) log y, kept per (k, terms)."""
-    s = 2 + k % 2 + 2 * terms
-    log_const = math.log(math.pi**2 / 3) + math.lgamma(k + 1) - k * math.log(2 * math.pi)
-    return log_const + math.lgamma(s - 1) - s * math.log(2 * math.pi)
+    entries for order k, by entry: each bound less (s-1) log y.  tail_length
+    grows the table only as far as it reads."""
+    return []
+
+
+_TAIL_BOUNDS_LOCK = threading.Lock()
 
 
 def tail_length(k: int, y: Real, ctx: PrecisionContext = DEFAULT_CONTEXT) -> int:
@@ -391,7 +394,7 @@ def tail_length(k: int, y: Real, ctx: PrecisionContext = DEFAULT_CONTEXT) -> int
     large y the held-back entry still feeds the estimate.  The entry of
     1/y^(s-1) is at most 2 zeta(2) k! (s-2)! / ((2 pi)^(k+s) y^(s-1)),
     since |B_2m| <= 2 zeta(2) (2m)! / (2 pi)^2m (Johansson,
-    arXiv:1309.2877); its log less (s-1) log y is kept (:func:`_tail_bound`).
+    arXiv:1309.2877); its log less (s-1) log y is kept per order (:func:`_tail_bounds`).
     """
     try:  # float() rounds an mpf to nearest
         log_y = math.log(to_float(y._mpf_, True, round_nearest) if isinstance(y, mpmath.mpf) else y)
@@ -400,9 +403,16 @@ def tail_length(k: int, y: Real, ctx: PrecisionContext = DEFAULT_CONTEXT) -> int
                  else math.log(y.numerator) - math.log(y.denominator))
     floor = -ctx.working_digits * math.log(10)
     prev = math.inf
+    bounds = _tail_bounds(k)
     # B_{k+s} vanishes for odd k + s, so only every other s has an entry
     for terms, s in enumerate(itertools.count(2 + k % 2, 2)):
-        bound = _tail_bound(k, terms) - (s - 1) * log_y
+        if terms == len(bounds):
+            with _TAIL_BOUNDS_LOCK:  # checked again under the lock: one entry per index
+                if terms == len(bounds):
+                    log_const = (math.log(math.pi**2 / 3) + math.lgamma(k + 1)
+                                 - k * math.log(2 * math.pi))
+                    bounds.append(log_const + math.lgamma(s - 1) - s * math.log(2 * math.pi))
+        bound = bounds[terms] - (s - 1) * log_y
         if bound < floor or bound >= prev:
             return max(terms, 1)
         prev = bound

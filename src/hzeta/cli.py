@@ -34,7 +34,7 @@ from typing import Iterator, TextIO
 
 import mpmath
 
-from .constants import kinkelin_logvarpi, limit_constant, varpi
+from .constants import _MAX_TRIAL_W, kinkelin_logvarpi, limit_constant, varpi
 from .errors import HzetaError
 from .gengamma import log_gengamma
 from .hurwitz import hurwitz_deriv, hurwitz_deriv_integer, zeta_deriv_neg
@@ -73,7 +73,8 @@ def _nonneg_int(text: str) -> int:
 
 
 def _hz(args, ctx: PrecisionContext) -> list[Result]:
-    if args.w.denominator == 1:
+    # integers beyond the exact sums' reach take the series, as log_gengamma does
+    if args.w.denominator == 1 and args.w <= _MAX_TRIAL_W:
         return [hurwitz_deriv_integer(args.k, int(args.w), ctx)]
     return [hurwitz_deriv(args.k, args.w, ctx, tail_terms=args.terms)]
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import bisect
 import itertools
-import math
 import threading
 from fractions import Fraction
 
@@ -27,10 +26,11 @@ from .mpcore import (
     PrecisionContext,
     Real,
     Result,
+    _bernoulli_poly_ints,
+    _horner,
     _rounding_floor,
     _to_raw,
     as_exact,
-    bernoulli,
     memo,
 )
 
@@ -104,23 +104,11 @@ def _prime_logs() -> PrimeLogTable:
     return PrimeLogTable()
 
 
-@memo
-def _faulhaber(k: int) -> tuple[tuple[int, ...], int]:
-    """``(a, den)`` with sum_{i<=n} i^k = n (a_0 n^k + a_1 n^(k-1) + ... + a_k) / den,
-    from Faulhaber's formula (k+1) S = sum_j C(k+1, j) B_j n^(k+1-j), B_1 = +1/2."""
-    coeffs = [math.comb(k + 1, j) * (-bernoulli(j) if j == 1 else bernoulli(j))
-              for j in range(k + 1)]
-    lcm = math.lcm(*(c.denominator for c in coeffs))
-    return tuple(c.numerator * (lcm // c.denominator) for c in coeffs), lcm * (k + 1)
-
-
 def _power_sum(k: int, n: int) -> int:
-    """sum_{i=1}^n i^k, exactly, in integers (:func:`_faulhaber`)."""
-    coeffs, den = _faulhaber(k)
-    acc = 0
-    for a in coeffs:
-        acc = acc * n + a
-    return acc * n // den
+    """sum_{i=1}^n i^k = (B_{k+1}(n+1) - B_{k+1}(1)) / (k+1), exactly, in integers
+    (:func:`~hzeta.mpcore._bernoulli_poly_ints`; the coefficients sum to B_{k+1}(1))."""
+    coeffs, den = _bernoulli_poly_ints(k + 1)
+    return (_horner(coeffs, n + 1, 1) - sum(coeffs)) // (den * (k + 1))
 
 
 def exact_log_gengamma(
@@ -143,12 +131,15 @@ def exact_log_gengamma(
     Ω(m) log m < 2^9, for m up to about 10^8), so the sum is off by less
     than sum_m m^k (Ω(m) + 1) = sum_p c_p + S_k(w) - 1 units, to which
     the half-ulp of the final conversion is added.  Nothing here reads
-    mpmath's global precision.
+    mpmath's global precision.  w above 10^6, the trial search's largest
+    (``constants._MAX_TRIAL_W``), raises ValueError before any sieving.
     """
     if k < 0:
         raise ValueError("order must be non-negative")
     if not isinstance(w, int) or w < 0:
         raise ValueError("upper limit must be a non-negative integer")
+    if w > constants._MAX_TRIAL_W:
+        raise ValueError(f"exact sums stop at w = {constants._MAX_TRIAL_W}, the largest trial w")
     prec = dps_to_prec(ctx.working_digits + 5)  # mp.prec under ctx.workprec(5)
     wp = prec + 10
     total = 0
@@ -293,12 +284,14 @@ def log_gengamma(
 ) -> Result:
     """log Gamma_k(x) for real x > 0.
 
-    Integer arguments go through the exact sum.  Otherwise the argument
-    is shifted up to the precision-dependent threshold, the limiting
-    constant plus truncated series is evaluated there, and the shift is
-    removed exactly.  ``method`` may force ``"exact"`` or
-    ``"asymptotic"`` (the latter also works at integer arguments, which
-    is how the two routes are cross-checked).
+    Integer arguments up to ``constants._MAX_TRIAL_W`` (10^6) go through
+    the exact sum.  Otherwise the argument is shifted up to the
+    precision-dependent threshold (a larger integer needs no shift), the
+    limiting constant plus truncated series is evaluated there, and the
+    shift is removed exactly.  ``method`` may force ``"exact"``, which
+    raises ValueError above that bound, or ``"asymptotic"`` (the latter
+    also works at integer arguments, which is how the two routes are
+    cross-checked).
     """
     if k < 0:
         raise ValueError("order must be non-negative")
@@ -308,7 +301,7 @@ def log_gengamma(
     if not xe > 0:
         raise ValueError("argument must be positive")
     is_int = _is_integer(xe)
-    if method == "exact" or (method == "auto" and is_int):
+    if method == "exact" or (method == "auto" and is_int and xe <= constants._MAX_TRIAL_W):
         if not is_int:
             raise ValueError("exact summation needs an integer argument")
         return exact_log_gengamma(k, int(xe) - 1, ctx)

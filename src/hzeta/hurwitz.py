@@ -47,7 +47,8 @@ def hurwitz_deriv_integer(
     k: int, w: int, ctx: PrecisionContext = DEFAULT_CONTEXT
 ) -> Result:
     """zeta'(-k, w) for integer w >= 1: zeta'(-k) plus the exact sum for
-    log Gamma_k(w)."""
+    log Gamma_k(w), which raises ValueError past w = 10^6 + 1; larger w
+    take :func:`hurwitz_deriv`."""
     if not isinstance(w, int) or w < 1:
         raise ValueError("offset must be a positive integer")
     base = zeta_deriv_neg(k, ctx)

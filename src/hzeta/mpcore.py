@@ -239,22 +239,38 @@ def _tangents(h: int) -> list[int]:
     return _BERNOULLI.tangents(h)
 
 
+@memo
+def _bernoulli_poly_ints(n: int) -> tuple[tuple[int, ...], int]:
+    """``(a, den)`` with B_n(x) = (a_0 x^n + a_1 x^(n-1) + ... + a_n) / den,
+    a_j = C(n,j) B_j den, over one common denominator (internal use)."""
+    coeffs = [math.comb(n, j) * bernoulli(j) for j in range(n + 1)]
+    den = math.lcm(*(c.denominator for c in coeffs))
+    return tuple(c.numerator * (den // c.denominator) for c in coeffs), den
+
+
+def _horner(coeffs, p: int, q: int) -> int:
+    """q^m times the polynomial coeffs[0] x^m + ... + coeffs[m] at x = p/q,
+    by Horner's rule in integers (internal use)."""
+    acc, qj = 0, 1
+    for a in coeffs:
+        acc = acc * p + a * qj
+        qj *= q
+    return acc
+
+
 def bernoulli_poly(n: int, x: Real):
     """Bernoulli polynomial B_n(x) = sum_j C(n,j) B_j x^(n-j).
 
-    Exact Fraction for int/Fraction arguments; big float (at the ambient
-    mpmath precision, summed on raw values as the mpf operators do) otherwise.
+    Exact Fraction for int/Fraction arguments, one per call, by Horner's rule in
+    integers over the common denominator kept per n (:func:`_bernoulli_poly_ints`);
+    big float (at the ambient mpmath precision, summed on raw values as the mpf
+    operators do) otherwise.
     """
     if n < 0:
         raise ValueError("degree must be non-negative")
     if isinstance(x, (int, Fraction)):
-        xq = Fraction(x)
-        acc = Fraction(0)
-        for j in range(n + 1):
-            b = bernoulli(j)
-            if b:
-                acc += math.comb(n, j) * b * xq ** (n - j)
-        return acc
+        coeffs, den = _bernoulli_poly_ints(n)
+        return Fraction(_horner(coeffs, x.numerator, x.denominator), den * x.denominator**n)
     prec, acc = mp.prec, fzero
     xv = _to_raw(x, prec)
     for j in range(n + 1):
@@ -273,10 +289,11 @@ def phi(n: int, x: Real):
     """
     if n < 1:
         raise ValueError("power-sum order must be >= 1")
-    b = bernoulli(n + 1)
-    if isinstance(x, (int, Fraction)):
-        return (bernoulli_poly(n + 1, x) - b) / (n + 1)
-    return (bernoulli_poly(n + 1, x) - to_mpf(b)) / (n + 1)
+    if isinstance(x, (int, Fraction)):  # bernoulli_poly's integers, less the constant B_{n+1}
+        coeffs, den = _bernoulli_poly_ints(n + 1)
+        p, q = x.numerator, x.denominator
+        return Fraction(_horner(coeffs[:-1], p, q) * p, den * (n + 1) * q ** (n + 1))
+    return (bernoulli_poly(n + 1, x) - to_mpf(bernoulli(n + 1))) / (n + 1)
 
 
 def harmonic(n: int) -> Fraction:

@@ -34,6 +34,9 @@ from .mpcore import (
     DEFAULT_CONTEXT,
     PrecisionContext,
     Real,
+    _bernoulli_poly_ints,
+    _horner,
+    _to_raw,
     as_exact,
     bernoulli,
     bernoulli_poly,
@@ -209,18 +212,27 @@ def quadrature(
 # zeta at positive integers
 
 
+@memo
+def _zeta_correction(j: int, prec: int) -> mpmath.mpf:
+    """B_2j/(2j)!, rounded at precision ``prec`` as to_mpf rounds it."""
+    return mpmath.mp.make_mpf(_to_raw(bernoulli(2 * j) / math.factorial(2 * j), prec))
+
+
 def zeta_positive(s: int, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpmath.mpf:
     """zeta(s) for integer s >= 2: direct sum to N terms plus an
     Euler-Maclaurin tail, N grown until the tail bound clears the
-    working precision."""
+    working precision.  The rounded B_2j/(2j)! are kept per precision
+    (:func:`_zeta_correction`); the value is computed afresh every call."""
     if not isinstance(s, int) or s < 2:
         raise ValueError("argument must be an integer >= 2")
     with ctx.workprec(5):
+        prec = mpmath.mp.prec
         bound = mpmath.mpf(10) ** -(ctx.working_digits + 3)
         n = max(16, ctx.working_digits)
         while True:
             head = mpmath.fsum(mpmath.mpf(i) ** (-s) for i in range(1, n))
             nf = mpmath.mpf(n)
+            nf2 = nf**2
             total = head + nf ** (1 - s) / (s - 1) + nf ** (-s) / 2
             # corrections: B_2j/(2j)! * s(s+1)...(s+2j-2) * n^(1-s-2j)
             rising = mpmath.mpf(s)
@@ -229,7 +241,7 @@ def zeta_positive(s: int, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpmath.mpf
             converged = False
             prev_mag = None
             for j in range(1, 80):
-                term = to_mpf(bernoulli(2 * j) / math.factorial(2 * j)) * rising * power
+                term = _zeta_correction(j, prec) * rising * power
                 mag = abs(term)
                 if mag < bound:
                     converged = True
@@ -239,7 +251,7 @@ def zeta_positive(s: int, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpmath.mpf
                 correction += term
                 prev_mag = mag
                 rising *= (s + 2 * j - 1) * (s + 2 * j)
-                power /= nf**2
+                power /= nf2
             if converged:
                 return total + correction
             n *= 2
@@ -264,7 +276,7 @@ def bendersky_recursion_check(
     t0 = time.perf_counter()
     x_ref = 2 * shift_threshold(ctx)
     upper = build_lambda_terms(k + 1, 20 + 1)  # 20 tail terms, one held back
-    lower = integrate_lambda_terms(build_lambda_terms(k, 20 + 1))
+    lower = _integrated_lambda_terms(k, 20 + 1)
     hk_bk1 = harmonic(k) * bernoulli(k + 1)
     with ctx.workprec(5):
 
@@ -283,6 +295,13 @@ def bendersky_recursion_check(
         residual = (left_x - left_r) - (right_x - right_r)
         tolerance = err_x + err_r + ctx.rounding_floor(abs(left_x) + abs(left_r))
     return _report("bendersky-recursion", k, x, residual, tolerance, t0)
+
+
+@memo
+def _integrated_lambda_terms(k: int, tail_terms: int):
+    """The termwise integral of ``build_lambda_terms(k, tail_terms)``, kept
+    so that its fixed-point coefficients are made once per precision."""
+    return integrate_lambda_terms(build_lambda_terms(k, tail_terms))
 
 
 def alt_recursion_check(
@@ -494,14 +513,13 @@ def log_coefficient_check(k: int, ctx: PrecisionContext = DEFAULT_CONTEXT) -> Ch
     """The polynomial multiplying log x in the order-k expansion equals
     B_{k+1}(x+1)/(k+1), exactly, at every integer 1 <= x <= 20."""
     t0 = time.perf_counter()
+    # each side in integers over one denominator: lcm, and den (k+1) for B_{k+1}(x+1)/(k+1)
     coeffs = log_coefficient_poly(k)
-    bad = 0
-    for x in range(1, 21):
-        xq = Fraction(x)
-        value = sum(c * xq**p for p, c in enumerate(coeffs))
-        expected = bernoulli_poly(k + 1, xq + 1) / (k + 1)
-        if value != expected:
-            bad += 1
+    lcm = math.lcm(*(c.denominator for c in coeffs))
+    values = [c.numerator * (lcm // c.denominator) for c in reversed(coeffs)]
+    a, den = _bernoulli_poly_ints(k + 1)
+    bad = sum(_horner(values, x, 1) * den * (k + 1) != _horner(a, x + 1, 1) * lcm
+              for x in range(1, 21))
     return _report("log-coefficient", k, None, mpmath.mpf(bad), mpmath.mpf("0.5"), t0)
 
 

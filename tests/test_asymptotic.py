@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 from fractions import Fraction
 
 import mpmath
@@ -311,15 +313,46 @@ class TestTailBoundTable:
             for y in (1, 2, 20, 10**6, Fraction(81, 2), mpmath.mpf("27.25")):
                 assert tail_length(k, y, ctx) == closed_form_tail_length(k, y, ctx)
 
+    def test_concurrent_growth_matches_serial(self):
+        # threads growing one order's table at once: one entry per index
+        clear_caches()
+        ctx = PrecisionContext(1000)
+        args = [(k, y) for k in (0, 1, 5) for y in (900, 300, 60, 20, 5)]
+        serial = [closed_form_tail_length(k, y, ctx) for k, y in args]
+        results = {}
+
+        def work(i):
+            results[i] = [tail_length(k, y, ctx) for k, y in args]
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert all(results[i] == serial for i in range(8))
+        shared = {k: list(asymptotic._tail_bounds(k)) for k in (0, 1, 5)}
+        clear_caches()
+        for k, y in args:
+            tail_length(k, y, ctx)
+        assert shared == {k: asymptotic._tail_bounds(k) for k in (0, 1, 5)}
+
     def test_grows_on_demand_and_clears(self):
         clear_caches()
         tail_length(0, 20, PrecisionContext(20))
-        short = asymptotic._tail_bound.cache_info().currsize
+        short = len(asymptotic._tail_bounds(0))
         assert 0 < short < 40
         tail_length(0, 900, PrecisionContext(1000))
-        assert asymptotic._tail_bound.cache_info().currsize > 10 * short
+        assert len(asymptotic._tail_bounds(0)) > 10 * short
+        assert asymptotic._tail_bounds.cache_info().currsize == 1  # one table per order
         clear_caches()
-        assert asymptotic._tail_bound.cache_info().currsize == 0
+        assert asymptotic._tail_bounds.cache_info().currsize == 0
+        assert asymptotic._tail_bounds(0) == []
 
 
 class TestIntegerTail:

@@ -157,6 +157,29 @@ class TestExitCodes:
         assert captured.err == ""
         assert len(captured.out.splitlines()) == 1
 
+    @pytest.mark.parametrize("arg", ["100000000", "1e400"])
+    @pytest.mark.parametrize("command, flag", [("hz", "-w"), ("gamma", "-x")])
+    def test_integer_beyond_the_exact_sum(self, command, flag, arg, capsys):
+        # the series with no shift, within err of mpmath at D + 40 digits
+        assert run([command, "-k", "0", flag, arg, "--json"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        rec = json.loads(captured.out)
+        assert rec["method"] == "asymptotic-shift"
+        with mpmath.mp.workdps(60):
+            w = mpmath.mpf(arg)
+            oracle = mpmath.zeta(0, w, 1) if command == "hz" else mpmath.loggamma(w)
+            # the value printed to 20 digits: half a unit of the last, plus err
+            slack = abs(oracle) * mpmath.mpf(10) ** -19 / 2 + mpmath.mpf(rec["err_estimate"])
+            assert abs(mpmath.mpf(rec["value"]) - oracle) <= slack
+
+    def test_trial_argument_beyond_the_exact_sum(self, capsys):
+        assert run(["const", "-k", "0", "--w-trial", "100000000"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("hzeta: error: exact sums stop")
+        assert captured.err.strip().count("\n") == 0
+
     def test_unwritable_output_file(self, tmp_path, capsys):
         target = tmp_path / "missing" / "table.txt"
         assert run(["table", "--kmax", "1", "-o", str(target)]) == 1

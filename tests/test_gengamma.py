@@ -7,11 +7,13 @@ import mpmath
 import pytest
 from mpmath.libmp import from_man_exp
 
+import hzeta.constants
 from hzeta import (
     PrecisionContext,
     clear_caches,
     exact_log_gengamma,
     hurwitz_deriv,
+    hurwitz_deriv_integer,
     log_gengamma,
     shift_log_gengamma,
 )
@@ -21,6 +23,12 @@ from hzeta.mpcore import to_mpf
 
 
 class TestExactSum:
+    def test_power_sums_by_brute_force(self):
+        # from the Bernoulli-polynomial integers; k = 0 counts no 0^0 term
+        for k in range(13):
+            for n in range(41):
+                assert gengamma._power_sum(k, n) == sum(i**k for i in range(1, n + 1))
+
     def test_single_term(self, ctx20):
         assert exact_log_gengamma(1, 1, ctx20).value == 0
 
@@ -249,6 +257,40 @@ class TestBeyondFloatRange:
         assert res.params == {"tail_terms": 1}
         with mpmath.mp.workdps(60):
             assert abs(res.value - mpmath.loggamma(to_mpf(x))) <= res.err
+
+
+class TestIntegersBeyondTheExactSum:
+    """The exact sum stops at constants._MAX_TRIAL_W = 10^6; larger integers
+    take the series with no shift, and the exact routes raise before sieving."""
+
+    def test_exact_sum_refuses_past_the_bound(self, ctx20):
+        clear_caches()
+        with pytest.raises(ValueError, match="exact sums stop"):
+            exact_log_gengamma(0, 10**6 + 1, ctx20)
+        with pytest.raises(ValueError, match="exact sums stop"):
+            log_gengamma(0, 10**8, ctx20, method="exact")
+        with pytest.raises(ValueError, match="exact sums stop"):
+            hurwitz_deriv_integer(0, 10**6 + 2, ctx20)
+        assert gengamma._prime_logs()._sieved <= 10**6  # refused before any sieving
+
+    def test_the_bound_splits_the_routes(self, ctx20, monkeypatch):
+        monkeypatch.setattr(hzeta.constants, "_MAX_TRIAL_W", 100)
+        assert log_gengamma(1, 100, ctx20).method == "exact-sum"
+        assert log_gengamma(1, 101, ctx20).method == "asymptotic-shift"
+        with pytest.raises(ValueError):
+            exact_log_gengamma(1, 101, ctx20)
+
+    @pytest.mark.parametrize("x", [10**6 + 1, 10**8, 10**400, "1e400"], ids=str)
+    @pytest.mark.parametrize("k", [0, 2])
+    def test_series_route_within_err(self, ctx20, k, x):
+        x = mpmath.mpf(x) if isinstance(x, str) else x
+        res = log_gengamma(k, x, ctx20)
+        assert res.method == "asymptotic-shift"
+        with mpmath.mp.workdps(60):
+            xf = mpmath.mpf(x)
+            oracle = (mpmath.loggamma(xf) if k == 0
+                      else mpmath.zeta(-k, xf, 1) - mpmath.zeta(-k, 1, 1))
+            assert abs(res.value - oracle) <= res.err
 
 
 class TestLogGengamma:

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from hzeta import PrecisionContext, bernoulli, bernoulli_poly, build_lambda_terms, harmonic, hurwitz_deriv, phi
@@ -148,6 +148,51 @@ class TestBernoulliPoly:
         with hi.workprec():
             b = bernoulli_poly(6, mpmath.mpf(10) / 3)
             assert mpmath.nstr(b, 15) == mpmath.nstr(a, 15)
+
+
+def fraction_sum_bernoulli_poly(n, x):
+    """B_n(x) as the Fraction sum of C(n,j) B_j x^(n-j), term by term."""
+    xq = Fraction(x)
+    acc = Fraction(0)
+    for j in range(n + 1):
+        b = bernoulli(j)
+        if b:
+            acc += math.comb(n, j) * b * xq ** (n - j)
+    return acc
+
+
+rationals = st.one_of(
+    st.integers(-10**9, 10**9),
+    st.builds(Fraction, st.integers(-10**9, 10**9), st.integers(1, 10**6)),
+)
+
+
+class TestIntegerPath:
+    """The int/Fraction path (common denominator per n, Horner's rule in
+    integers) against the Fraction sum, term by term."""
+
+    @seed(15)
+    @given(st.integers(0, 60), rationals)
+    @settings(max_examples=200, deadline=None)
+    def test_bernoulli_poly_equals_the_fraction_sum(self, n, x):
+        got = bernoulli_poly(n, x)
+        assert type(got) is Fraction
+        assert got == fraction_sum_bernoulli_poly(n, x)
+
+    @seed(15)
+    @given(st.integers(1, 60), rationals)
+    @settings(max_examples=200, deadline=None)
+    def test_phi_equals_the_fraction_sum(self, n, x):
+        expected = (fraction_sum_bernoulli_poly(n + 1, x) - bernoulli(n + 1)) / (n + 1)
+        got = phi(n, x)
+        assert type(got) is Fraction
+        assert got == expected
+
+    def test_clear_caches_empties_the_coefficient_table(self):
+        bernoulli_poly(5, Fraction(1, 3))
+        assert mpcore._bernoulli_poly_ints.cache_info().currsize > 0
+        clear_caches()
+        assert mpcore._bernoulli_poly_ints.cache_info().currsize == 0
 
 
 class TestPhi:

@@ -11,6 +11,7 @@ from hzeta import (
     alexeiewsky_check,
     alt_recursion_check,
     bendersky_recursion_check,
+    bernoulli_poly,
     clear_caches,
     general_solution_check,
     gint_moment_check,
@@ -234,6 +235,47 @@ class TestIdentityChecks:
         for k in range(7):
             rep = log_coefficient_check(k, ctx20)
             assert rep.passed and rep.residual == 0
+
+    @pytest.mark.parametrize("k", [1, 3, 6])
+    @pytest.mark.parametrize(
+        "delta, differing",
+        [({1: Fraction(1, 7)}, 20),  # one coefficient: every point moves
+         ({0: Fraction(15, 7), 1: Fraction(-8, 7), 2: Fraction(1, 7)}, 18)],  # (x-3)(x-5)/7
+        ids=["one-coefficient", "two-roots"])
+    def test_log_coefficient_counts_perturbed_points(self, ctx20, monkeypatch, k, delta, differing):
+        # the order-k log-x coefficients perturbed: the check fails with the
+        # count of differing points of the Fraction comparison
+        original = validate.log_coefficient_poly
+
+        def perturbed(order):
+            coeffs = original(order)
+            if order == k:
+                for p, d in delta.items():
+                    coeffs[p] += d
+            return coeffs
+
+        monkeypatch.setattr(validate, "log_coefficient_poly", perturbed)
+        coeffs = perturbed(k)
+        expected = sum(
+            sum(c * Fraction(x) ** p for p, c in enumerate(coeffs))
+            != bernoulli_poly(k + 1, Fraction(x + 1)) / (k + 1)
+            for x in range(1, 21)
+        )
+        assert expected == differing
+        rep = log_coefficient_check(k, ctx20)
+        assert not rep.passed and rep.residual == expected
+        assert log_coefficient_check(k + 1, ctx20).residual == 0
+
+    def test_bendersky_term_list_and_zeta_corrections_are_kept_and_cleared(self, ctx20):
+        first = bendersky_recursion_check(1, 100, ctx20)
+        assert validate._integrated_lambda_terms(1, 21) is validate._integrated_lambda_terms(1, 21)
+        zeta_positive(3, ctx20)
+        assert validate._zeta_correction.cache_info().currsize > 0
+        mpcore.clear_caches()
+        assert validate._integrated_lambda_terms.cache_info().currsize == 0
+        assert validate._zeta_correction.cache_info().currsize == 0
+        again = bendersky_recursion_check(1, 100, ctx20)  # rebuilt, the same bits
+        assert (again.residual, again.tolerance) == (first.residual, first.tolerance)
 
     def test_stabilization(self, ctx20):
         for k in range(5):

@@ -19,13 +19,24 @@ and log_gengamma(0, t+1); and the residual and tolerance of each of the 63
 ``selftest full`` checks at D=20.  Then five arguments beyond float range
 at D=20, ``hurwitz_deriv`` for k in {0, 1} at 10^400/3 and mpf('1e400'),
 and ``log_gengamma(0, 10^400/3)``, each recorded as its bits or as the name
-of the exception it raises.  Then the cold command path: stdout, stderr
+of the exception it raises.  The checks that never reach a quadrature
+node: ``zeta_positive(s)`` for s in {2, 3, 4, 5, 6, 8, 12} and D in
+{20, 30, 100}; the reports of ``log_coefficient_check(k)`` for k <= 8 and
+of ``bendersky_recursion_check(k, x)`` for k <= 8, x in {7/2, 50, 100} and
+D in {20, 30}; and, as exact strings, ``bernoulli_poly(n, q)`` for n <= 12
+and ``phi(n, q)`` for 1 <= n <= 12 at 20 seeded rationals q.  Then the
+integers beyond the exact sum's bound of 10^6 (``log_gengamma`` at 10^400,
+mpf('1e400') and, for k = 1, 10^400; ``exact_log_gengamma(0, 10^6 + 1)``;
+``hz`` and ``gamma`` at 1e400 through ``cli.run``), each recorded as its
+bits or output or as the name of the exception it raises; integers between
+10^6 and 10^400 are left out, since without the bound their exact sums
+take millions of logarithms.  Then the cold command path: stdout, stderr
 and exit status of ``cli.run([..., "--json"])`` for each of the 177
 command lines of perfbench's cli-replay workload at seed 1, caches cleared
 before each as that workload does, with the selftest reports' ``elapsed``
 dropped.  The comparison prints each differing value with its distance and
-err, each differing huge-argument case and each differing command line,
-then one summary line for each part.
+err, each differing exact value, huge-argument case and command line, then
+one summary line for each part.
 """
 
 import contextlib
@@ -47,11 +58,15 @@ def compare(path_a: str, path_b: str) -> None:
     cli_diff = [k for k in cli if a[k] != b[k]]
     for k in cli_diff:
         print(k, "output differs:", a[k], "->", b[k])
-    huge = [k for k in a if k.startswith("huge ")]
+    exact = [k for k in a if k.startswith("exact ")]
+    exact_diff = [k for k in exact if a[k] != b[k]]
+    for k in exact_diff:
+        print(k, "differs:", a[k], "->", b[k])
+    huge = [k for k in a if k.startswith("huge")]
     huge_diff = [k for k in huge if a[k] != b[k]]
-    for k in huge_diff:  # an exception name, or the bits of a value
+    for k in huge_diff:  # an exception name, or the bits of a value, or an output
         print(k, "differs:", *(v[0] if isinstance(v[0], str) else "a value" for v in (a[k], b[k])))
-    for k in cli + huge:
+    for k in cli + exact + huge:
         del a[k], b[k]
 
     def num(t):
@@ -64,7 +79,10 @@ def compare(path_a: str, path_b: str) -> None:
     rel = max(float(abs(num(a[k][1]) - num(b[k][1])) / num(a[k][1])) for k in a if int(a[k][1][1]))
     print(f"{len(a)} cases: {len(diff)} values differ; {sum(a[k][1] != b[k][1] for k in a)} errs differ,"
           f" by at most {rel:.1e} relative; {sum(a[k][2] != b[k][2] for k in a)} params differ")
-    print(f"{len(huge)} huge-argument cases: {len(huge_diff)} differ")
+    print(f"{len(exact)} exact values: {len(exact_diff)} differ")
+    for prefix, kind in (("huge ", "huge-argument"), ("hugeint ", "huge-integer")):
+        part = [k for k in huge if k.startswith(prefix)]
+        print(f"{len(part)} {kind} cases: {sum(k in huge_diff for k in part)} differ")
     print(f"{len(cli)} command lines: {len(cli_diff)} differ in stdout, stderr or exit status")
 
 
@@ -87,9 +105,26 @@ def cli_outputs() -> dict:
     return out
 
 
+def cli_record(argv) -> tuple:
+    """``(stdout, stderr, exit status)`` of one command line, or the name of
+    the exception it raises."""
+    from hzeta.cli import run
+
+    stdout, stderr = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            rc = run([*argv, "--json"])
+    except Exception as exc:
+        return (type(exc).__name__, None, None)
+    return (stdout.getvalue(), stderr.getvalue(), rc)
+
+
 def dump(path: str) -> None:
-    from hzeta import PrecisionContext, bernoulli_poly, gkbj_constant, hurwitz_deriv, log_gengamma
-    from hzeta.validate import quadrature, selftest
+    from hzeta import PrecisionContext, bernoulli_poly, exact_log_gengamma, gkbj_constant
+    from hzeta import hurwitz_deriv, log_gengamma, phi
+    from hzeta.mpcore import clear_caches
+    from hzeta.validate import bendersky_recursion_check, log_coefficient_check, quadrature
+    from hzeta.validate import selftest, zeta_positive
 
     def bits(v):
         return [v._mpf_[0], str(v._mpf_[1]), v._mpf_[2]]
@@ -135,9 +170,37 @@ def dump(path: str) -> None:
         for k in (0, 1, 3, 6, 12):
             for w in (20, 25, 30, 45, 50, 100, 200, 400):
                 out[f"L D={D} k={k} w={w}"] = record(gkbj_constant, k, w, None, ctx)
+    def report(rep):
+        return (bits(mpmath.mpf(rep.residual)), bits(mpmath.mpf(rep.tolerance)), rep.passed)
+
     for i, rep in enumerate(selftest("full", PrecisionContext(20))):
-        out[f"selftest #{i} {rep.name} k={rep.k}"] = (
-            bits(mpmath.mpf(rep.residual)), bits(mpmath.mpf(rep.tolerance)), rep.passed)
+        out[f"selftest #{i} {rep.name} k={rep.k}"] = report(rep)
+    for D in (20, 30, 100):
+        ctx = PrecisionContext(D)
+        for s in (2, 3, 4, 5, 6, 8, 12):
+            out[f"zeta D={D} s={s}"] = (bits(zeta_positive(s, ctx)), zero, None)
+    for k in range(9):
+        out[f"log-coefficient k={k}"] = report(log_coefficient_check(k, PrecisionContext(20)))
+    for D in (20, 30):
+        for k in range(9):
+            for x in (Fraction(7, 2), 50, 100):
+                rep = bendersky_recursion_check(k, x, PrecisionContext(D))
+                out[f"bendersky D={D} k={k} x={x}"] = report(rep)
+    rng = random.Random(15)
+    rats = [Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**3)) for _ in range(20)]
+    for i, q in enumerate(rats):
+        for n in range(13):
+            out[f"exact B n={n} #{i}"] = str(bernoulli_poly(n, q))
+            if n:
+                out[f"exact phi n={n} #{i}"] = str(phi(n, q))
+    ctx = PrecisionContext(20)
+    for k, name, x in ((0, "10^400", 10**400), (0, "1e400", mpmath.mpf("1e400")),
+                       (1, "10^400", 10**400)):
+        out[f"hugeint lg k={k} x={name}"] = record(log_gengamma, k, x, ctx)
+    out["hugeint exact k=0 w=10^6+1"] = record(exact_log_gengamma, 0, 10**6 + 1, ctx)
+    for argv in (["hz", "-k", "0", "-w", "1e400"], ["gamma", "-k", "0", "-x", "1e400"]):
+        out[f"hugeint cli {' '.join(argv)}"] = cli_record(argv)
+    clear_caches()  # a checkout without the bound keeps the primes it sieved
     out.update(cli_outputs())
     with open(path, "w") as f:
         json.dump(out, f)

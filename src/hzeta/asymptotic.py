@@ -239,54 +239,63 @@ def eval_term_poly(poly: TermPoly, x: Real, ctx: PrecisionContext = DEFAULT_CONT
 
     The estimate is twice a bound on the held-back entry, plus a rounding
     floor scaled by the summed magnitudes, plus that fixed-point bound.
+    The arithmetic is :func:`_eval_term_poly`'s, which the quadrature
+    nodes' level route (:func:`~hzeta.gengamma._series_level`) calls too.
 
     Returns ``(value, err, tail_terms_used)``.
     """
     with ctx.workprec(5):
-        prec = mpmath.mp.prec
-        xv = _to_raw(x, prec)
+        xv = _to_raw(x, mpmath.mp.prec)
         if mpf_le(xv, fzero):
             raise ValueError("term-poly argument must be positive")
-        main_coeffs, wp, frac, tail = _coefficients(poly)
-        logx = mpf_log(xv, prec, round_nearest)
-        total = scale = fzero
-        for c, (_, p, has_log) in zip(main_coeffs, poly.main_terms):
-            if p:  # x^1 is exact, and so is c x^0
-                c = mpf_mul(c, xv if p == 1 else mpf_pow_int(xv, p, prec, round_nearest),
-                            prec, round_nearest)
-            if has_log:
-                c = mpf_mul(c, logx, prec, round_nearest)
-            total = mpf_add(total, c, prec, round_nearest)
-            scale = mpf_add(scale, mpf_abs(c), prec, round_nearest)
-        _, man, exp, _ = xv
-        log_x = math.log(man) + exp * math.log(2)
-        used = len(tail) - 1
-        for i in range(1, used):
-            _, d, turn = tail[i]
-            gap = turn[0] - d * log_x  # _turns decides the near ties, within 1e-9
-            if gap > 1e-9 or (gap >= -1e-9 and _turns(d, turn, log_x, man, exp)):
-                used = i
-                break
-        steps = {}  # d -> floor(2^frac / x^d)
-        acc = acc_abs = 0  # units of 2^-wp
-        for fixed, d, _ in reversed(tail[:used]):
-            step = steps.get(d)
-            if step is None:
-                shift = frac - d * exp  # negative: x^d > 2^frac, so the floor is 0
-                step = steps[d] = (1 << shift) // man**d if shift >= 0 else 0
-            acc = ((fixed + acc) * step) >> frac
-            acc_abs = ((abs(fixed) + acc_abs) * step) >> frac
-        # 2^frac x^-q of the held-back entry, rounded up from 1/x rounded up
-        shift = frac - exp
-        inverse = (1 << shift) // man + 1 if shift >= 0 else 1
-        power = _power_up(inverse, poly.tail_terms[used][2], frac)
-        omitted = ((abs(tail[used][0]) + 1) * (power + 1) >> frac) + 1
-        slack = ((used * (used + 7) // 2) * max(power, 1 << frac) >> frac) + 1
-        total = mpf_add(total, from_man_exp(acc, -wp, prec, round_nearest), prec, round_nearest)
-        scale = mpf_add(scale, from_man_exp(acc_abs, -wp, prec, round_nearest), prec, round_nearest)
-        err = mpf_add(from_man_exp(2 * omitted + slack, -wp, prec, round_nearest),
-                      _rounding_floor(ctx, scale, prec), prec, round_nearest)
+        total, err, used = _eval_term_poly(poly, xv, ctx)
         return mpmath.mp.make_mpf(total), mpmath.mp.make_mpf(err), used
+
+
+def _eval_term_poly(poly: TermPoly, xv: tuple, ctx: PrecisionContext):
+    """:func:`eval_term_poly` at a raw x > 0, as raw ``(value, err, used)``,
+    at the precision in force, that of ``ctx.workprec(5)``."""
+    prec = mpmath.mp.prec
+    main_coeffs, wp, frac, tail = _coefficients(poly)
+    logx = mpf_log(xv, prec, round_nearest)
+    total = scale = fzero
+    for c, (_, p, has_log) in zip(main_coeffs, poly.main_terms):
+        if p:  # x^1 is exact, and so is c x^0
+            c = mpf_mul(c, xv if p == 1 else mpf_pow_int(xv, p, prec, round_nearest),
+                        prec, round_nearest)
+        if has_log:
+            c = mpf_mul(c, logx, prec, round_nearest)
+        total = mpf_add(total, c, prec, round_nearest)
+        scale = mpf_add(scale, mpf_abs(c), prec, round_nearest)
+    _, man, exp, _ = xv
+    log_x = math.log(man) + exp * math.log(2)
+    used = len(tail) - 1
+    for i in range(1, used):
+        _, d, turn = tail[i]
+        gap = turn[0] - d * log_x  # _turns decides the near ties, within 1e-9
+        if gap > 1e-9 or (gap >= -1e-9 and _turns(d, turn, log_x, man, exp)):
+            used = i
+            break
+    steps = {}  # d -> floor(2^frac / x^d)
+    acc = acc_abs = 0  # units of 2^-wp
+    for fixed, d, _ in reversed(tail[:used]):
+        step = steps.get(d)
+        if step is None:
+            shift = frac - d * exp  # negative: x^d > 2^frac, so the floor is 0
+            step = steps[d] = (1 << shift) // man**d if shift >= 0 else 0
+        acc = ((fixed + acc) * step) >> frac
+        acc_abs = ((abs(fixed) + acc_abs) * step) >> frac
+    # 2^frac x^-q of the held-back entry, rounded up from 1/x rounded up
+    shift = frac - exp
+    inverse = (1 << shift) // man + 1 if shift >= 0 else 1
+    power = _power_up(inverse, poly.tail_terms[used][2], frac)
+    omitted = ((abs(tail[used][0]) + 1) * (power + 1) >> frac) + 1
+    slack = ((used * (used + 7) // 2) * max(power, 1 << frac) >> frac) + 1
+    total = mpf_add(total, from_man_exp(acc, -wp, prec, round_nearest), prec, round_nearest)
+    scale = mpf_add(scale, from_man_exp(acc_abs, -wp, prec, round_nearest), prec, round_nearest)
+    err = mpf_add(from_man_exp(2 * omitted + slack, -wp, prec, round_nearest),
+                  _rounding_floor(ctx, scale, prec), prec, round_nearest)
+    return total, err, used
 
 
 def eval_lambda(
@@ -318,11 +327,15 @@ def _remainder(k: int, x: Real, tail_terms: int | None, ctx: PrecisionContext):
         raise ValueError("tail_terms must be >= 1")
     poly = build_lambda_terms(k, tail_terms + 1)
     value, err, used = eval_term_poly(poly, x, ctx)
-    if mpf_gt(err._mpf_, mpf_mul(_TOO_SMALL, mpf_abs(value._mpf_), mpmath.mp.prec, round_nearest)):
-        raise ArgumentTooSmall(
-            f"truncation error {mpmath.nstr(err, 3)} too large for order {k} at x={x}"
-        )
+    _check_truncation(k, x, value._mpf_, err._mpf_, mpmath.mp.prec)
     return value, err, used
+
+
+def _check_truncation(k: int, x, value: tuple, err: tuple, prec: int) -> None:
+    """Raise :class:`ArgumentTooSmall` when the raw err exceeds 10^-3 of |value|."""
+    if mpf_gt(err, mpf_mul(_TOO_SMALL, mpf_abs(value), prec, round_nearest)):
+        err = mpmath.nstr(mpmath.mp.make_mpf(err), 3)
+        raise ArgumentTooSmall(f"truncation error {err} too large for order {k} at x={x}")
 
 
 def integrate_lambda_terms(poly: TermPoly) -> TermPoly:

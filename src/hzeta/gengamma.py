@@ -13,14 +13,17 @@ from __future__ import annotations
 
 import bisect
 import itertools
+import math
 import threading
 from fractions import Fraction
 
 import mpmath
-from mpmath.libmp import dps_to_prec, from_int, from_man_exp, mpf_add, mpf_div, mpf_log
-from mpmath.libmp import mpf_mul, mpf_pow_int, mpf_sub, round_ceiling, round_nearest
+from mpmath.libmp import dps_to_prec, fone, from_int, from_man_exp, mpf_add, mpf_div, mpf_ge
+from mpmath.libmp import mpf_log, mpf_mul, mpf_pow_int, mpf_sub, round_ceiling, round_nearest
+from mpmath.libmp import to_float
 
-from .asymptotic import _remainder, plan
+from .asymptotic import _check_truncation, _eval_term_poly, _remainder, build_lambda_terms
+from .asymptotic import plan, shift_threshold, tail_length
 from .mpcore import (
     DEFAULT_CONTEXT,
     PrecisionContext,
@@ -63,20 +66,24 @@ class PrimeLogTable:
         self._entries: dict[int, list[int]] = {}
         self._lock = threading.Lock()
 
-    def upto(self, w: int, wp: int) -> tuple[list[int], list[int]]:
-        """The primes p <= w and their entries at wp, as two equal-length lists."""
+    def primes(self, w: int) -> list[int]:
+        """The primes p <= w."""
         if w >= self._sieved:
             with self._lock:
                 self._sieve(w)
-        primes = self._primes
-        count = bisect.bisect_right(primes, w)
+        return self._primes[:bisect.bisect_right(self._primes, w)]
+
+    def upto(self, w: int, wp: int) -> tuple[list[int], list[int]]:
+        """The primes p <= w and their entries at wp, as two equal-length lists."""
+        primes = self.primes(w)
+        count = len(primes)
         entries = self._entries.get(wp)
         if entries is None or len(entries) < count:
             with self._lock:
                 entries = self._entries.setdefault(wp, [])
-                for p in primes[len(entries):count]:
+                for p in primes[len(entries):]:
                     entries.append(_floor_log(p, wp))
-        return primes[:count], entries[:count]
+        return primes, entries[:count]
 
     def _sieve(self, w: int) -> None:
         while self._sieved <= w:
@@ -123,7 +130,8 @@ def exact_log_gengamma(
     calls), and grouping the m by prime power gives
     ``sum_p floor(log p 2^wp) c_p`` with the exact integer
     ``c_p = sum_(p^e <= w) p^(ek) S_k(floor(w/p^e))``, S_k the power sum.
-    The total is converted to mpf once.
+    The c_p are kept per (k, w) (:func:`_prime_weights`); the total is
+    formed on every call and converted to mpf once.
 
     err is explicit: each m's fixed-point log is off by less than
     Ω(m) + 1 units of 2^-wp (Ω(m) prime factors counted with
@@ -142,10 +150,25 @@ def exact_log_gengamma(
         raise ValueError(f"exact sums stop at w = {constants._MAX_TRIAL_W}, the largest trial w")
     prec = dps_to_prec(ctx.working_digits + 5)  # mp.prec under ctx.workprec(5)
     wp = prec + 10
-    total = 0
+    weights, slack = _prime_weights(k, w)
+    total = sum(c * entry for c, entry in zip(weights, _prime_logs().upto(w, wp)[1]))
+    excess = total.bit_length() - prec
+    if excess > 0:
+        slack += 1 << (excess - 1)  # half an ulp of the conversion
+    value = mpmath.mp.make_mpf(from_man_exp(total, -wp, prec, round_nearest))
+    err = mpmath.mp.make_mpf(from_man_exp(slack, -wp, prec, round_ceiling))
+    return Result("gengamma", k, w + 1, value, err, "exact-sum", {})
+
+
+@memo
+def _prime_weights(k: int, w: int) -> tuple[tuple[int, ...], int]:
+    """``(c, slack)`` for :func:`exact_log_gengamma`: the integer weights c_p
+    of the primes p <= w in order, and the err in units of 2^-wp before the
+    conversion, sum_p c_p + S_k(w) - 1; both exact and free of wp."""
     slack = _power_sum(k, max(w, 1)) - 1  # the + 1 per m >= 2
     sums: dict[int, int] = {}  # floor(w / p^e) -> S_k of it
-    for p, entry in zip(*_prime_logs().upto(w, wp)):
+    weights = []
+    for p in _prime_logs().primes(w):
         pk = p**k
         c, q, qk = 0, p, pk
         while q <= w:
@@ -155,14 +178,9 @@ def exact_log_gengamma(
                 s = sums[n] = _power_sum(k, n)
             c += qk * s
             q, qk = q * p, qk * pk
-        total += c * entry
+        weights.append(c)
         slack += c
-    excess = total.bit_length() - prec
-    if excess > 0:
-        slack += 1 << (excess - 1)  # half an ulp of the conversion
-    value = mpmath.mp.make_mpf(from_man_exp(total, -wp, prec, round_nearest))
-    err = mpmath.mp.make_mpf(from_man_exp(slack, -wp, prec, round_ceiling))
-    return Result("gengamma", k, w + 1, value, err, "exact-sum", {})
+    return tuple(weights), slack
 
 
 def shift_log_gengamma(
@@ -189,26 +207,33 @@ def shift_log_gengamma(
     if not xe > 0:
         raise ValueError("argument must be positive")
     with ctx.workprec(5):
-        prec, rnd = mpmath.mp.prec, round_nearest
-        total = _to_raw(value_at_shifted, prec)
-        if n and k == 0:
-            total = mpf_sub(total, _log_rising(xe, n, prec), prec, rnd)
-        elif n and isinstance(xe, Fraction):
-            p, q = xe.numerator, xe.denominator
-            qv, qkv = from_int(q), from_int(q**k)
-            for num in range(p, p + n * q, q):  # at k = 1 the power is the base
-                base = mpf_div(from_int(num, prec, rnd), qv, prec, rnd)
-                power = base if k == 1 else mpf_div(from_int(num**k, prec, rnd), qkv, prec, rnd)
-                log = mpf_log(base, prec, rnd)
-                total = mpf_sub(total, mpf_mul(power, log, prec, rnd), prec, rnd)
-        elif n:
-            xv = xe._mpf_
-            for j in range(n):
-                base = mpf_add(xv, from_int(j), prec, rnd)
-                power = base if k == 1 else mpf_pow_int(base, k, prec, rnd)
-                log = mpf_log(base, prec, rnd)
-                total = mpf_sub(total, mpf_mul(power, log, prec, rnd), prec, rnd)
+        prec = mpmath.mp.prec
+        total = _shift_chain(k, xe, n, _to_raw(value_at_shifted, prec), prec)
     return mpmath.mp.make_mpf(total)
+
+
+def _shift_chain(k: int, xe, n: int, total: tuple, prec: int) -> tuple:
+    """:func:`shift_log_gengamma`'s n steps from the raw ``total`` at precision
+    prec, for an exact x > 0 (Fraction or mpf), raw."""
+    rnd = round_nearest
+    if n and k == 0:
+        total = mpf_sub(total, _log_rising(xe, n, prec), prec, rnd)
+    elif n and isinstance(xe, Fraction):
+        p, q = xe.numerator, xe.denominator
+        qv, qkv = from_int(q), from_int(q**k)
+        for num in range(p, p + n * q, q):  # at k = 1 the power is the base
+            base = mpf_div(from_int(num, prec, rnd), qv, prec, rnd)
+            power = base if k == 1 else mpf_div(from_int(num**k, prec, rnd), qkv, prec, rnd)
+            log = mpf_log(base, prec, rnd)
+            total = mpf_sub(total, mpf_mul(power, log, prec, rnd), prec, rnd)
+    elif n:
+        xv = xe._mpf_
+        for j in range(n):
+            base = mpf_add(xv, from_int(j), prec, rnd)
+            power = base if k == 1 else mpf_pow_int(base, k, prec, rnd)
+            log = mpf_log(base, prec, rnd)
+            total = mpf_sub(total, mpf_mul(power, log, prec, rnd), prec, rnd)
+    return total
 
 
 def _rising_product(start: int, step: int, n: int, bits: int) -> tuple[int, int]:
@@ -261,6 +286,11 @@ def shifted_series(
     Returns ``(value, err, params)``: err adds ``base_err``, the series
     estimate and a rounding allowance; ``params["tail_terms"]`` counts
     the tail terms summed (at most ``tail_terms`` when given).
+
+    :func:`_series_level` repeats these ten lines for a whole quadrature
+    level on raw values; this scalar route keeps calling ``plan``,
+    ``eval_term_poly`` and ``shift_log_gengamma`` by name, for a tracer
+    that rebinds those names.
     """
     rnd, make = round_nearest, mpmath.mp.make_mpf
     with ctx.workprec(5):
@@ -273,6 +303,50 @@ def shifted_series(
         err = mpf_add(mpf_add(_to_raw(base_err, prec), lam_err._mpf_, prec, rnd),
                       _rounding_floor(ctx, shifted, prec), prec, rnd)
     return value, make(err), {"tail_terms": used}
+
+
+def _series_level(k: int, nodes: list, base: Real, base_err: Real, ctx: PrecisionContext):
+    """:func:`shifted_series` at each raw node of one quadrature level, as raw
+    ``(value, err)`` pairs with its bits, in one precision scope: ``plan``'s n
+    from the float of t - (x - 1) rounded to nearest, as math.ceil takes it of
+    an mpf, the raw bodies of the series and the shift, and ArgumentTooSmall
+    where ``_remainder`` raises it.  This repeats shifted_series's planning and
+    assembly, whose scalar calls stay by name for a tracer that rebinds them."""
+    rnd, make = round_nearest, mpmath.mp.make_mpf
+    out, polys = [], {}  # tail length -> term list, for this level
+    with ctx.workprec(5):
+        prec = mpmath.mp.prec
+        base, base_err = _to_raw(base, prec), _to_raw(base_err, prec)
+        threshold = from_int(shift_threshold(ctx))
+        for xv in nodes:
+            y = mpf_sub(xv, fone, prec, rnd)  # plan(k, x - 1)
+            n = 0 if mpf_ge(y, threshold) else math.ceil(
+                to_float(mpf_sub(threshold, y, prec, rnd), False, rnd))
+            terms = tail_length(k, make(mpf_add(y, from_int(n), prec, rnd)), ctx)
+            at = mpf_sub(mpf_add(xv, from_int(n), prec, rnd), fone, prec, rnd)  # x + n - 1
+            poly = polys.get(terms) or polys.setdefault(terms, build_lambda_terms(k, terms + 1))
+            lam, lam_err, _ = _eval_term_poly(poly, at, ctx)
+            _check_truncation(k, make(at), lam, lam_err, prec)
+            shifted = mpf_add(base, lam, prec, rnd)
+            err = mpf_add(mpf_add(base_err, lam_err, prec, rnd),
+                          _rounding_floor(ctx, shifted, prec), prec, rnd)
+            out.append((_shift_chain(k, make(xv), n, shifted, prec), err))
+    return out
+
+
+def _log_gengamma_level(k: int, nodes: list, ctx: PrecisionContext):
+    """:func:`log_gengamma` at each raw node of one quadrature level, as raw
+    ``(value, err)`` pairs with its bits: an integer node (exponent >= 0) goes
+    to it, and so to the exact sum, the rest to one :func:`_series_level`."""
+    rest = [xv for xv in nodes if xv[2] < 0]
+    if rest:
+        limit_const = constants.gkbj_auto(k, ctx)
+        series = iter(_series_level(k, rest, limit_const.value, limit_const.err, ctx))
+    out = []
+    for xv in nodes:
+        g = log_gengamma(k, mpmath.mp.make_mpf(xv), ctx) if xv[2] >= 0 else None
+        out.append(next(series) if g is None else (g.value._mpf_, g.err._mpf_))
+    return out
 
 
 def log_gengamma(

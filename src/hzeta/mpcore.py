@@ -264,7 +264,7 @@ def bernoulli_poly(n: int, x: Real):
     Exact Fraction for int/Fraction arguments, one per call, by Horner's rule in
     integers over the common denominator kept per n (:func:`_bernoulli_poly_ints`);
     big float (at the ambient mpmath precision, summed on raw values as the mpf
-    operators do) otherwise.
+    operators do, from coefficients kept per precision) otherwise.
     """
     if n < 0:
         raise ValueError("degree must be non-negative")
@@ -273,13 +273,18 @@ def bernoulli_poly(n: int, x: Real):
         return Fraction(_horner(coeffs, x.numerator, x.denominator), den * x.denominator**n)
     prec, acc = mp.prec, fzero
     xv = _to_raw(x, prec)
-    for j in range(n + 1):
-        b = bernoulli(j)
-        if b:
-            term = mpf_mul(_to_raw(math.comb(n, j) * b, prec),
-                           mpf_pow_int(xv, n - j, prec, round_nearest), prec, round_nearest)
-            acc = mpf_add(acc, term, prec, round_nearest)
+    for c, power in _bernoulli_poly_terms(n, prec):
+        term = mpf_mul(c, mpf_pow_int(xv, power, prec, round_nearest), prec, round_nearest)
+        acc = mpf_add(acc, term, prec, round_nearest)
     return mp.make_mpf(acc)
+
+
+@memo
+def _bernoulli_poly_terms(n: int, prec: int) -> tuple[tuple[tuple, int], ...]:
+    """``(c, n - j)`` for each nonzero B_j, with c = C(n,j) B_j rounded at
+    precision ``prec`` as to_mpf rounds it (internal use)."""
+    return tuple((_to_raw(math.comb(n, j) * bernoulli(j), prec), n - j)
+                 for j in range(n + 1) if bernoulli(j))
 
 
 def phi(n: int, x: Real):

@@ -17,7 +17,9 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 import mpmath
-from mpmath.libmp import fzero, mpf_add, mpf_lt, mpf_mul, mpf_pi, mpf_sub, round_nearest
+from mpmath.libmp import from_int, fzero, mpf_abs, mpf_add, mpf_div, mpf_ge
+from mpmath.libmp import mpf_gt, mpf_lt, mpf_mul, mpf_mul_int, mpf_pi, mpf_pow_int, mpf_sub
+from mpmath.libmp import mpf_sum, round_nearest
 
 from .asymptotic import (
     build_lambda_terms,
@@ -28,8 +30,8 @@ from .asymptotic import (
 )
 from .constants import gkbj_auto, gkbj_constant
 from .errors import NonConvergent
-from .gengamma import exact_log_gengamma, log_gengamma
-from .hurwitz import hurwitz_deriv, zeta_deriv_neg
+from .gengamma import _log_gengamma_level, _series_level, exact_log_gengamma, log_gengamma
+from .hurwitz import _head, hurwitz_deriv, zeta_deriv_neg
 from .mpcore import (
     DEFAULT_CONTEXT,
     PrecisionContext,
@@ -138,13 +140,22 @@ def quadrature(
     precision, so they are memoized (:func:`_node`).  The weight
     ``width * pi * cosh t * sig_lo * sig_hi`` and the abscissa are formed
     per call, on raw values as the mpf operators do it, so a value does
-    not depend on what the memo holds.
+    not depend on what the memo holds.  f is called at each abscissa of
+    nonzero weight, in node order (:func:`_tanh_sinh`).
 
     When the level differences stop contracting at a small plateau (the
     integrand itself carries error at that scale) the plateau value is
     returned with the plateau as error; a plateau above 10^-target
     raises :class:`NonConvergent`.
     """
+    make = mpmath.mp.make_mpf
+    return _tanh_sinh(lambda xs: [f(make(x)) for x in xs], a, b, ctx, max_level)
+
+
+def _tanh_sinh(level: Callable, a: Real, b: Real, ctx: PrecisionContext, max_level: int = 12):
+    """:func:`quadrature`'s integrator: ``level(xs)`` gives the integrand's
+    values at a level's new raw abscissae of nonzero weight, in node order,
+    and one ``mpmath.fsum`` (libmp's ``mpf_sum``) adds the weighted values."""
     with ctx.workprec(5):
         af = to_mpf(a)
         bf = to_mpf(b)
@@ -159,40 +170,38 @@ def quadrature(
         prec, rnd, av, bv, wv = mpmath.mp.prec, round_nearest, af._mpf_, bf._mpf_, width._mpf_
         width_pi = mpf_mul(wv, mpf_pi(prec, rnd), prec, rnd)  # pi once per call
 
-        def weighted(t):
-            sig_lo, sig_hi, cosh_t = _node(prec, t._mpf_)
-            wgt = mpf_mul(mpf_mul(mpf_mul(width_pi, cosh_t, prec, rnd), sig_lo, prec, rnd),
-                          sig_hi, prec, rnd)
-            if wgt == fzero:
-                return mpmath.mpf(0)
-            if mpf_lt(sig_lo, sig_hi):
-                x = mpf_sub(bv, mpf_mul(wv, sig_lo, prec, rnd), prec, rnd)
-            else:
-                x = mpf_add(av, mpf_mul(wv, sig_hi, prec, rnd), prec, rnd)
-            y = f(mpmath.mp.make_mpf(x))
-            if not mpmath.isfinite(y):
-                # endpoint blow-up at a node whose weight already squashes it
-                return mpmath.mpf(0)
-            return mpmath.mp.make_mpf(wgt) * y
+        def level_sum(h, js):
+            wgts, xs = [], []
+            for j in js:
+                sig_lo, sig_hi, cosh_t = _node(prec, (j * h)._mpf_)
+                wgt = mpf_mul(mpf_mul(mpf_mul(width_pi, cosh_t, prec, rnd), sig_lo, prec, rnd),
+                              sig_hi, prec, rnd)
+                if wgt != fzero:
+                    wgts.append(wgt)
+                    if mpf_lt(sig_lo, sig_hi):
+                        xs.append(mpf_sub(bv, mpf_mul(wv, sig_lo, prec, rnd), prec, rnd))
+                    else:
+                        xs.append(mpf_add(av, mpf_mul(wv, sig_hi, prec, rnd), prec, rnd))
+            # a non-finite value is an endpoint blow-up at a node whose weight already squashes it
+            return mpmath.fsum([mpmath.mp.make_mpf(wgt) * y for wgt, y in
+                                zip(wgts, level(xs), strict=True) if mpmath.isfinite(y)])
 
         h = mpmath.mpf(1)
         n0 = int(mpmath.ceil(t_max / h))
-        grid_sum = mpmath.fsum(weighted(j * h) for j in range(-n0, n0 + 1))
+        grid_sum = level_sum(h, range(-n0, n0 + 1))
         estimate = h * grid_sum
         prev_delta = None
-        for level in range(1, max_level + 1):
+        for level_no in range(1, max_level + 1):
             h = h / 2
             j_max = int(mpmath.ceil(t_max / h))
-            grid_sum += mpmath.fsum(
-                weighted(j * h) for j in range(-j_max, j_max + 1) if j % 2
-            )
+            grid_sum += level_sum(h, (j for j in range(-j_max, j_max + 1) if j % 2))
             new_estimate = h * grid_sum
             delta = abs(new_estimate - estimate)
             estimate = new_estimate
             scale = max(mpmath.mpf(1), abs(estimate))
             if delta <= target * scale:
                 return estimate, max(delta, ctx.rounding_floor(scale))
-            if level >= 4 and prev_delta is not None and delta >= prev_delta:
+            if level_no >= 4 and prev_delta is not None and delta >= prev_delta:
                 if delta <= plateau_limit * scale:
                     return estimate, 2 * delta
                 raise NonConvergent(
@@ -208,52 +217,91 @@ def quadrature(
         raise NonConvergent(f"no convergence after {max_level} levels")
 
 
+def _route_integral(route: Callable, k: int, b: Real, ctx: PrecisionContext, shift=0, power=0):
+    """``(value, err, node_err)`` of int_0^b (b - t)^power R(t + shift) dt by
+    :func:`_tanh_sinh`, with ``route(k, nodes, ctx)`` giving R's raw
+    ``(value, err)`` pairs for a level's raw nodes, and node_err the largest
+    err of any node.  Each value takes the mpf operations of the scalar
+    ``(b - t) ** power * R(t + shift)`` (R alone at power 0), and keeps its bits."""
+    node_err = fzero
+    rnd = round_nearest
+
+    def level(ts):
+        nonlocal node_err
+        prec = mpmath.mp.prec  # the quadrature's, ctx.workprec(5)
+        end = _to_raw(as_exact(b), prec)
+        zs = [mpf_add(t, from_int(shift), prec, rnd) for t in ts] if shift else ts
+        ys = []
+        for t, (y, err) in zip(ts, route(k, zs, ctx), strict=True):
+            if mpf_gt(err, node_err):
+                node_err = err
+            if power:
+                weight = mpf_pow_int(mpf_sub(end, t, prec, rnd), power, prec, rnd)
+                y = mpf_mul(weight, y, prec, rnd)
+            ys.append(mpmath.mp.make_mpf(y))
+        return ys
+
+    value, err = _tanh_sinh(level, 0, b, ctx)
+    return value, err, mpmath.mp.make_mpf(node_err)
+
+
+def _alt_integrand_level(k: int, ts: list, ctx: PrecisionContext):
+    """The alternative recursion's integrand at each raw node t of a level, with
+    the err of zeta'(-k, t) and the bits of ``hurwitz_deriv(k, t).value +
+    bernoulli_poly(k + 1, t) / (k + 1) ** 2``."""
+    prec, make = mpmath.mp.prec, mpmath.mp.make_mpf
+    pairs = _series_level(k, ts, _head(k, prec), 0, ctx)
+    return [((make(d) + bernoulli_poly(k + 1, make(t)) / (k + 1) ** 2)._mpf_, err)
+            for t, (d, err) in zip(ts, pairs, strict=True)]
+
+
 # ---------------------------------------------------------------------------
 # zeta at positive integers
 
 
 @memo
-def _zeta_correction(j: int, prec: int) -> mpmath.mpf:
-    """B_2j/(2j)!, rounded at precision ``prec`` as to_mpf rounds it."""
-    return mpmath.mp.make_mpf(_to_raw(bernoulli(2 * j) / math.factorial(2 * j), prec))
+def _zeta_correction(j: int, prec: int) -> tuple:
+    """B_2j/(2j)!, raw, rounded at precision ``prec`` as to_mpf rounds it."""
+    return _to_raw(bernoulli(2 * j) / math.factorial(2 * j), prec)
 
 
 def zeta_positive(s: int, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpmath.mpf:
     """zeta(s) for integer s >= 2: direct sum to N terms plus an
     Euler-Maclaurin tail, N grown until the tail bound clears the
-    working precision.  The rounded B_2j/(2j)! are kept per precision
-    (:func:`_zeta_correction`); the value is computed afresh every call."""
+    working precision, on raw values in the order of the mpf expressions.
+    The rounded B_2j/(2j)! are kept per precision (:func:`_zeta_correction`);
+    the value is computed afresh every call."""
     if not isinstance(s, int) or s < 2:
         raise ValueError("argument must be an integer >= 2")
     with ctx.workprec(5):
-        prec = mpmath.mp.prec
-        bound = mpmath.mpf(10) ** -(ctx.working_digits + 3)
+        prec, rnd = mpmath.mp.prec, round_nearest
+        bound = mpf_pow_int(from_int(10), -(ctx.working_digits + 3), prec, rnd)
         n = max(16, ctx.working_digits)
         while True:
-            head = mpmath.fsum(mpmath.mpf(i) ** (-s) for i in range(1, n))
-            nf = mpmath.mpf(n)
-            nf2 = nf**2
-            total = head + nf ** (1 - s) / (s - 1) + nf ** (-s) / 2
+            head = mpf_sum([mpf_pow_int(from_int(i), -s, prec, rnd) for i in range(1, n)],
+                           prec, rnd)
+            nf = from_int(n)
+            nf2 = mpf_pow_int(nf, 2, prec, rnd)
+            for e, den in ((1 - s, s - 1), (-s, 2)):  # head + n^(1-s)/(s-1) + n^-s/2
+                term = mpf_div(mpf_pow_int(nf, e, prec, rnd), from_int(den), prec, rnd)
+                head = mpf_add(head, term, prec, rnd)
             # corrections: B_2j/(2j)! * s(s+1)...(s+2j-2) * n^(1-s-2j)
-            rising = mpmath.mpf(s)
-            power = nf ** (-s - 1)
-            correction = mpmath.mpf(0)
-            converged = False
+            rising = from_int(s)
+            power = mpf_pow_int(nf, -s - 1, prec, rnd)
+            correction = fzero
             prev_mag = None
             for j in range(1, 80):
-                term = _zeta_correction(j, prec) * rising * power
-                mag = abs(term)
-                if mag < bound:
-                    converged = True
-                    break
-                if prev_mag is not None and mag >= prev_mag:
+                term = mpf_mul(mpf_mul(_zeta_correction(j, prec), rising, prec, rnd), power,
+                               prec, rnd)
+                mag = mpf_abs(term)
+                if mpf_lt(mag, bound):
+                    return mpmath.mp.make_mpf(mpf_add(head, correction, prec, rnd))
+                if prev_mag is not None and mpf_ge(mag, prev_mag):
                     break  # asymptotic tail turned: n too small
-                correction += term
+                correction = mpf_add(correction, term, prec, rnd)
                 prev_mag = mag
-                rising *= (s + 2 * j - 1) * (s + 2 * j)
-                power /= nf2
-            if converged:
-                return total + correction
+                rising = mpf_mul_int(rising, (s + 2 * j - 1) * (s + 2 * j), prec, rnd)
+                power = mpf_div(power, nf2, prec, rnd)
             n *= 2
 
 
@@ -317,16 +365,8 @@ def alt_recursion_check(
     if k < 0:
         raise ValueError("order must be non-negative")
     t0 = time.perf_counter()
-    node_err = [mpmath.mpf(0)]
-
-    def integrand(t):
-        d = hurwitz_deriv(k, t, ctx)
-        if d.err > node_err[0]:
-            node_err[0] = d.err
-        return d.value + bernoulli_poly(k + 1, t) / (k + 1) ** 2
-
     with ctx.workprec(5):
-        qval, qerr = quadrature(integrand, 0, x, ctx)
+        qval, qerr, node_err = _route_integral(_alt_integrand_level, k, x, ctx)
         lhs = (k + 1) * qval
         top = hurwitz_deriv(k + 1, x, ctx)
         base = zeta_deriv_neg(k + 1, ctx)
@@ -334,20 +374,12 @@ def alt_recursion_check(
         residual = lhs - rhs
         xf = to_mpf(as_exact(x))
         tolerance = (
-            (k + 1) * (qerr + xf * node_err[0])
+            (k + 1) * (qerr + xf * node_err)
             + top.err
             + base.err
             + ctx.rounding_floor(abs(lhs) + abs(rhs) + 1)
         )
     return _report("alt-recursion", k, x, residual, tolerance, t0)
-
-
-def _log_gamma(t, ctx, node_err):
-    """log Gamma(t) through the package's own order-0 route."""
-    g = log_gengamma(0, t, ctx)
-    if g.err > node_err[0]:
-        node_err[0] = g.err
-    return g.value
 
 
 def alexeiewsky_check(x: Real, ctx: PrecisionContext = DEFAULT_CONTEXT) -> CheckReport:
@@ -359,11 +391,10 @@ def alexeiewsky_check(x: Real, ctx: PrecisionContext = DEFAULT_CONTEXT) -> Check
     with log sqrt(2 pi) supplied by the order-0 limiting constant.
     """
     t0 = time.perf_counter()
-    node_err = [mpmath.mpf(0)]
     xe = as_exact(x)
     with ctx.workprec(5):
         lhs = log_gengamma(1, xe + 1, ctx)
-        qval, qerr = quadrature(lambda t: _log_gamma(t + 1, ctx, node_err), 0, x, ctx)
+        qval, qerr, node_err = _route_integral(_log_gengamma_level, 0, x, ctx, shift=1)
         base = gkbj_auto(0, ctx)
         if isinstance(xe, Fraction):
             poly_part = to_mpf(xe * (xe + 1) / 2)
@@ -375,7 +406,7 @@ def alexeiewsky_check(x: Real, ctx: PrecisionContext = DEFAULT_CONTEXT) -> Check
         tolerance = (
             lhs.err
             + qerr
-            + xf * node_err[0]
+            + xf * node_err
             + xf * base.err
             + ctx.rounding_floor(abs(lhs.value) + abs(rhs) + 1)
         )
@@ -397,18 +428,14 @@ def general_solution_check(
     if not 1 <= k <= 3:
         raise ValueError("checked for orders 1..3")
     t0 = time.perf_counter()
-    node_err = [mpmath.mpf(0)]
     xe = as_exact(x)
     with ctx.workprec(5):
         xf = to_mpf(xe)
-
-        def integrand(t):
-            return (xf - t) ** (k - 1) * _log_gamma(t + 1, ctx, node_err)
-
-        qval, qerr = quadrature(integrand, 0, x, ctx)
+        qval, qerr, node_err = _route_integral(_log_gengamma_level, 0, x, ctx, shift=1,
+                                               power=k - 1)
         # k! I_k = k! /(k-1)! * integral = k * integral
         main = k * qval
-        main_err = k * (qerr + xf**k * node_err[0])
+        main_err = k * (qerr + xf**k * node_err)
         psi = mpmath.mpf(0)
         psi_err = mpmath.mpf(0)
         for r in range(k):
@@ -452,25 +479,16 @@ def gint_moment_check(
     if gamma_variant and k != 2:
         raise ValueError("the log Gamma(t) variant is the k = 2 identity")
     t0 = time.perf_counter()
-    node_err = [mpmath.mpf(0)]
-    with ctx.workprec(5):
+    with ctx.workprec(5):  # log Gamma(t + 1), or log Gamma(t) at k = 2 with power 1
+        qval, qerr, node_err = _route_integral(_log_gengamma_level, 0, 1, ctx,
+                                               shift=0 if gamma_variant else 1, power=k - 1)
+        lhs = k * qval
         if gamma_variant:
-            qval, qerr = quadrature(
-                lambda t: (1 - t) * _log_gamma(t, ctx, node_err), 0, 1, ctx
-            )
-            lhs = 2 * qval
             d0 = zeta_deriv_neg(0, ctx)
             d1 = zeta_deriv_neg(1, ctx)
             rhs = -d0.value - 2 * d1.value + to_mpf(Fraction(1, 6))
             deriv_err = d0.err + 2 * d1.err
         else:
-            qval, qerr = quadrature(
-                lambda t: (1 - t) ** (k - 1) * _log_gamma(t + 1, ctx, node_err),
-                0,
-                1,
-                ctx,
-            )
-            lhs = k * qval
             rhs = mpmath.mpf(0)
             deriv_err = mpmath.mpf(0)
             for r in range(k):
@@ -484,7 +502,7 @@ def gint_moment_check(
             rhs -= to_mpf(harmonic(k) * bracket)
         residual = lhs - rhs
         tolerance = (
-            k * (qerr + node_err[0])
+            k * (qerr + node_err)
             + deriv_err
             + ctx.rounding_floor(abs(lhs) + abs(rhs) + 1)
         )
@@ -560,12 +578,11 @@ def _raabe_integral_check(ctx) -> CheckReport:
     """int_0^1 log Gamma(t+1) dt = log sqrt(2 pi) - 1, with both sides
     built from the package's own order-0 machinery."""
     t0 = time.perf_counter()
-    node_err = [mpmath.mpf(0)]
     with ctx.workprec(5):
-        val, err = quadrature(lambda t: _log_gamma(t + 1, ctx, node_err), 0, 1, ctx)
+        val, err, node_err = _route_integral(_log_gengamma_level, 0, 1, ctx, shift=1)
         base = gkbj_auto(0, ctx)
         residual = val - (base.value - 1)
-        tolerance = err + node_err[0] + base.err + ctx.rounding_floor(1)
+        tolerance = err + node_err + base.err + ctx.rounding_floor(1)
     return _report("raabe-integral", None, None, residual, tolerance, t0)
 
 

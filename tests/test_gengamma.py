@@ -1,11 +1,12 @@
 import math
+import random
 import sys
 import threading
 from fractions import Fraction
 
 import mpmath
 import pytest
-from mpmath.libmp import from_man_exp
+from mpmath.libmp import dps_to_prec, fone, from_int, from_man_exp, fzero, mpf_add, mpf_gt, mpf_lt
 
 import hzeta.constants
 from hzeta import (
@@ -17,7 +18,8 @@ from hzeta import (
     log_gengamma,
     shift_log_gengamma,
 )
-from hzeta import gengamma
+from hzeta import gengamma, hurwitz
+from hzeta.asymptotic import plan, shift_threshold
 from hzeta.gengamma import PrimeLogTable
 from hzeta.mpcore import to_mpf
 
@@ -360,3 +362,59 @@ class TestLogGengamma:
         g = log_gengamma(2, Fraction(7, 2), ctx20)
         assert g.method == "asymptotic-shift"
         assert g.err > 0
+
+
+def _abscissae(b, ctx):
+    """The raw tanh-sinh abscissae of (0, b) at ctx, in the order quadrature takes them."""
+    from hzeta.validate import quadrature
+
+    nodes = []
+    quadrature(lambda t: (nodes.append(t._mpf_), mpmath.log(t))[1], 0, b, ctx)
+    return nodes
+
+
+class TestLevelRoute:
+    """The level routes of the identity integrals give the scalar routes' bits."""
+
+    @staticmethod
+    def plan_nodes(ctx):
+        """x = 2 - c 2^(e - 4), c = 5 and 11, with 2^e the float ulp at t - 1: plan
+        takes n from the float of t - (x - 1) = t - 1 + (c/16) 2^e, rounded to
+        nearest, so n rounds down to t - 1 at c = 5 and up to t at c = 11."""
+        e = (shift_threshold(ctx) - 1).bit_length() - 1 - 52
+        return [from_man_exp((1 << (5 - e)) - c, e - 4) for c in (5, 11)]
+
+    @classmethod
+    def nodes(cls, ctx):
+        rng = random.Random(ctx.target_digits)
+        prec = dps_to_prec(ctx.working_digits + 5)
+        # full mantissas in (0, 6)
+        nodes = [from_man_exp(rng.getrandbits(prec) * 6, -prec, prec) for _ in range(8)]
+        for b in (1, 2):
+            xs = _abscissae(b, ctx)
+            below = max(x for x in xs if mpf_lt(x, fone))  # the node next to t = 1
+            nodes += xs[::len(xs) // 6] + [below] + [x for x in xs if x == fone]  # midpoint of (0, 2)
+        nodes = [x for x in nodes if mpf_gt(x, fzero)]
+        # log Gamma(t + 1) too, which meets the exact sum at the midpoint
+        return nodes + [mpf_add(x, fone, prec) for x in nodes] + cls.plan_nodes(ctx)
+
+    @pytest.mark.parametrize("digits", [20, 30, 100])
+    def test_bits_of_log_gengamma_and_hurwitz_deriv(self, digits):
+        ctx = PrecisionContext(digits)
+        nodes = self.nodes(ctx)
+        make = mpmath.mp.make_mpf
+        for k in range(5):
+            level = gengamma._log_gengamma_level(k, nodes, ctx)
+            scalar = [log_gengamma(k, make(x), ctx) for x in nodes]
+            assert level == [(g.value._mpf_, g.err._mpf_) for g in scalar]
+            head = hurwitz._head(k, dps_to_prec(ctx.working_digits + 5))
+            level = gengamma._series_level(k, nodes, head, 0, ctx)
+            scalar = [hurwitz_deriv(k, make(x), ctx) for x in nodes]
+            assert level == [(d.value._mpf_, d.err._mpf_) for d in scalar]
+
+    def test_nodes_reach_the_exact_sum_and_both_roundings_of_n(self, ctx20):
+        assert from_int(2) in self.nodes(ctx20)  # log Gamma(t + 1) at the midpoint of (0, 2)
+        t = shift_threshold(ctx20)
+        with ctx20.workprec(5):
+            ns = [plan(0, mpmath.mp.make_mpf(x) - 1, ctx20)[0] for x in self.plan_nodes(ctx20)]
+        assert ns == [t - 1, t]  # the exact ceiling is t at both

@@ -9,7 +9,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from hzeta import PrecisionContext, bernoulli, bernoulli_poly, build_lambda_terms, harmonic, hurwitz_deriv, phi
-from hzeta import mpcore
+from hzeta import exact_log_gengamma, gengamma, mpcore, validate, zeta_positive
 from hzeta.mpcore import BernoulliCache, as_exact, clear_caches, to_mpf
 from hzeta.validate import selftest
 
@@ -289,3 +289,16 @@ class TestMemo:
         clear_caches()
         for fn in mpcore._MEMOS:
             assert fn.cache_info().currsize == 0, fn.__wrapped__.__qualname__
+
+    def test_clear_caches_empties_the_raw_value_tables(self):
+        # the exact sum's prime weights, the Bernoulli polynomial's raw
+        # coefficients and zeta_positive's corrections
+        ctx = PrecisionContext(20)
+        tables = (gengamma._prime_weights, mpcore._bernoulli_poly_terms, validate._zeta_correction)
+        exact_log_gengamma(2, 50, ctx)
+        with ctx.workprec(5):
+            bernoulli_poly(3, mpmath.mpf(1) / 3)
+        zeta_positive(4, ctx)
+        assert all(fn.cache_info().currsize for fn in tables)
+        clear_caches()
+        assert not any(fn.cache_info().currsize for fn in tables)

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from mpmath.libmp import mpf_log, round_nearest
 
 import hzeta.mpcore as mpcore
 import hzeta.validate as validate
@@ -15,6 +16,7 @@ from hzeta import (
     clear_caches,
     general_solution_check,
     gint_moment_check,
+    hurwitz_deriv,
     jeffery_difference_check,
     log_coefficient_check,
     log_gengamma,
@@ -153,6 +155,57 @@ class TestNodeTable:
         assert validate._node.cache_info().currsize
         clear_caches()
         assert validate._node.cache_info().currsize == 0
+
+
+class TestLevelIntegrals:
+    """One integrand call per tanh-sinh level gives the bits of one call per node."""
+
+    def test_integrator_matches_the_public_quadrature(self, ctx20):
+        # a level of logarithms on raw values, at the precision the integrator
+        # holds, against quadrature's scalar mpmath.log
+        def level(xs):
+            return [mpmath.mp.make_mpf(mpf_log(x, mpmath.mp.prec, round_nearest)) for x in xs]
+
+        for b in (1, 2, Fraction(11, 2)):
+            got = validate._tanh_sinh(level, 0, b, ctx20)
+            want = quadrature(mpmath.log, 0, b, ctx20)
+            assert [v._mpf_ for v in got] == [v._mpf_ for v in want]
+
+    # (route, b, shift, power, scalar integrand, scalar err at t)
+    @staticmethod
+    def cases(ctx):
+        def gamma(t, shift):
+            return log_gengamma(0, t + shift, ctx)
+
+        def alt(k, t):
+            d = hurwitz_deriv(k, t, ctx)
+            return d.value + bernoulli_poly(k + 1, t) / (k + 1) ** 2, d.err
+
+        return [
+            (validate._log_gengamma_level, 0, 2, 1, 0,
+             lambda t: (gamma(t, 1).value, gamma(t, 1).err)),
+            (validate._log_gengamma_level, 0, Fraction(5, 2), 1, 1,
+             lambda t: ((mpmath.mpf(5) / 2 - t) ** 1 * gamma(t, 1).value, gamma(t, 1).err)),
+            (validate._log_gengamma_level, 0, 1, 1, 3,
+             lambda t: ((1 - t) ** 3 * gamma(t, 1).value, gamma(t, 1).err)),
+            (validate._log_gengamma_level, 0, 1, 0, 1,
+             lambda t: ((1 - t) * gamma(t, 0).value, gamma(t, 0).err)),
+            (validate._alt_integrand_level, 1, 3, 0, 0, lambda t: alt(1, t)),
+        ]
+
+    def test_route_integrals_match_scalar_integrands(self, ctx20):
+        for route, k, b, shift, power, scalar in self.cases(ctx20):
+            errs = []
+
+            def f(t):
+                value, err = scalar(t)
+                errs.append(err)
+                return value
+
+            value, err, node_err = validate._route_integral(route, k, b, ctx20, shift, power)
+            want = quadrature(f, 0, b, ctx20)
+            assert (value._mpf_, err._mpf_) == (want[0]._mpf_, want[1]._mpf_), (route, b)
+            assert node_err._mpf_ == max(errs)._mpf_
 
 
 class TestZetaPositive:
@@ -316,6 +369,12 @@ class TestSelftest:
             "stabilization",
             "raabe-integral",
         } <= names
+
+    @pytest.mark.parametrize("digits", [30, 40])
+    def test_full_all_pass_at_more_digits(self, digits):
+        reports = selftest("full", PrecisionContext(digits))
+        assert len(reports) == 63
+        assert all(r.passed for r in reports), [r for r in reports if not r.passed]
 
     def test_rejects_unknown_level(self, ctx20):
         with pytest.raises(ValueError):

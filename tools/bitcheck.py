@@ -8,15 +8,23 @@ then compare two dumps:
 
     python tools/bitcheck.py A.json B.json
 
-The 3,271 numeric cases: ``hurwitz_deriv`` and ``log_gengamma`` at 96
+The numeric cases: ``hurwitz_deriv`` and ``log_gengamma`` at 96
 mpf nodes (full mantissas, in (0, 4) and (20, 300)) and 24 rationals, for
-k in {0, 1, 3} and D in {20, 30, 100}; ``bernoulli_poly(n, node)`` for n
+k in {0, 1, 3} and D in {20, 30, 100}, and the quadrature's level routes
+at the same 96 nodes (``gengamma._log_gengamma_level``, and
+``gengamma._series_level`` from ``hurwitz._head``), which a checkout
+without them records as its scalar ``log_gengamma`` and
+``hurwitz_deriv``, so that the comparison checks the level routes against
+the scalar routes of the other side; ``bernoulli_poly(n, node)`` for n
 in {1, 2, 3} at the same nodes, at the precision of ``ctx.workprec(5)``;
 ``gkbj_constant`` at eight trial arguments, for k in {0, 1, 3, 6, 12} and
 D in {20, 30, 100, 400}; the value and err of ``validate.quadrature`` over
 (0, b) for b in {1, 2, 3, 11/2} and D in {20, 30}, of log t, exp(-t) sqrt t
-and log_gengamma(0, t+1); and the residual and tolerance of each of the 63
-``selftest full`` checks at D=20.  Then five arguments beyond float range
+and log_gengamma(0, t+1); the residual and tolerance of each of the 63
+``selftest full`` checks at D=20, 30 and 40; and ``exact_log_gengamma(k, w)``
+for k in {0, 1, 3, 6, 12}, w in {1, 2, 7, 50, 100, 200, 1000} and D in
+{20, 100}, called twice from cleared caches, so that a sum made from kept
+weights is compared as well as a fresh one.  Then five arguments beyond float range
 at D=20, ``hurwitz_deriv`` for k in {0, 1} at 10^400/3 and mpf('1e400'),
 and ``log_gengamma(0, 10^400/3)``, each recorded as its bits or as the name
 of the exception it raises.  The checks that never reach a quadrature
@@ -36,7 +44,7 @@ command lines of perfbench's cli-replay workload at seed 1, caches cleared
 before each as that workload does, with the selftest reports' ``elapsed``
 dropped.  The comparison prints each differing value with its distance and
 err, each differing exact value, huge-argument case and command line, then
-one summary line for each part.
+one summary line for each part, the numeric cases also by kind.
 """
 
 import contextlib
@@ -79,6 +87,13 @@ def compare(path_a: str, path_b: str) -> None:
     rel = max(float(abs(num(a[k][1]) - num(b[k][1])) / num(a[k][1])) for k in a if int(a[k][1][1]))
     print(f"{len(a)} cases: {len(diff)} values differ; {sum(a[k][1] != b[k][1] for k in a)} errs differ,"
           f" by at most {rel:.1e} relative; {sum(a[k][2] != b[k][2] for k in a)} params differ")
+    kinds: dict = {}
+    for k in a:
+        kinds.setdefault(k.split()[0], []).append(k)
+    for kind, keys in kinds.items():
+        print(f"  {kind}: {len(keys)} cases, {sum(a[k][0] != b[k][0] for k in keys)} values,"
+              f" {sum(a[k][1] != b[k][1] for k in keys)} errs and"
+              f" {sum(a[k][2] != b[k][2] for k in keys)} params or reports differ")
     print(f"{len(exact)} exact values: {len(exact_diff)} differ")
     for prefix, kind in (("huge ", "huge-argument"), ("hugeint ", "huge-integer")):
         part = [k for k in huge if k.startswith(prefix)]
@@ -120,14 +135,27 @@ def cli_record(argv) -> tuple:
 
 
 def dump(path: str) -> None:
-    from hzeta import PrecisionContext, bernoulli_poly, exact_log_gengamma, gkbj_constant
-    from hzeta import hurwitz_deriv, log_gengamma, phi
+    from hzeta import PrecisionContext, bernoulli_poly, exact_log_gengamma, gengamma, gkbj_constant
+    from hzeta import hurwitz, hurwitz_deriv, log_gengamma, phi
     from hzeta.mpcore import clear_caches
     from hzeta.validate import bendersky_recursion_check, log_coefficient_check, quadrature
     from hzeta.validate import selftest, zeta_positive
 
     def bits(v):
-        return [v._mpf_[0], str(v._mpf_[1]), v._mpf_[2]]
+        return raw_bits(v._mpf_)
+
+    def raw_bits(v):
+        return [v[0], str(v[1]), v[2]]
+
+    def level_routes(k, nodes, ctx):
+        """Raw (value, err) of log Gamma_k and of zeta'(-k, .) at the nodes."""
+        if not hasattr(gengamma, "_series_level"):  # the scalar routes' bits
+            return ([(g.value._mpf_, g.err._mpf_) for g in (log_gengamma(k, x, ctx) for x in nodes)],
+                    [(d.value._mpf_, d.err._mpf_) for d in (hurwitz_deriv(k, x, ctx) for x in nodes)])
+        raw = [x._mpf_ for x in nodes]
+        head = hurwitz._head(k, mpmath.libmp.dps_to_prec(ctx.working_digits + 5))
+        return (gengamma._log_gengamma_level(k, raw, ctx),
+                gengamma._series_level(k, raw, head, 0, ctx))
 
     def record(fn, *args):
         try:
@@ -152,6 +180,10 @@ def dump(path: str) -> None:
             for k in (0, 1, 3):
                 for i, x in enumerate(nodes + rats):
                     out[f"{name} D={D} k={k} #{i}"] = record(fn, k, x, ctx)
+        for k in (0, 1, 3):
+            for name, pairs in zip(("level-lg", "level-hz"), level_routes(k, nodes, ctx)):
+                for i, (value, err) in enumerate(pairs):
+                    out[f"{name} D={D} k={k} #{i}"] = (raw_bits(value), raw_bits(err), None)
     for D in (20, 30):
         ctx = PrecisionContext(D)
         integrands = {"log": mpmath.log, "exp-sqrt": lambda t: mpmath.exp(-t) * mpmath.sqrt(t),
@@ -173,8 +205,16 @@ def dump(path: str) -> None:
     def report(rep):
         return (bits(mpmath.mpf(rep.residual)), bits(mpmath.mpf(rep.tolerance)), rep.passed)
 
-    for i, rep in enumerate(selftest("full", PrecisionContext(20))):
-        out[f"selftest #{i} {rep.name} k={rep.k}"] = report(rep)
+    for D in (20, 30, 40):
+        for i, rep in enumerate(selftest("full", PrecisionContext(D))):
+            out[f"selftest D={D} #{i} {rep.name} k={rep.k}"] = report(rep)
+    clear_caches()
+    for D in (20, 100):
+        ctx = PrecisionContext(D)
+        for k in (0, 1, 3, 6, 12):
+            for w in (1, 2, 7, 50, 100, 200, 1000):
+                for call in (1, 2):
+                    out[f"exact-sum D={D} k={k} w={w} call {call}"] = record(exact_log_gengamma, k, w, ctx)
     for D in (20, 30, 100):
         ctx = PrecisionContext(D)
         for s in (2, 3, 4, 5, 6, 8, 12):

@@ -8,7 +8,7 @@ then compare two dumps:
 
     python tools/bitcheck.py A.json B.json
 
-The numeric cases: ``hurwitz_deriv`` and ``log_gengamma`` at 96
+The 5,349 numeric cases: ``hurwitz_deriv`` and ``log_gengamma`` at 96
 mpf nodes (full mantissas, in (0, 4) and (20, 300)) and 24 rationals, for
 k in {0, 1, 3} and D in {20, 30, 100}, and the quadrature's level routes
 at the same 96 nodes (``gengamma._log_gengamma_level``, and
@@ -24,11 +24,11 @@ and log_gengamma(0, t+1); the residual and tolerance of each of the 63
 ``selftest full`` checks at D=20, 30 and 40; and ``exact_log_gengamma(k, w)``
 for k in {0, 1, 3, 6, 12}, w in {1, 2, 7, 50, 100, 200, 1000} and D in
 {20, 100}, called twice from cleared caches, so that a sum made from kept
-weights is compared as well as a fresh one.  Then five arguments beyond float range
-at D=20, ``hurwitz_deriv`` for k in {0, 1} at 10^400/3 and mpf('1e400'),
-and ``log_gengamma(0, 10^400/3)``, each recorded as its bits or as the name
-of the exception it raises.  The checks that never reach a quadrature
-node: ``zeta_positive(s)`` for s in {2, 3, 4, 5, 6, 8, 12} and D in
+weights is compared as well as a fresh one.  Then five arguments beyond
+float range at D=20, ``hurwitz_deriv`` for k in {0, 1} at 10^400/3 and
+mpf('1e400'), and ``log_gengamma(0, 10^400/3)``, each recorded as its bits
+or as the name of the exception it raises.  The checks that never reach a
+quadrature node: ``zeta_positive(s)`` for s in {2, 3, 4, 5, 6, 8, 12} and D in
 {20, 30, 100}; the reports of ``log_coefficient_check(k)`` for k <= 8 and
 of ``bendersky_recursion_check(k, x)`` for k <= 8, x in {7/2, 50, 100} and
 D in {20, 30}; and, as exact strings, ``bernoulli_poly(n, q)`` for n <= 12

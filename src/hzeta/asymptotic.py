@@ -34,8 +34,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import mpmath
-from mpmath.libmp import from_man_exp, fzero, mpf_abs, mpf_add, mpf_gt, mpf_le, mpf_log, mpf_mul
-from mpmath.libmp import mpf_pow_int, round_nearest, to_float
+from mpmath.libmp import from_int, from_man_exp, fzero, mpf_abs, mpf_add, mpf_ge, mpf_gt, mpf_le
+from mpmath.libmp import from_str, mpf_log, mpf_mul, mpf_pow_int, mpf_sub, round_nearest, to_float
 
 from .errors import ArgumentTooSmall
 from .mpcore import (
@@ -49,7 +49,6 @@ from .mpcore import (
     bernoulli,
     harmonic,
     memo,
-    to_mpf,
 )
 
 __all__ = [
@@ -138,7 +137,7 @@ def _tail_generic(k: int, count: int) -> tuple[tuple[int, int, int], ...]:
     return tuple(out)
 
 
-_TOO_SMALL = mpmath.mpf("1e-3")._mpf_  # eval_lambda's largest err / |value|
+_TOO_SMALL = from_str("1e-3", 53, round_nearest)  # eval_lambda's largest err / |value|
 
 
 @memo
@@ -159,12 +158,12 @@ def build_lambda_terms(k: int, tail_terms: int) -> TermPoly:
     return TermPoly(k=k, main_terms=_merge_main(main), tail_terms=tail)
 
 
-def _coefficients(poly: TermPoly):
-    """A term list's coefficients at the ambient mpmath precision, cached
-    in ``poly._mpf_coeffs``: ``(main, wp, frac, tail)``.
+def _coefficients(poly: TermPoly, prec: int):
+    """A term list's coefficients at precision ``prec``, cached in
+    ``poly._mpf_coeffs``: ``(main, wp, frac, tail)``.
 
     ``main`` holds the main coefficients as raw mpf values (``_mpf_``).
-    The tail is in fixed point at ``wp = mp.prec + 10`` bits: each entry
+    The tail is in fixed point at ``wp = prec + 10`` bits: each entry
     c = num / den is ``(floor(c 2^wp), d, turn)``, the floor taken as
     ``(num << wp) // den``, with d the step in q from the previous
     entry (from 0 for the first).  Powers of 1/x are held at
@@ -174,9 +173,9 @@ def _coefficients(poly: TermPoly):
     ``(log r, num, den, num_prev, den_prev)`` with r = |c / c_prev|: the
     entry's magnitude is at least its predecessor's iff r >= x^d.
     """
-    cached = poly._mpf_coeffs.get(mpmath.mp.prec)
+    cached = poly._mpf_coeffs.get(prec)
     if cached is None:
-        wp = mpmath.mp.prec + 10
+        wp = prec + 10
         g = max(abs(num) // den for num, den, _ in poly.tail_terms).bit_length()
         tail = []
         prev, prev_q = None, 0
@@ -185,8 +184,8 @@ def _coefficients(poly: TermPoly):
             turn = None if prev is None else (log_c - prev[0], num, den, prev[1], prev[2])
             tail.append(((num << wp) // den, q - prev_q, turn))
             prev, prev_q = (log_c, num, den), q
-        main = [to_mpf(c)._mpf_ for c, _, _ in poly.main_terms]
-        cached = poly._mpf_coeffs[mpmath.mp.prec] = (main, wp, wp + g, tail)
+        main = [_to_raw(c, prec) for c, _, _ in poly.main_terms]
+        cached = poly._mpf_coeffs[prec] = (main, wp, wp + g, tail)
     return cached
 
 
@@ -225,8 +224,8 @@ def eval_term_poly(poly: TermPoly, x: Real, ctx: PrecisionContext = DEFAULT_CONT
     predecessor's, by a test on exact magnitudes (:func:`_turns`), and
     never the final entry, which only feeds the estimate.
 
-    The main terms and log x are evaluated on raw values at the precision
-    of ``ctx.workprec(5)``, as the mpf operators do it.  The u tail entries
+    The main terms and log x are evaluated on raw values at
+    ``ctx.bits(5)``, as the mpf operators do it.  The u tail entries
     are summed by Horner's rule in fixed-point Python integers
     (:func:`_coefficients`), ``a <- floor((floor(c 2^wp) + a) s_d 2^-frac)``
     from the last entry down, with ``s_d = floor(2^frac / x^d)`` from x's
@@ -244,19 +243,18 @@ def eval_term_poly(poly: TermPoly, x: Real, ctx: PrecisionContext = DEFAULT_CONT
 
     Returns ``(value, err, tail_terms_used)``.
     """
-    with ctx.workprec(5):
-        xv = _to_raw(x, mpmath.mp.prec)
-        if mpf_le(xv, fzero):
-            raise ValueError("term-poly argument must be positive")
-        total, err, used = _eval_term_poly(poly, xv, ctx)
-        return mpmath.mp.make_mpf(total), mpmath.mp.make_mpf(err), used
+    prec = ctx.bits(5)
+    xv = _to_raw(x, prec)
+    if mpf_le(xv, fzero):
+        raise ValueError("term-poly argument must be positive")
+    total, err, used = _eval_term_poly(poly, xv, ctx, prec)
+    return mpmath.mp.make_mpf(total), mpmath.mp.make_mpf(err), used
 
 
-def _eval_term_poly(poly: TermPoly, xv: tuple, ctx: PrecisionContext):
+def _eval_term_poly(poly: TermPoly, xv: tuple, ctx: PrecisionContext, prec: int):
     """:func:`eval_term_poly` at a raw x > 0, as raw ``(value, err, used)``,
-    at the precision in force, that of ``ctx.workprec(5)``."""
-    prec = mpmath.mp.prec
-    main_coeffs, wp, frac, tail = _coefficients(poly)
+    at precision ``prec``, ``ctx.bits(5)``."""
+    main_coeffs, wp, frac, tail = _coefficients(poly, prec)
     logx = mpf_log(xv, prec, round_nearest)
     total = scale = fzero
     for c, (_, p, has_log) in zip(main_coeffs, poly.main_terms):
@@ -327,7 +325,7 @@ def _remainder(k: int, x: Real, tail_terms: int | None, ctx: PrecisionContext):
         raise ValueError("tail_terms must be >= 1")
     poly = build_lambda_terms(k, tail_terms + 1)
     value, err, used = eval_term_poly(poly, x, ctx)
-    _check_truncation(k, x, value._mpf_, err._mpf_, mpmath.mp.prec)
+    _check_truncation(k, x, value._mpf_, err._mpf_, ctx.bits(5))
     return value, err, used
 
 
@@ -383,10 +381,15 @@ def shift_threshold(ctx: PrecisionContext = DEFAULT_CONTEXT) -> int:
 
 def plan(k: int, x: Real, ctx: PrecisionContext = DEFAULT_CONTEXT) -> tuple[int, int]:
     """Shift count n lifting x to :func:`shift_threshold`, and the tail length at x + n.
-    n is 0 from the threshold up by an exact test, so no x beyond float range meets math.ceil."""
+    n is 0 from the threshold up by an exact test, so no x beyond float range meets math.ceil.
+    At an mpf x, t - x and x + n are the mpf operators' steps at ``ctx.bits(5)``, on raw values."""
     t = shift_threshold(ctx)
-    n = 0 if x >= t else math.ceil(t - x)
-    return n, tail_length(k, x + n, ctx)
+    if not isinstance(x, mpmath.mpf):
+        n = 0 if x >= t else math.ceil(t - x)
+        return n, tail_length(k, x + n, ctx)
+    prec, rnd, xv, tv = ctx.bits(5), round_nearest, x._mpf_, from_int(t)
+    n = 0 if mpf_ge(xv, tv) else math.ceil(to_float(mpf_sub(tv, xv, prec, rnd), False, rnd))
+    return n, tail_length(k, mpmath.mp.make_mpf(mpf_add(xv, from_int(n), prec, rnd)), ctx)
 
 
 @memo

@@ -12,6 +12,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 import mpmath
+from mpmath.libmp import fhalf, from_int, mpf_add, mpf_le, mpf_mul_int, mpf_neg, mpf_pow_int
+from mpmath.libmp import mpf_sub, round_nearest
 
 from .asymptotic import eval_lambda, shift_threshold
 from .errors import ParameterSearchFailed
@@ -20,10 +22,11 @@ from .mpcore import (
     DEFAULT_CONTEXT,
     PrecisionContext,
     Result,
+    _rounding_floor,
+    _to_raw,
     bernoulli,
     harmonic,
     memo,
-    to_mpf,
 )
 
 __all__ = ["gkbj_constant", "gkbj_auto", "limit_constant", "varpi", "kinkelin_logvarpi"]
@@ -46,11 +49,12 @@ def gkbj_constant(
         raise ValueError("order must be non-negative")
     lam = eval_lambda(k, w, tail_terms, ctx)
     exact = exact_log_gengamma(k, w, ctx)
-    with ctx.workprec():
-        value = exact.value - lam.value
-        err = lam.err + exact.err + ctx.rounding_floor(abs(value))
+    prec, rnd, make = ctx.bits(), round_nearest, mpmath.mp.make_mpf
+    value = mpf_sub(exact.value._mpf_, lam.value._mpf_, prec, rnd)
+    err = mpf_add(mpf_add(lam.err._mpf_, exact.err._mpf_, prec, rnd),
+                  _rounding_floor(ctx, value, prec), prec, rnd)
     params = {"w_used": w, "tail_terms": lam.params["tail_terms"]}
-    return Result("L", k, None, value, err, "trial-method", params)
+    return Result("L", k, None, make(value), make(err), "trial-method", params)
 
 
 @memo
@@ -65,12 +69,11 @@ def gkbj_auto(k: int, ctx: PrecisionContext = DEFAULT_CONTEXT) -> Result:
     """
     if k < 0:
         raise ValueError("order must be non-negative")
-    with ctx.workprec():
-        bound = mpmath.mpf(10) ** (-ctx.target_digits)
+    bound = mpf_pow_int(from_int(10), -ctx.target_digits, ctx.bits(), round_nearest)
     w = shift_threshold(ctx)
     while w <= _MAX_TRIAL_W:
         rec = gkbj_constant(k, w, None, ctx)
-        if rec.err <= bound:
+        if mpf_le(rec.err._mpf_, bound):
             return rec
         w *= 2  # lowers the truncation error; the rounding floor grows with w
     raise ParameterSearchFailed(
@@ -108,24 +111,25 @@ def varpi(k: int, ctx: PrecisionContext = DEFAULT_CONTEXT) -> Result:
     """
     if k < 1:
         raise ValueError("summation constants start at k = 1")
+    prec, rnd, make = ctx.bits(), round_nearest, mpmath.mp.make_mpf
     if k == 1:
         base = gkbj_auto(0, ctx)
-        with ctx.workprec():
-            value = -base.value - mpmath.mpf(1) / 2
-            err = base.err
+        value = mpf_sub(mpf_neg(base.value._mpf_, prec, rnd), fhalf, prec, rnd)
+        err = base.err._mpf_
     else:
         base = gkbj_auto(k - 1, ctx)
-        with ctx.workprec():
-            value = to_mpf(harmonic(k) * bernoulli(k)) - k * base.value
-            err = k * base.err
-    return Result("varpi", k, None, value, err, "trial-method", base.params)
+        value = mpf_sub(_to_raw(harmonic(k) * bernoulli(k), prec),
+                        mpf_mul_int(base.value._mpf_, k, prec, rnd), prec, rnd)
+        err = mpf_mul_int(base.err._mpf_, k, prec, rnd)
+    return Result("varpi", k, None, make(value), make(err), "trial-method", base.params)
 
 
 @memo
 def kinkelin_logvarpi(ctx: PrecisionContext = DEFAULT_CONTEXT) -> Result:
     """Kinkelin's constant log varpi = 2 L_1 - 1/6 (equivalently 1/12 - varpi(2))."""
     base = gkbj_auto(1, ctx)
-    with ctx.workprec():
-        value = 2 * base.value - to_mpf(Fraction(1, 6))
-        err = 2 * base.err
-    return Result("kinkelin", 1, None, value, err, "trial-method", base.params)
+    prec, rnd, make = ctx.bits(), round_nearest, mpmath.mp.make_mpf
+    value = mpf_sub(mpf_mul_int(base.value._mpf_, 2, prec, rnd), _to_raw(Fraction(1, 6), prec),
+                    prec, rnd)
+    err = mpf_mul_int(base.err._mpf_, 2, prec, rnd)
+    return Result("kinkelin", 1, None, make(value), make(err), "trial-method", base.params)

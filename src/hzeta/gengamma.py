@@ -12,18 +12,16 @@ same shift chain, from a different base, gives zeta'(-k, w) in
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
-import math
 import threading
 from fractions import Fraction
 
 import mpmath
-from mpmath.libmp import dps_to_prec, fone, from_int, from_man_exp, mpf_add, mpf_div, mpf_ge
-from mpmath.libmp import mpf_log, mpf_mul, mpf_pow_int, mpf_sub, round_ceiling, round_nearest
-from mpmath.libmp import to_float
+from mpmath.libmp import fone, from_int, from_man_exp, mpf_add, mpf_div, mpf_log, mpf_mul
+from mpmath.libmp import mpf_pow_int, mpf_sub, round_ceiling, round_nearest
 
-from .asymptotic import _check_truncation, _eval_term_poly, _remainder, build_lambda_terms
-from .asymptotic import plan, shift_threshold, tail_length
+from .asymptotic import _check_truncation, _eval_term_poly, _remainder, build_lambda_terms, plan
 from .mpcore import (
     DEFAULT_CONTEXT,
     PrecisionContext,
@@ -38,14 +36,6 @@ from .mpcore import (
 )
 
 __all__ = ["exact_log_gengamma", "shift_log_gengamma", "shifted_series", "log_gengamma"]
-
-
-def _is_integer(x) -> bool:
-    if isinstance(x, int):
-        return True
-    if isinstance(x, Fraction):
-        return x.denominator == 1
-    return mpmath.isint(x)
 
 
 class PrimeLogTable:
@@ -123,8 +113,8 @@ def exact_log_gengamma(
 ) -> Result:
     """log Gamma_k(w+1) as the exact sum of m^k log m, m = 1..w.
 
-    The sum is taken in fixed-point Python integers at ``wp = mp.prec +
-    10`` bits (mp.prec that of ``ctx.workprec(5)``): log m is the sum of
+    The sum is taken in fixed-point Python integers at ``wp = prec + 10``
+    bits, prec ``ctx.bits(5)``: log m is the sum of
     the entries ``floor(log p 2^wp)`` over m's prime factors
     (:class:`PrimeLogTable`, π(w) logarithms per precision, kept across
     calls), and grouping the m by prime power gives
@@ -148,7 +138,7 @@ def exact_log_gengamma(
         raise ValueError("upper limit must be a non-negative integer")
     if w > constants._MAX_TRIAL_W:
         raise ValueError(f"exact sums stop at w = {constants._MAX_TRIAL_W}, the largest trial w")
-    prec = dps_to_prec(ctx.working_digits + 5)  # mp.prec under ctx.workprec(5)
+    prec = ctx.bits(5)
     wp = prec + 10
     weights, slack = _prime_weights(k, w)
     total = sum(c * entry for c, entry in zip(weights, _prime_logs().upto(w, wp)[1]))
@@ -160,7 +150,7 @@ def exact_log_gengamma(
     return Result("gengamma", k, w + 1, value, err, "exact-sum", {})
 
 
-@memo
+@functools.partial(memo, maxsize=128)  # bounded for sweeps over w; the identity suite uses 62
 def _prime_weights(k: int, w: int) -> tuple[tuple[int, ...], int]:
     """``(c, slack)`` for :func:`exact_log_gengamma`: the integer weights c_p
     of the primes p <= w in order, and the err in units of 2^-wp before the
@@ -206,10 +196,8 @@ def shift_log_gengamma(
     xe = as_exact(x)
     if not xe > 0:
         raise ValueError("argument must be positive")
-    with ctx.workprec(5):
-        prec = mpmath.mp.prec
-        total = _shift_chain(k, xe, n, _to_raw(value_at_shifted, prec), prec)
-    return mpmath.mp.make_mpf(total)
+    prec = ctx.bits(5)
+    return mpmath.mp.make_mpf(_shift_chain(k, xe, n, _to_raw(value_at_shifted, prec), prec))
 
 
 def _shift_chain(k: int, xe, n: int, total: tuple, prec: int) -> tuple:
@@ -280,57 +268,60 @@ def shifted_series(
 ):
     """``base`` plus the order-k remainder series at x + n, with n and the
     tail length from :func:`~hzeta.asymptotic.plan`, then brought back
-    down to x by :func:`shift_log_gengamma`, on raw values in one precision
-    scope: the path of every real argument and so of every quadrature node.
+    down to x by :func:`shift_log_gengamma`, on raw values at
+    ``ctx.bits(5)``: the path of every real argument and so of every
+    quadrature node.
 
     Returns ``(value, err, params)``: err adds ``base_err``, the series
     estimate and a rounding allowance; ``params["tail_terms"]`` counts
     the tail terms summed (at most ``tail_terms`` when given).
 
-    :func:`_series_level` repeats these ten lines for a whole quadrature
-    level on raw values; this scalar route keeps calling ``plan``,
-    ``eval_term_poly`` and ``shift_log_gengamma`` by name, for a tracer
-    that rebinds those names.
+    :func:`_series_level` repeats the assembly for a whole quadrature level
+    on raw values; this scalar route keeps calling ``eval_term_poly`` and
+    ``shift_log_gengamma`` by name, for a tracer that rebinds those names.
     """
-    rnd, make = round_nearest, mpmath.mp.make_mpf
-    with ctx.workprec(5):
-        prec = mpmath.mp.prec
-        n, planned = plan(k, x - 1, ctx)
-        terms = planned if tail_terms is None else tail_terms
-        lam, lam_err, used = _remainder(k, x + n - 1, terms, ctx)
-        shifted = mpf_add(_to_raw(base, prec), lam._mpf_, prec, rnd)
-        value = shift_log_gengamma(k, x, n, make(shifted), ctx)
-        err = mpf_add(mpf_add(_to_raw(base_err, prec), lam_err._mpf_, prec, rnd),
-                      _rounding_floor(ctx, shifted, prec), prec, rnd)
+    rnd, make, prec = round_nearest, mpmath.mp.make_mpf, ctx.bits(5)
+    xe = as_exact(x)
+    n, planned, at = _shift_plan(k, xe, ctx, prec)
+    terms = planned if tail_terms is None else tail_terms
+    lam, lam_err, used = _remainder(k, at, terms, ctx)
+    shifted = mpf_add(_to_raw(base, prec), lam._mpf_, prec, rnd)
+    value = shift_log_gengamma(k, xe, n, make(shifted), ctx)
+    err = mpf_add(mpf_add(_to_raw(base_err, prec), lam_err._mpf_, prec, rnd),
+                  _rounding_floor(ctx, shifted, prec), prec, rnd)
     return value, make(err), {"tail_terms": used}
+
+
+def _shift_plan(k: int, xe, ctx: PrecisionContext, prec: int):
+    """``(n, tail_terms, x + n - 1)`` for an exact x > 0 (Fraction or mpf), with
+    n and the tail length from ``plan(k, x - 1)``; for an mpf, x - 1 and
+    x + n - 1 are raw steps at precision prec, as the mpf operators take them."""
+    if isinstance(xe, Fraction):
+        n, terms = plan(k, xe - 1, ctx)
+        return n, terms, xe + n - 1
+    rnd, make, xv = round_nearest, mpmath.mp.make_mpf, xe._mpf_
+    n, terms = plan(k, make(mpf_sub(xv, fone, prec, rnd)), ctx)
+    return n, terms, make(mpf_sub(mpf_add(xv, from_int(n), prec, rnd), fone, prec, rnd))
 
 
 def _series_level(k: int, nodes: list, base: Real, base_err: Real, ctx: PrecisionContext):
     """:func:`shifted_series` at each raw node of one quadrature level, as raw
-    ``(value, err)`` pairs with its bits, in one precision scope: ``plan``'s n
-    from the float of t - (x - 1) rounded to nearest, as math.ceil takes it of
-    an mpf, the raw bodies of the series and the shift, and ArgumentTooSmall
-    where ``_remainder`` raises it.  This repeats shifted_series's planning and
-    assembly, whose scalar calls stay by name for a tracer that rebinds them."""
-    rnd, make = round_nearest, mpmath.mp.make_mpf
+    ``(value, err)`` pairs with its bits: the same plan (:func:`_shift_plan`),
+    the raw bodies of the series and the shift, and ArgumentTooSmall where
+    ``_remainder`` raises it."""
+    rnd, make, prec = round_nearest, mpmath.mp.make_mpf, ctx.bits(5)
     out, polys = [], {}  # tail length -> term list, for this level
-    with ctx.workprec(5):
-        prec = mpmath.mp.prec
-        base, base_err = _to_raw(base, prec), _to_raw(base_err, prec)
-        threshold = from_int(shift_threshold(ctx))
-        for xv in nodes:
-            y = mpf_sub(xv, fone, prec, rnd)  # plan(k, x - 1)
-            n = 0 if mpf_ge(y, threshold) else math.ceil(
-                to_float(mpf_sub(threshold, y, prec, rnd), False, rnd))
-            terms = tail_length(k, make(mpf_add(y, from_int(n), prec, rnd)), ctx)
-            at = mpf_sub(mpf_add(xv, from_int(n), prec, rnd), fone, prec, rnd)  # x + n - 1
-            poly = polys.get(terms) or polys.setdefault(terms, build_lambda_terms(k, terms + 1))
-            lam, lam_err, _ = _eval_term_poly(poly, at, ctx)
-            _check_truncation(k, make(at), lam, lam_err, prec)
-            shifted = mpf_add(base, lam, prec, rnd)
-            err = mpf_add(mpf_add(base_err, lam_err, prec, rnd),
-                          _rounding_floor(ctx, shifted, prec), prec, rnd)
-            out.append((_shift_chain(k, make(xv), n, shifted, prec), err))
+    base, base_err = _to_raw(base, prec), _to_raw(base_err, prec)
+    for xv in nodes:
+        x = make(xv)
+        n, terms, at = _shift_plan(k, x, ctx, prec)
+        poly = polys.get(terms) or polys.setdefault(terms, build_lambda_terms(k, terms + 1))
+        lam, lam_err, _ = _eval_term_poly(poly, at._mpf_, ctx, prec)
+        _check_truncation(k, at, lam, lam_err, prec)
+        shifted = mpf_add(base, lam, prec, rnd)
+        err = mpf_add(mpf_add(base_err, lam_err, prec, rnd),
+                      _rounding_floor(ctx, shifted, prec), prec, rnd)
+        out.append((_shift_chain(k, x, n, shifted, prec), err))
     return out
 
 
@@ -374,7 +365,7 @@ def log_gengamma(
     xe = as_exact(x)
     if not xe > 0:
         raise ValueError("argument must be positive")
-    is_int = _is_integer(xe)
+    is_int = xe.denominator == 1 if isinstance(xe, Fraction) else mpmath.isint(xe)
     if method == "exact" or (method == "auto" and is_int and xe <= constants._MAX_TRIAL_W):
         if not is_int:
             raise ValueError("exact summation needs an integer argument")

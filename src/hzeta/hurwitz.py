@@ -10,11 +10,12 @@ package's standing cross-checks.
 from __future__ import annotations
 
 import mpmath
+from mpmath.libmp import mpf_add, mpf_sub, round_nearest
 
 from .constants import limit_constant
 from .gengamma import exact_log_gengamma, shifted_series
-from .mpcore import DEFAULT_CONTEXT, PrecisionContext, Real, Result, _prec_of, _to_raw, as_exact
-from .mpcore import bernoulli, harmonic, memo
+from .mpcore import DEFAULT_CONTEXT, PrecisionContext, Real, Result, _rounding_floor, _to_raw
+from .mpcore import as_exact, bernoulli, harmonic, memo
 
 __all__ = ["zeta_deriv_neg", "hurwitz_deriv_integer", "hurwitz_deriv"]
 
@@ -38,9 +39,10 @@ def zeta_deriv_neg(
     constant's.
     """
     limit_const = limit_constant(k, ctx, w_trial, tail_terms)
-    with ctx.workprec():
-        value = _head(k, mpmath.mp.prec) - limit_const.value
-    return Result("zeta_deriv", k, None, value, limit_const.err, "exact-sum", limit_const.params)
+    prec = ctx.bits()
+    value = mpf_sub(_head(k, prec)._mpf_, limit_const.value._mpf_, prec, round_nearest)
+    return Result("zeta_deriv", k, None, mpmath.mp.make_mpf(value), limit_const.err, "exact-sum",
+                  limit_const.params)
 
 
 def hurwitz_deriv_integer(
@@ -53,10 +55,11 @@ def hurwitz_deriv_integer(
         raise ValueError("offset must be a positive integer")
     base = zeta_deriv_neg(k, ctx)
     gamma_part = exact_log_gengamma(k, w - 1, ctx)
-    with ctx.workprec():
-        value = base.value + gamma_part.value
-        err = base.err + gamma_part.err + ctx.rounding_floor(abs(value))
-    return Result("hurwitz_deriv", k, w, value, err, "exact-sum", {})
+    prec, rnd, make = ctx.bits(), round_nearest, mpmath.mp.make_mpf
+    value = mpf_add(base.value._mpf_, gamma_part.value._mpf_, prec, rnd)
+    err = mpf_add(mpf_add(base.err._mpf_, gamma_part.err._mpf_, prec, rnd),
+                  _rounding_floor(ctx, value, prec), prec, rnd)
+    return Result("hurwitz_deriv", k, w, make(value), make(err), "exact-sum", {})
 
 
 def hurwitz_deriv(
@@ -77,6 +80,5 @@ def hurwitz_deriv(
     we = as_exact(w)
     if not we > 0:
         raise ValueError("offset must be positive")
-    head = _head(k, _prec_of(ctx.working_digits + 5))  # at the precision of ctx.workprec(5)
-    value, err, params = shifted_series(k, we, head, 0, ctx, tail_terms)
+    value, err, params = shifted_series(k, we, _head(k, ctx.bits(5)), 0, ctx, tail_terms)
     return Result("hurwitz_deriv", k, we, value, err, "asymptotic-shift", params)

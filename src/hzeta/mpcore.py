@@ -16,7 +16,6 @@ Convention: B_1 = -1/2 throughout.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import math
 import threading
@@ -45,9 +44,6 @@ __all__ = [
 ]
 
 
-_IN_FORCE = contextlib.nullcontext()  # stateless, so one instance serves every nesting
-
-
 @dataclass(frozen=True)
 class PrecisionContext:
     """Requested output precision plus guard digits for internal work."""
@@ -66,13 +62,13 @@ class PrecisionContext:
         # never drops below target + 10, whatever the guard setting
         return self.target_digits + max(self.guard_digits, 10)
 
+    def bits(self, extra: int = 0) -> int:
+        """The working precision (+ extra digits) in bits, as :meth:`workprec` sets it."""
+        return dps_to_prec(self.working_digits + extra)
+
     def workprec(self, extra: int = 0):
-        """mpmath context manager running at working precision (+ extra); a
-        no-op when mp.prec is already that of these digits (and so is mp.dps)."""
-        digits = self.working_digits + extra
-        if mp.prec == _prec_of(digits):
-            return _IN_FORCE
-        return mp.workdps(digits)
+        """mpmath context manager running at working precision (+ extra digits)."""
+        return mp.workdps(self.working_digits + extra)
 
     def rounding_floor(self, scale) -> mpmath.mpf:
         """Absolute rounding allowance for a computation of the given magnitude."""
@@ -198,14 +194,11 @@ _HARMONIC_LOCK = threading.Lock()
 _MEMOS: list = []  # every function wrapped by memo
 
 
-def memo(fn):
-    """``lru_cache(maxsize=None)`` on fn, emptied by :func:`clear_caches` (internal use)."""
-    cached = functools.lru_cache(maxsize=None)(fn)
+def memo(fn, maxsize: Optional[int] = None):
+    """``lru_cache(maxsize)`` on fn, emptied by :func:`clear_caches` (internal use)."""
+    cached = functools.lru_cache(maxsize)(fn)
     _MEMOS.append(cached)
     return cached
-
-
-_prec_of = memo(dps_to_prec)  # mpmath's bits for a count of digits, per call of workprec
 
 
 @memo

@@ -145,8 +145,12 @@ def quadrature(
 
     When the level differences stop contracting at a small plateau (the
     integrand itself carries error at that scale) the plateau value is
-    returned with the plateau as error; a plateau above 10^-target
-    raises :class:`NonConvergent`.
+    returned with the plateau as error.  From level 4 on, a difference
+    above 10^-target and above a quarter of the last raises
+    :class:`NonConvergent` when the weighted values at the level's outermost
+    nodes are above 10^-target too: the integrand does not vanish at an end
+    of the node range (1/t at 0), and its differences shrink by a constant
+    factor where a resolved integrand's square.
     """
     make = mpmath.mp.make_mpf
     return _tanh_sinh(lambda xs: [f(make(x)) for x in xs], a, b, ctx, max_level)
@@ -183,30 +187,32 @@ def _tanh_sinh(level: Callable, a: Real, b: Real, ctx: PrecisionContext, max_lev
                     else:
                         xs.append(mpf_add(av, mpf_mul(wv, sig_hi, prec, rnd), prec, rnd))
             # a non-finite value is an endpoint blow-up at a node whose weight already squashes it
-            return mpmath.fsum([mpmath.mp.make_mpf(wgt) * y for wgt, y in
-                                zip(wgts, level(xs), strict=True) if mpmath.isfinite(y)])
+            terms = [mpmath.mp.make_mpf(wgt) * y for wgt, y in zip(wgts, level(xs), strict=True)
+                     if mpmath.isfinite(y)]
+            edge = max(abs(terms[0]), abs(terms[-1])) if terms else 0  # at the outermost nodes
+            return mpmath.fsum(terms), edge
 
         h = mpmath.mpf(1)
         n0 = int(mpmath.ceil(t_max / h))
-        grid_sum = level_sum(h, range(-n0, n0 + 1))
+        grid_sum, _ = level_sum(h, range(-n0, n0 + 1))
         estimate = h * grid_sum
         prev_delta = None
         for level_no in range(1, max_level + 1):
             h = h / 2
             j_max = int(mpmath.ceil(t_max / h))
-            grid_sum += level_sum(h, (j for j in range(-j_max, j_max + 1) if j % 2))
+            level_total, edge = level_sum(h, (j for j in range(-j_max, j_max + 1) if j % 2))
+            grid_sum += level_total
             new_estimate = h * grid_sum
             delta = abs(new_estimate - estimate)
             estimate = new_estimate
             scale = max(mpmath.mpf(1), abs(estimate))
             if delta <= target * scale:
                 return estimate, max(delta, ctx.rounding_floor(scale))
-            if level_no >= 4 and prev_delta is not None and delta >= prev_delta:
-                if delta <= plateau_limit * scale:
-                    return estimate, 2 * delta
-                raise NonConvergent(
-                    f"level differences stalled at {mpmath.nstr(delta, 3)}"
-                )
+            if level_no >= 4 and delta > plateau_limit * scale:
+                if delta >= prev_delta or (4 * delta > prev_delta and edge > plateau_limit * scale):
+                    raise NonConvergent(f"level differences stalled at {mpmath.nstr(delta, 3)}")
+            elif level_no >= 4 and delta >= prev_delta:
+                return estimate, 2 * delta
             if prev_delta is not None and delta < prev_delta:
                 floor = ctx.rounding_floor(scale)
                 if delta**2 / prev_delta <= floor:
@@ -228,7 +234,7 @@ def _route_integral(route: Callable, k: int, b: Real, ctx: PrecisionContext, shi
 
     def level(ts):
         nonlocal node_err
-        prec = mpmath.mp.prec  # the quadrature's, ctx.workprec(5)
+        prec = ctx.bits(5)  # the quadrature's
         end = _to_raw(as_exact(b), prec)
         zs = [mpf_add(t, from_int(shift), prec, rnd) for t in ts] if shift else ts
         ys = []
@@ -249,8 +255,8 @@ def _alt_integrand_level(k: int, ts: list, ctx: PrecisionContext):
     """The alternative recursion's integrand at each raw node t of a level, with
     the err of zeta'(-k, t) and the bits of ``hurwitz_deriv(k, t).value +
     bernoulli_poly(k + 1, t) / (k + 1) ** 2``."""
-    prec, make = mpmath.mp.prec, mpmath.mp.make_mpf
-    pairs = _series_level(k, ts, _head(k, prec), 0, ctx)
+    make = mpmath.mp.make_mpf
+    pairs = _series_level(k, ts, _head(k, ctx.bits(5)), 0, ctx)
     return [((make(d) + bernoulli_poly(k + 1, make(t)) / (k + 1) ** 2)._mpf_, err)
             for t, (d, err) in zip(ts, pairs, strict=True)]
 

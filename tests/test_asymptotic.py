@@ -378,7 +378,7 @@ class TestIntegerTail:
             poly = build_lambda_terms(k, 60)
             ref = fractions(poly.tail_terms)
             with PrecisionContext(digits).workprec(5):
-                _, wp, frac, tail = asymptotic._coefficients(poly)
+                _, wp, frac, tail = asymptotic._coefficients(poly, mpmath.mp.prec)
                 assert wp == mpmath.mp.prec + 10
                 assert frac - wp == max(abs(c.numerator) // c.denominator for c, _ in ref).bit_length()
                 assert [fixed for fixed, _, _ in tail] == [(c.numerator << wp) // c.denominator

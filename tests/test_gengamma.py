@@ -2,6 +2,7 @@ import math
 import random
 import sys
 import threading
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -148,6 +149,19 @@ class TestPrimeLogTable:
                 shortfall, slack = mpmath.log(p) * 2**wp - entry, mpmath.log(p) / 2**9
                 assert -slack <= shortfall < 1 + slack
 
+    def test_a_sweep_over_w_keeps_a_bounded_memo(self, ctx20):
+        # 400 (k, w), of which the weight memo keeps the last 128
+        clear_caches()
+        log_gengamma(0, 1400, ctx20)  # the primes and their logarithms, once
+        tracemalloc.start()
+        try:
+            for n in range(1000, 1400):
+                log_gengamma(0, n, ctx20)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held < 400_000  # about 0.26 MB for 128 (k, w); 0.73 MB for all 400
+
     def test_concurrent_sums_match_serial(self):
         jobs = [(PrecisionContext(20), 3, 2000), (PrecisionContext(100), 1, 900),
                 (PrecisionContext(20), 0, 2400), (PrecisionContext(100), 5, 1100)]
@@ -226,8 +240,8 @@ class TestShift:
 
 
 class TestAmbientPrecision:
-    """The node path reads the precision in one scope of its own: the
-    ambient mpmath precision changes no bit, and is restored."""
+    """The routes take their precision from the context: the ambient
+    mpmath precision changes no bit, and is left as it was."""
 
     @staticmethod
     def bits(fn, k, x, digits):

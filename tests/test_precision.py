@@ -1,0 +1,113 @@
+"""The value routes take their precision from the context: they set no
+mpmath precision, and their bits depend neither on the ambient precision
+nor on what other threads are doing."""
+
+import sys
+import threading
+from fractions import Fraction
+
+import mpmath
+import pytest
+from mpmath.ctx_mp_python import PythonMPContext
+
+from hzeta import (
+    PrecisionContext,
+    clear_caches,
+    eval_lambda,
+    exact_log_gengamma,
+    gkbj_auto,
+    gkbj_constant,
+    hurwitz_deriv,
+    hurwitz_deriv_integer,
+    kinkelin_logvarpi,
+    log_gengamma,
+    shift_log_gengamma,
+    varpi,
+    zeta_deriv_neg,
+)
+
+THIRD = mpmath.mpf(1) / 3  # 53 bits, built before any route runs
+
+ROUTES = [
+    (hurwitz_deriv, (1, Fraction(3, 7))),
+    (hurwitz_deriv, (2, THIRD)),
+    (hurwitz_deriv_integer, (1, 4)),
+    (log_gengamma, (1, Fraction(5, 7))),
+    (log_gengamma, (0, THIRD)),
+    (log_gengamma, (2, 9)),
+    (exact_log_gengamma, (3, 50)),
+    (gkbj_constant, (2, 60)),
+    (gkbj_auto, (3,)),
+    (zeta_deriv_neg, (1,)),
+    (varpi, (1,)),
+    (varpi, (3,)),
+    (kinkelin_logvarpi, ()),
+    (eval_lambda, (1, 30)),
+    (shift_log_gengamma, (2, THIRD, 21, THIRD)),
+]
+
+
+def _bits(result):
+    if isinstance(result, mpmath.mpf):
+        return result._mpf_
+    return result.value._mpf_, result.err._mpf_, result.params
+
+
+@pytest.fixture
+def precision_writes(monkeypatch):
+    """Every assignment to mpmath's ``prec`` or ``dps``, as (name, value)."""
+    writes = []
+    for name in ("prec", "dps"):
+        prop = getattr(PythonMPContext, name)
+
+        def setter(ctx, n, _set=prop.fset, _name=name):
+            writes.append((_name, n))
+            _set(ctx, n)
+
+        monkeypatch.setattr(PythonMPContext, name, property(prop.fget, setter))
+    return writes
+
+
+@pytest.mark.parametrize("fn, args", ROUTES, ids=lambda v: getattr(v, "__name__", None))
+def test_routes_set_no_precision_and_ignore_the_ambient_one(fn, args, precision_writes):
+    ctx = PrecisionContext(30)
+    seen = []
+    for ambient in (20, 53, 3000):
+        with mpmath.workprec(ambient):
+            clear_caches()
+            before = len(precision_writes)
+            seen.append(_bits(fn(*args, ctx=ctx)))
+            assert precision_writes[before:] == []
+    assert seen[0] == seen[1] == seen[2]
+
+
+@pytest.mark.parametrize("fn, args", [(hurwitz_deriv, (1, Fraction(3, 7))),
+                                      (log_gengamma, (1, Fraction(5, 7))),
+                                      (gkbj_constant, (2, 60))],
+                         ids=lambda v: getattr(v, "__name__", None))
+def test_threads_get_the_serial_bits(fn, args):
+    contexts = [PrecisionContext(20), PrecisionContext(150), PrecisionContext(20)]
+    serial = [_bits(fn(*args, ctx=ctx)) for ctx in contexts]
+    prec = mpmath.mp.prec
+    results = [[] for _ in contexts]
+    start = threading.Event()
+
+    def run(i):
+        start.wait(timeout=30)
+        for _ in range(30):
+            results[i].append(_bits(fn(*args, ctx=contexts[i])))
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(len(contexts))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        start.set()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert mpmath.mp.prec == prec
+    assert results == [[bits] * 30 for bits in serial]

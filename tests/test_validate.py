@@ -50,8 +50,24 @@ class TestQuadrature:
             assert abs(val - oracle) <= err + ctx20.rounding_floor(1)
 
     def test_nonintegrable_raises(self, ctx20):
+        calls = []
+
+        def f(t):
+            calls.append(t)
+            return 1 / t
+
         with pytest.raises(NonConvergent):
-            quadrature(lambda t: 1 / t, 0, 1, ctx20)
+            quadrature(f, 0, 1, ctx20)
+        # 1/t's level differences shrink by about 1/2 a level: stopped at
+        # level 4 (141 calls), not after all 12 (33,963)
+        assert len(calls) < 200
+
+    def test_slow_levels_before_the_oscillation_is_resolved(self, ctx20):
+        # differences shrink by 0.8 and 0.5 at levels 4 and 5, then square:
+        # the early stop above keeps to integrands that do not vanish at the ends
+        val, err = quadrature(lambda t: mpmath.sin(200 * t), 0, 1, ctx20)
+        with ctx20.workprec():
+            assert abs(val - (1 - mpmath.cos(200)) / 200) <= err + ctx20.rounding_floor(1)
 
     def test_rejects_empty_interval(self, ctx20):
         with pytest.raises(ValueError):

@@ -15,6 +15,7 @@ import bisect
 import functools
 import itertools
 import threading
+from array import array
 from fractions import Fraction
 
 import mpmath
@@ -304,32 +305,41 @@ def _shift_plan(k: int, xe, ctx: PrecisionContext, prec: int):
     return n, terms, make(mpf_sub(mpf_add(xv, from_int(n), prec, rnd), fone, prec, rnd))
 
 
-def _series_level(k: int, nodes: list, base: Real, base_err: Real, ctx: PrecisionContext):
+@functools.partial(memo, maxsize=64)  # bounded for sweeps over b; selftest full uses 44
+def _level_plan(k: int, nodes: tuple, ctx: PrecisionContext) -> array:
+    """n and the tail length of :func:`_shift_plan` at each raw node, interleaved."""
+    prec, make = ctx.bits(5), mpmath.mp.make_mpf
+    return array("I", itertools.chain.from_iterable(
+        _shift_plan(k, make(xv), ctx, prec)[:2] for xv in nodes))
+
+
+def _series_level(k: int, nodes, base: Real, base_err: Real, ctx: PrecisionContext):
     """:func:`shifted_series` at each raw node of one quadrature level, as raw
-    ``(value, err)`` pairs with its bits: the same plan (:func:`_shift_plan`),
-    the raw bodies of the series and the shift, and ArgumentTooSmall where
-    ``_remainder`` raises it."""
+    ``(value, err)`` pairs with its bits: the same plan (:func:`_shift_plan`,
+    kept by :func:`_level_plan`, with x + n - 1 formed again by its two raw
+    steps), the raw bodies of the series and the shift, and ArgumentTooSmall
+    where ``_remainder`` raises it."""
     rnd, make, prec = round_nearest, mpmath.mp.make_mpf, ctx.bits(5)
     out, polys = [], {}  # tail length -> term list, for this level
     base, base_err = _to_raw(base, prec), _to_raw(base_err, prec)
-    for xv in nodes:
-        x = make(xv)
-        n, terms, at = _shift_plan(k, x, ctx, prec)
+    plans = _level_plan(k, tuple(nodes), ctx)
+    for xv, n, terms in zip(nodes, plans[::2], plans[1::2], strict=True):
+        at = mpf_sub(mpf_add(xv, from_int(n), prec, rnd), fone, prec, rnd)
         poly = polys.get(terms) or polys.setdefault(terms, build_lambda_terms(k, terms + 1))
-        lam, lam_err, _ = _eval_term_poly(poly, at._mpf_, ctx, prec)
-        _check_truncation(k, at, lam, lam_err, prec)
+        lam, lam_err, _ = _eval_term_poly(poly, at, ctx, prec)
+        _check_truncation(k, make(at), lam, lam_err, prec)
         shifted = mpf_add(base, lam, prec, rnd)
         err = mpf_add(mpf_add(base_err, lam_err, prec, rnd),
                       _rounding_floor(ctx, shifted, prec), prec, rnd)
-        out.append((_shift_chain(k, x, n, shifted, prec), err))
+        out.append((_shift_chain(k, make(xv), n, shifted, prec), err))
     return out
 
 
-def _log_gengamma_level(k: int, nodes: list, ctx: PrecisionContext):
+def _log_gengamma_level(k: int, nodes, ctx: PrecisionContext):
     """:func:`log_gengamma` at each raw node of one quadrature level, as raw
     ``(value, err)`` pairs with its bits: an integer node (exponent >= 0) goes
     to it, and so to the exact sum, the rest to one :func:`_series_level`."""
-    rest = [xv for xv in nodes if xv[2] < 0]
+    rest = [xv for xv in nodes if xv[2] < 0]  # not tuple(generator), whose resizing crept RSS
     if rest:
         limit_const = constants.gkbj_auto(k, ctx)
         series = iter(_series_level(k, rest, limit_const.value, limit_const.err, ctx))

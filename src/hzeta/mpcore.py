@@ -264,12 +264,17 @@ def bernoulli_poly(n: int, x: Real):
     if isinstance(x, (int, Fraction)):
         coeffs, den = _bernoulli_poly_ints(n)
         return Fraction(_horner(coeffs, x.numerator, x.denominator), den * x.denominator**n)
-    prec, acc = mp.prec, fzero
-    xv = _to_raw(x, prec)
+    prec = mp.prec
+    return mp.make_mpf(_bernoulli_poly_raw(n, _to_raw(x, prec), prec))
+
+
+def _bernoulli_poly_raw(n: int, xv: tuple, prec: int) -> tuple:
+    """:func:`bernoulli_poly` at a raw x, raw, at precision prec (internal use)."""
+    acc = fzero
     for c, power in _bernoulli_poly_terms(n, prec):
         term = mpf_mul(c, mpf_pow_int(xv, power, prec, round_nearest), prec, round_nearest)
         acc = mpf_add(acc, term, prec, round_nearest)
-    return mp.make_mpf(acc)
+    return acc
 
 
 @memo

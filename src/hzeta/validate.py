@@ -10,16 +10,19 @@ curated grid of them.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
 import mpmath
-from mpmath.libmp import from_int, fzero, mpf_abs, mpf_add, mpf_div, mpf_ge
-from mpmath.libmp import mpf_gt, mpf_lt, mpf_mul, mpf_mul_int, mpf_pi, mpf_pow_int, mpf_sub
-from mpmath.libmp import mpf_sum, round_nearest
+from mpmath.libmp import finf, fnan, fninf, fone, from_int, from_man_exp, fzero, mpf_abs, mpf_add
+from mpmath.libmp import mpf_asinh, mpf_cosh_sinh, mpf_div, mpf_exp, mpf_ge, mpf_gt, mpf_le, mpf_log
+from mpmath.libmp import mpf_lt, mpf_mul, mpf_mul_int, mpf_neg, mpf_pi, mpf_pow_int, mpf_rdiv_int
+from mpmath.libmp import mpf_shift, mpf_sub, mpf_sum, round_ceiling, round_nearest, to_int
 
 from .asymptotic import (
     build_lambda_terms,
@@ -37,11 +40,12 @@ from .mpcore import (
     PrecisionContext,
     Real,
     _bernoulli_poly_ints,
+    _bernoulli_poly_raw,
     _horner,
+    _rounding_floor,
     _to_raw,
     as_exact,
     bernoulli,
-    bernoulli_poly,
     harmonic,
     memo,
     phi,
@@ -94,18 +98,35 @@ def _report(name, k, x, residual, tolerance, t0) -> CheckReport:
 # quadrature
 
 
-@memo
-def _node(prec: int, t_mpf: tuple):
-    """``(sig_lo, sig_hi, cosh t)``, raw, of the tanh-sinh node at t (raw
-    ``t_mpf``): its fractional distances to b and from a, and its weight
-    factor, at mpmath precision ``prec``, which the caller has in force."""
-    t = mpmath.mp.make_mpf(t_mpf)
-    u = mpmath.pi / 2 * mpmath.sinh(t)
-    return (
-        (1 / (1 + mpmath.exp(2 * u)))._mpf_,  # fractional distance to b
-        (1 / (1 + mpmath.exp(-2 * u)))._mpf_,  # fractional distance from a
-        mpmath.cosh(t)._mpf_,
-    )
+# one tanh-sinh level over (a, b): the raw abscissae of nonzero weight in node order, their raw
+# weights, and shift -> the abscissae + shift, raw, as _route_integral asks for them
+_Rule = namedtuple("_Rule", "xs wgts shifted")
+
+
+@functools.partial(memo, maxsize=64)  # bounded for sweeps over b; selftest full uses 28
+def _level_rule(prec: int, av: tuple, bv: tuple, level: int, j_max: int) -> _Rule:
+    """The nodes t = j 2^-level, |j| <= j_max (odd j past level 0), over raw (a, b) at
+    precision prec: distances sig = 1/(1 + exp(+-2u)), u = pi/2 sinh t, to b and from a,
+    weight ``width pi cosh t sig_lo sig_hi`` and abscissa, as the mpf operators form them."""
+    rnd = round_nearest
+    wv = mpf_sub(bv, av, prec, rnd)
+    width_pi = mpf_mul(wv, mpf_pi(prec, rnd), prec, rnd)
+    half_pi = mpf_div(mpf_pi(prec, rnd), from_int(2), prec, rnd)
+    xs, wgts = [], []
+    for j in (j for j in range(-j_max, j_max + 1) if j % 2 or not level):  # new nodes only
+        cosh_t, sinh_t = mpf_cosh_sinh(from_man_exp(j, -level), prec, rnd)
+        two_u = mpf_mul_int(mpf_mul(half_pi, sinh_t, prec, rnd), 2, prec, rnd)
+        sig_lo, sig_hi = (mpf_rdiv_int(1, mpf_add(mpf_exp(e, prec, rnd), fone, prec, rnd),
+                                       prec, rnd) for e in (two_u, mpf_neg(two_u)))
+        wgt = mpf_mul(mpf_mul(mpf_mul(width_pi, cosh_t, prec, rnd), sig_lo, prec, rnd),
+                      sig_hi, prec, rnd)
+        if wgt != fzero:
+            wgts.append(wgt)
+            if mpf_lt(sig_lo, sig_hi):
+                xs.append(mpf_sub(bv, mpf_mul(wv, sig_lo, prec, rnd), prec, rnd))
+            else:
+                xs.append(mpf_add(av, mpf_mul(wv, sig_hi, prec, rnd), prec, rnd))
+    return _Rule(tuple(xs), tuple(wgts), {})
 
 
 def quadrature(
@@ -115,7 +136,7 @@ def quadrature(
     ctx: PrecisionContext = DEFAULT_CONTEXT,
     max_level: int = 12,
 ):
-    """Tanh-sinh (double-exponential) quadrature of f over (a, b).
+    """Tanh-sinh (double-exponential) quadrature of a real-valued f over (a, b).
 
     Levels halve the step until one of two exits is reached:
 
@@ -136,129 +157,133 @@ def quadrature(
     special handling: node offsets from the endpoints are computed
     without cancellation and the weights decay doubly exponentially.
 
-    A node's offsets and cosh t depend only on t and the mpmath
-    precision, so they are memoized (:func:`_node`).  The weight
-    ``width * pi * cosh t * sig_lo * sig_hi`` and the abscissa are formed
-    per call, on raw values as the mpf operators do it, so a value does
-    not depend on what the memo holds.  f is called at each abscissa of
-    nonzero weight, in node order (:func:`_tanh_sinh`).
+    A level's abscissae and weights depend only on the precision, a, b
+    and the level, so they are kept (:func:`_level_rule`), as tanh-sinh
+    codes keep their tables; nothing that depends on f is.  f is called at
+    each abscissa of nonzero weight, in node order, at ``ctx.workprec(5)``;
+    the weighted sum is formed on raw values (:func:`_tanh_sinh`).
 
     When the level differences stop contracting at a small plateau (the
     integrand itself carries error at that scale) the plateau value is
     returned with the plateau as error.  From level 4 on, a difference
     above 10^-target and above a quarter of the last raises
     :class:`NonConvergent` when the weighted values at the level's outermost
-    nodes are above 10^-target too: the integrand does not vanish at an end
-    of the node range (1/t at 0), and its differences shrink by a constant
-    factor where a resolved integrand's square.
+    nodes are above 10^-target too, times the scale or the level's summed
+    magnitudes if smaller (t^-1.5's level-0 node past the clip sets the
+    scale): the integrand does not vanish at an end of the node range
+    (1/t at 0), and its differences shrink by a constant factor where a
+    resolved integrand's square.
     """
-    make = mpmath.mp.make_mpf
-    return _tanh_sinh(lambda xs: [f(make(x)) for x in xs], a, b, ctx, max_level)
+    make, raw = mpmath.mp.make_mpf, mpmath.mpf.mpf_convert_rhs  # as mpf operators take a value
+    with ctx.workprec(5):  # f computes with mpf operators
+        value, err = _tanh_sinh(lambda rule: [raw(f(make(x))) for x in rule.xs], a, b, ctx,
+                                max_level)
+    return make(value), make(err)
+
+
+_NONFINITE = (finf, fninf, fnan)
 
 
 def _tanh_sinh(level: Callable, a: Real, b: Real, ctx: PrecisionContext, max_level: int = 12):
-    """:func:`quadrature`'s integrator: ``level(xs)`` gives the integrand's
-    values at a level's new raw abscissae of nonzero weight, in node order,
-    and one ``mpmath.fsum`` (libmp's ``mpf_sum``) adds the weighted values."""
-    with ctx.workprec(5):
-        af = to_mpf(a)
-        bf = to_mpf(b)
-        if not bf > af:
-            raise ValueError("need b > a")
-        width = bf - af
-        target = mpmath.mpf(10) ** -(ctx.target_digits + ctx.guard_digits // 2)
-        plateau_limit = mpmath.mpf(10) ** -(ctx.target_digits)
-        # clip nodes once the endpoint offset falls below working resolution
-        u_max = (ctx.working_digits + 8) * mpmath.log(10) / 2
-        t_max = mpmath.asinh(2 * u_max / mpmath.pi)
-        prec, rnd, av, bv, wv = mpmath.mp.prec, round_nearest, af._mpf_, bf._mpf_, width._mpf_
-        width_pi = mpf_mul(wv, mpf_pi(prec, rnd), prec, rnd)  # pi once per call
+    """:func:`quadrature`'s integrator, raw ``(value, err)`` at precision
+    ``ctx.bits(5)``: ``level(rule)`` gives the integrand's raw values at the
+    abscissae ``rule.xs`` of a level (:class:`_Rule`), and one ``mpf_sum``
+    adds the weighted values, each product at that precision."""
+    prec, rnd = ctx.bits(5), round_nearest
+    av, bv = _to_raw(a, prec), _to_raw(b, prec)
+    if not mpf_gt(bv, av):
+        raise ValueError("need b > a")
+    ten = from_int(10)
+    target = mpf_pow_int(ten, -(ctx.target_digits + ctx.guard_digits // 2), prec, rnd)
+    plateau_limit = mpf_pow_int(ten, -ctx.target_digits, prec, rnd)
+    # clip nodes once the endpoint offset falls below working resolution
+    u_max = mpf_div(mpf_mul_int(mpf_log(ten, prec, rnd), ctx.working_digits + 8, prec, rnd),
+                    from_int(2), prec, rnd)
+    t_max = mpf_asinh(mpf_div(mpf_mul_int(u_max, 2, prec, rnd), mpf_pi(prec, rnd), prec, rnd),
+                      prec, rnd)
 
-        def level_sum(h, js):
-            wgts, xs = [], []
-            for j in js:
-                sig_lo, sig_hi, cosh_t = _node(prec, (j * h)._mpf_)
-                wgt = mpf_mul(mpf_mul(mpf_mul(width_pi, cosh_t, prec, rnd), sig_lo, prec, rnd),
-                              sig_hi, prec, rnd)
-                if wgt != fzero:
-                    wgts.append(wgt)
-                    if mpf_lt(sig_lo, sig_hi):
-                        xs.append(mpf_sub(bv, mpf_mul(wv, sig_lo, prec, rnd), prec, rnd))
-                    else:
-                        xs.append(mpf_add(av, mpf_mul(wv, sig_hi, prec, rnd), prec, rnd))
-            # a non-finite value is an endpoint blow-up at a node whose weight already squashes it
-            terms = [mpmath.mp.make_mpf(wgt) * y for wgt, y in zip(wgts, level(xs), strict=True)
-                     if mpmath.isfinite(y)]
-            edge = max(abs(terms[0]), abs(terms[-1])) if terms else 0  # at the outermost nodes
-            return mpmath.fsum(terms), edge
+    def level_terms(level_no):
+        j_max = to_int(mpf_shift(t_max, level_no), round_ceiling)  # ceil(t_max / h)
+        rule = _level_rule(prec, av, bv, level_no, j_max)
+        # a non-finite value is an endpoint blow-up at a node whose weight already squashes it
+        return [mpf_mul(wgt, y, prec, rnd) for wgt, y in zip(rule.wgts, level(rule), strict=True)
+                if y not in _NONFINITE]
 
-        h = mpmath.mpf(1)
-        n0 = int(mpmath.ceil(t_max / h))
-        grid_sum, _ = level_sum(h, range(-n0, n0 + 1))
-        estimate = h * grid_sum
-        prev_delta = None
-        for level_no in range(1, max_level + 1):
-            h = h / 2
-            j_max = int(mpmath.ceil(t_max / h))
-            level_total, edge = level_sum(h, (j for j in range(-j_max, j_max + 1) if j % 2))
-            grid_sum += level_total
-            new_estimate = h * grid_sum
-            delta = abs(new_estimate - estimate)
-            estimate = new_estimate
-            scale = max(mpmath.mpf(1), abs(estimate))
-            if delta <= target * scale:
-                return estimate, max(delta, ctx.rounding_floor(scale))
-            if level_no >= 4 and delta > plateau_limit * scale:
-                if delta >= prev_delta or (4 * delta > prev_delta and edge > plateau_limit * scale):
-                    raise NonConvergent(f"level differences stalled at {mpmath.nstr(delta, 3)}")
-            elif level_no >= 4 and delta >= prev_delta:
-                return estimate, 2 * delta
-            if prev_delta is not None and delta < prev_delta:
-                floor = ctx.rounding_floor(scale)
-                if delta**2 / prev_delta <= floor:
-                    return estimate, floor
-            prev_delta = delta
-        if prev_delta is not None and prev_delta <= plateau_limit * scale:
-            return estimate, 2 * prev_delta
-        raise NonConvergent(f"no convergence after {max_level} levels")
+    def above(x, limit, scale):
+        return mpf_gt(x, mpf_mul(limit, scale, prec, rnd))
+
+    grid_sum = estimate = mpf_sum(level_terms(0), prec, rnd)  # h = 1
+    prev_delta = None
+    for level_no in range(1, max_level + 1):
+        terms = level_terms(level_no)
+        grid_sum = mpf_add(grid_sum, mpf_sum(terms, prec, rnd), prec, rnd)
+        new_estimate = mpf_shift(grid_sum, -level_no)  # h * grid_sum, h = 2^-level
+        delta = mpf_abs(mpf_sub(new_estimate, estimate, prec, rnd))
+        estimate = new_estimate
+        scale = mpf_abs(estimate) if mpf_gt(mpf_abs(estimate), fone) else fone
+        floor = _rounding_floor(ctx, scale, prec)
+        if not above(delta, target, scale):
+            return estimate, floor if mpf_gt(floor, delta) else delta
+        if level_no >= 4 and above(delta, plateau_limit, scale):
+            ref = mpf_sum(terms, prec, rnd, absolute=True)  # for the end nodes, if below the scale
+            ref = ref if mpf_lt(ref, scale) else scale
+            if not mpf_lt(delta, prev_delta) or (
+                    mpf_gt(mpf_mul_int(delta, 4, prec, rnd), prev_delta) and terms and any(
+                        above(mpf_abs(y), plateau_limit, ref) for y in (terms[0], terms[-1]))):
+                raise NonConvergent("level differences stalled at "
+                                    f"{mpmath.nstr(mpmath.mp.make_mpf(delta), 3)}")
+        elif level_no >= 4 and not mpf_lt(delta, prev_delta):
+            return estimate, mpf_mul_int(delta, 2, prec, rnd)
+        if prev_delta is not None and mpf_lt(delta, prev_delta):
+            if mpf_le(mpf_div(mpf_pow_int(delta, 2, prec, rnd), prev_delta, prec, rnd), floor):
+                return estimate, floor
+        prev_delta = delta
+    if prev_delta is not None and not above(prev_delta, plateau_limit, scale):
+        return estimate, mpf_mul_int(prev_delta, 2, prec, rnd)
+    raise NonConvergent(f"no convergence after {max_level} levels")
 
 
 def _route_integral(route: Callable, k: int, b: Real, ctx: PrecisionContext, shift=0, power=0):
     """``(value, err, node_err)`` of int_0^b (b - t)^power R(t + shift) dt by
     :func:`_tanh_sinh`, with ``route(k, nodes, ctx)`` giving R's raw
-    ``(value, err)`` pairs for a level's raw nodes, and node_err the largest
-    err of any node.  Each value takes the mpf operations of the scalar
-    ``(b - t) ** power * R(t + shift)`` (R alone at power 0), and keeps its bits."""
+    ``(value, err)`` pairs for a level's raw nodes (a tuple), and node_err the
+    largest err of any node.  Each value takes the mpf operations of the
+    scalar ``(b - t) ** power * R(t + shift)`` (R alone at power 0), and keeps
+    its bits.  The nodes t + shift are kept with the level's rule."""
+    prec, rnd = ctx.bits(5), round_nearest  # the quadrature's
+    end = _to_raw(as_exact(b), prec)
     node_err = fzero
-    rnd = round_nearest
 
-    def level(ts):
+    def level(rule):
         nonlocal node_err
-        prec = ctx.bits(5)  # the quadrature's
-        end = _to_raw(as_exact(b), prec)
-        zs = [mpf_add(t, from_int(shift), prec, rnd) for t in ts] if shift else ts
+        ts = rule.xs
+        zs = rule.shifted.get(shift) if shift else ts
+        if zs is None:
+            zs = rule.shifted.setdefault(  # two threads would make the same tuple
+                shift, tuple(mpf_add(t, from_int(shift), prec, rnd) for t in ts))
         ys = []
         for t, (y, err) in zip(ts, route(k, zs, ctx), strict=True):
             if mpf_gt(err, node_err):
                 node_err = err
             if power:
-                weight = mpf_pow_int(mpf_sub(end, t, prec, rnd), power, prec, rnd)
-                y = mpf_mul(weight, y, prec, rnd)
-            ys.append(mpmath.mp.make_mpf(y))
+                y = mpf_mul(mpf_pow_int(mpf_sub(end, t, prec, rnd), power, prec, rnd), y, prec, rnd)
+            ys.append(y)
         return ys
 
     value, err = _tanh_sinh(level, 0, b, ctx)
-    return value, err, mpmath.mp.make_mpf(node_err)
+    make = mpmath.mp.make_mpf
+    return make(value), make(err), make(node_err)
 
 
-def _alt_integrand_level(k: int, ts: list, ctx: PrecisionContext):
+def _alt_integrand_level(k: int, ts: tuple, ctx: PrecisionContext):
     """The alternative recursion's integrand at each raw node t of a level, with
     the err of zeta'(-k, t) and the bits of ``hurwitz_deriv(k, t).value +
-    bernoulli_poly(k + 1, t) / (k + 1) ** 2``."""
-    make = mpmath.mp.make_mpf
-    pairs = _series_level(k, ts, _head(k, ctx.bits(5)), 0, ctx)
-    return [((make(d) + bernoulli_poly(k + 1, make(t)) / (k + 1) ** 2)._mpf_, err)
-            for t, (d, err) in zip(ts, pairs, strict=True)]
+    bernoulli_poly(k + 1, t) / (k + 1) ** 2``, raw, at ``ctx.bits(5)``."""
+    prec, rnd = ctx.bits(5), round_nearest
+    den = from_int((k + 1) ** 2)
+    pairs = _series_level(k, ts, _head(k, prec), 0, ctx)
+    return [(mpf_add(d, mpf_div(_bernoulli_poly_raw(k + 1, t, prec), den, prec, rnd), prec, rnd),
+             err) for t, (d, err) in zip(ts, pairs, strict=True)]
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
-"""The value routes take their precision from the context: they set no
-mpmath precision, and their bits depend neither on the ambient precision
-nor on what other threads are doing."""
+"""The value routes and the quadrature's route integrals take their
+precision from the context: they set no mpmath precision, and their bits
+depend neither on the ambient precision nor on what other threads are doing."""
 
 import sys
 import threading
@@ -10,6 +10,7 @@ import mpmath
 import pytest
 from mpmath.ctx_mp_python import PythonMPContext
 
+import hzeta.validate as validate
 from hzeta import (
     PrecisionContext,
     clear_caches,
@@ -81,21 +82,16 @@ def test_routes_set_no_precision_and_ignore_the_ambient_one(fn, args, precision_
     assert seen[0] == seen[1] == seen[2]
 
 
-@pytest.mark.parametrize("fn, args", [(hurwitz_deriv, (1, Fraction(3, 7))),
-                                      (log_gengamma, (1, Fraction(5, 7))),
-                                      (gkbj_constant, (2, 60))],
-                         ids=lambda v: getattr(v, "__name__", None))
-def test_threads_get_the_serial_bits(fn, args):
-    contexts = [PrecisionContext(20), PrecisionContext(150), PrecisionContext(20)]
-    serial = [_bits(fn(*args, ctx=ctx)) for ctx in contexts]
-    prec = mpmath.mp.prec
+def _in_threads(call, contexts, repeats):
+    """call(ctx) repeatedly in one thread per context, all started together
+    under a 1 us switch interval: each thread's results, in order."""
     results = [[] for _ in contexts]
     start = threading.Event()
 
     def run(i):
         start.wait(timeout=30)
-        for _ in range(30):
-            results[i].append(_bits(fn(*args, ctx=contexts[i])))
+        for _ in range(repeats):
+            results[i].append(call(contexts[i]))
 
     threads = [threading.Thread(target=run, args=(i,)) for i in range(len(contexts))]
     interval = sys.getswitchinterval()
@@ -109,5 +105,36 @@ def test_threads_get_the_serial_bits(fn, args):
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
+    return results
+
+
+@pytest.mark.parametrize("fn, args", [(hurwitz_deriv, (1, Fraction(3, 7))),
+                                      (log_gengamma, (1, Fraction(5, 7))),
+                                      (gkbj_constant, (2, 60))],
+                         ids=lambda v: getattr(v, "__name__", None))
+def test_threads_get_the_serial_bits(fn, args):
+    contexts = [PrecisionContext(20), PrecisionContext(150), PrecisionContext(20)]
+    serial = [_bits(fn(*args, ctx=ctx)) for ctx in contexts]
+    prec = mpmath.mp.prec
+    results = _in_threads(lambda ctx: _bits(fn(*args, ctx=ctx)), contexts, 30)
     assert mpmath.mp.prec == prec
     assert results == [[bits] * 30 for bits in serial]
+
+
+@pytest.mark.parametrize("route, k, b, shift", [(validate._log_gengamma_level, 0, 1, 1),
+                                                (validate._alt_integrand_level, 1, 2, 0)],
+                         ids=["log-gamma-route", "alt-route"])
+def test_route_integrals_in_threads_get_the_serial_bits(route, k, b, shift, precision_writes):
+    # the quadrature's rules and node plans are shared across the threads
+    contexts = [PrecisionContext(20), PrecisionContext(30), PrecisionContext(20)]
+
+    def integral(ctx):
+        return [v._mpf_ for v in validate._route_integral(route, k, b, ctx, shift)]
+
+    serial = [integral(ctx) for ctx in contexts]
+    clear_caches()
+    prec = mpmath.mp.prec
+    results = _in_threads(integral, contexts, 4)
+    assert mpmath.mp.prec == prec
+    assert precision_writes == []
+    assert results == [[bits] * 4 for bits in serial]

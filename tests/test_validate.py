@@ -1,9 +1,11 @@
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
 import pytest
 from mpmath.libmp import mpf_log, round_nearest
 
+import hzeta.gengamma as gengamma
 import hzeta.mpcore as mpcore
 import hzeta.validate as validate
 from hzeta import (
@@ -60,6 +62,21 @@ class TestQuadrature:
             quadrature(f, 0, 1, ctx20)
         # 1/t's level differences shrink by about 1/2 a level: stopped at
         # level 4 (141 calls), not after all 12 (33,963)
+        assert len(calls) < 200
+
+    @pytest.mark.parametrize("digits", [15, 20])
+    def test_a_blow_up_past_the_clip_stops_early(self, digits):
+        calls = []
+
+        def f(t):
+            calls.append(t)
+            return t**-1.5
+
+        with pytest.raises(NonConvergent):
+            quadrature(f, 0, 1, PrecisionContext(digits))
+        # level 0's node at t = 5, past t_max ~ 4.1, sets the scale; against the
+        # level's weighted magnitudes the end nodes stop it at level 4 (139 and
+        # 141 calls), not after all 12 (32,953 and 33,963)
         assert len(calls) < 200
 
     def test_slow_levels_before_the_oscillation_is_resolved(self, ctx20):
@@ -135,8 +152,9 @@ class TestQuadratureHonesty:
 
 
 class TestNodeTable:
-    """Tanh-sinh nodes are computed once per precision and shared; a
-    quadrature value does not depend on what the table holds."""
+    """A tanh-sinh level's rule is computed once per precision and interval,
+    and a level's node plans once per order and context; a quadrature value
+    does not depend on what the memos hold."""
 
     CASES = [
         (lambda t: mpmath.log(t), 0, 1),
@@ -168,24 +186,67 @@ class TestNodeTable:
 
     def test_clear_caches_empties_the_table(self, ctx20):
         quadrature(mpmath.log, 0, 1, ctx20)
-        assert validate._node.cache_info().currsize
+        assert validate._level_rule.cache_info().currsize
+        validate._raabe_integral_check(ctx20)
+        assert gengamma._level_plan.cache_info().currsize
         clear_caches()
-        assert validate._node.cache_info().currsize == 0
+        assert validate._level_rule.cache_info().currsize == 0
+        assert gengamma._level_plan.cache_info().currsize == 0
+
+    def test_route_integrals_keep_their_bits_on_kept_rules_and_plans(self, ctx20, monkeypatch):
+        # every route integral of selftest full, cold inside the suite, then
+        # warm, then again from cleared caches
+        calls = []
+        route_integral = validate._route_integral
+
+        def spy(*args, **kwargs):
+            result = route_integral(*args, **kwargs)
+            calls.append((args, kwargs, [v._mpf_ for v in result]))
+            return result
+
+        monkeypatch.setattr(validate, "_route_integral", spy)
+        clear_caches()
+        assert all(r.passed for r in selftest("full", ctx20))
+        assert len(calls) == 17
+
+        def again():
+            return [[v._mpf_ for v in route_integral(*args, **kwargs)] for args, kwargs, _ in calls]
+
+        cold = [bits for _, _, bits in calls]
+        assert again() == cold
+        clear_caches()
+        assert again() == cold
+
+    def test_a_sweep_over_b_keeps_bounded_memos(self):
+        # 26 intervals of 4 levels each, of which the rule memo keeps the last 64 levels
+        ctx = PrecisionContext(5)
+        clear_caches()
+        quadrature(mpmath.sqrt, 0, 1, ctx)
+        tracemalloc.start()
+        try:
+            for i in range(26):
+                quadrature(mpmath.sqrt, 0, 1 + Fraction(i, 26), ctx)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert validate._level_rule.cache_info().currsize == 64
+        assert gengamma._level_plan.cache_info().maxsize == 64
+        assert held < 420_000  # about 0.32 MB for 64 levels; 0.50 MB for all 104
 
 
 class TestLevelIntegrals:
     """One integrand call per tanh-sinh level gives the bits of one call per node."""
 
     def test_integrator_matches_the_public_quadrature(self, ctx20):
-        # a level of logarithms on raw values, at the precision the integrator
-        # holds, against quadrature's scalar mpmath.log
-        def level(xs):
-            return [mpmath.mp.make_mpf(mpf_log(x, mpmath.mp.prec, round_nearest)) for x in xs]
+        # a level of raw logarithms at the integrator's precision, against
+        # quadrature's scalar mpmath.log
+        def level(rule):
+            return [mpf_log(x, ctx20.bits(5), round_nearest) for x in rule.xs]
 
         for b in (1, 2, Fraction(11, 2)):
             got = validate._tanh_sinh(level, 0, b, ctx20)
             want = quadrature(mpmath.log, 0, b, ctx20)
-            assert [v._mpf_ for v in got] == [v._mpf_ for v in want]
+            assert list(got) == [v._mpf_ for v in want]
 
     # (route, b, shift, power, scalar integrand, scalar err at t)
     @staticmethod

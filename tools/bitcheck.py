@@ -8,7 +8,7 @@ then compare two dumps:
 
     python tools/bitcheck.py A.json B.json
 
-The 5,349 numeric cases: ``hurwitz_deriv`` and ``log_gengamma`` at 96
+The 5,538 numeric cases: ``hurwitz_deriv`` and ``log_gengamma`` at 96
 mpf nodes (full mantissas, in (0, 4) and (20, 300)) and 24 rationals, for
 k in {0, 1, 3} and D in {20, 30, 100}, and the quadrature's level routes
 at the same 96 nodes (``gengamma._log_gengamma_level``, and
@@ -21,7 +21,9 @@ in {1, 2, 3} at the same nodes, at the precision of ``ctx.workprec(5)``;
 D in {20, 30, 100, 400}; the value and err of ``validate.quadrature`` over
 (0, b) for b in {1, 2, 3, 11/2} and D in {20, 30}, of log t, exp(-t) sqrt t
 and log_gengamma(0, t+1); the residual and tolerance of each of the 63
-``selftest full`` checks at D=20, 30 and 40; and ``exact_log_gengamma(k, w)``
+``selftest full`` checks at D=20, 30 and 40, each run twice from cleared
+caches, so that the second run takes the kept quadrature rules and node
+plans; and ``exact_log_gengamma(k, w)``
 for k in {0, 1, 3, 6, 12}, w in {1, 2, 7, 50, 100, 200, 1000} and D in
 {20, 100}, called twice from cleared caches, so that a sum made from kept
 weights is compared as well as a fresh one.  Then five arguments beyond
@@ -206,8 +208,10 @@ def dump(path: str) -> None:
         return (bits(mpmath.mpf(rep.residual)), bits(mpmath.mpf(rep.tolerance)), rep.passed)
 
     for D in (20, 30, 40):
-        for i, rep in enumerate(selftest("full", PrecisionContext(D))):
-            out[f"selftest D={D} #{i} {rep.name} k={rep.k}"] = report(rep)
+        clear_caches()
+        for call in ("cold", "warm"):  # the second pass on the kept rules, plans and constants
+            for i, rep in enumerate(selftest("full", PrecisionContext(D))):
+                out[f"selftest D={D} {call} #{i} {rep.name} k={rep.k}"] = report(rep)
     clear_caches()
     for D in (20, 100):
         ctx = PrecisionContext(D)

@@ -264,8 +264,7 @@ def bernoulli_poly(n: int, x: Real):
     if isinstance(x, (int, Fraction)):
         coeffs, den = _bernoulli_poly_ints(n)
         return Fraction(_horner(coeffs, x.numerator, x.denominator), den * x.denominator**n)
-    prec = mp.prec
-    return mp.make_mpf(_bernoulli_poly_raw(n, _to_raw(x, prec), prec))
+    return mp.make_mpf(_bernoulli_poly_raw(n, _to_raw(x, mp.prec), mp.prec))
 
 
 def _bernoulli_poly_raw(n: int, xv: tuple, prec: int) -> tuple:

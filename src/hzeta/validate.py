@@ -11,18 +11,18 @@ curated grid of them.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import time
-from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
 import mpmath
-from mpmath.libmp import finf, fnan, fninf, fone, from_int, from_man_exp, fzero, mpf_abs, mpf_add
-from mpmath.libmp import mpf_asinh, mpf_cosh_sinh, mpf_div, mpf_exp, mpf_ge, mpf_gt, mpf_le, mpf_log
-from mpmath.libmp import mpf_lt, mpf_mul, mpf_mul_int, mpf_neg, mpf_pi, mpf_pow_int, mpf_rdiv_int
-from mpmath.libmp import mpf_shift, mpf_sub, mpf_sum, round_ceiling, round_nearest, to_int
+from mpmath.libmp import finf, fnan, fninf, fone, from_int, from_man_exp, fzero, mpc_abs, mpf_abs
+from mpmath.libmp import mpf_add, mpf_asinh, mpf_cosh_sinh, mpf_div, mpf_exp, mpf_ge, mpf_gt, mpf_le
+from mpmath.libmp import mpf_log, mpf_lt, mpf_mul, mpf_mul_int, mpf_neg, mpf_pi, mpf_pow_int, to_int
+from mpmath.libmp import mpf_rdiv_int, mpf_shift, mpf_sub, mpf_sum, round_ceiling, round_nearest
 
 from .asymptotic import (
     build_lambda_terms,
@@ -98,35 +98,29 @@ def _report(name, k, x, residual, tolerance, t0) -> CheckReport:
 # quadrature
 
 
-# one tanh-sinh level over (a, b): the raw abscissae of nonzero weight in node order, their raw
-# weights, and shift -> the abscissae + shift, raw, as _route_integral asks for them
-_Rule = namedtuple("_Rule", "xs wgts shifted")
-
-
-@functools.partial(memo, maxsize=64)  # bounded for sweeps over b; selftest full uses 28
-def _level_rule(prec: int, av: tuple, bv: tuple, level: int, j_max: int) -> _Rule:
-    """The nodes t = j 2^-level, |j| <= j_max (odd j past level 0), over raw (a, b) at
-    precision prec: distances sig = 1/(1 + exp(+-2u)), u = pi/2 sinh t, to b and from a,
-    weight ``width pi cosh t sig_lo sig_hi`` and abscissa, as the mpf operators form them."""
-    rnd = round_nearest
-    wv = mpf_sub(bv, av, prec, rnd)
-    width_pi = mpf_mul(wv, mpf_pi(prec, rnd), prec, rnd)
+@functools.partial(memo, maxsize=32)  # a precision's levels; selftest full uses 6
+def _level_nodes(prec: int, level: int, j_max: int) -> tuple:
+    """The nodes t = j 2^-level, |j| <= j_max (odd j past level 0), at precision
+    prec, as three tuples: cosh t and the distances sig = 1/(1 + exp(+-2u)),
+    u = pi/2 sinh t, to b and from a, as the mpf operators form them."""
+    rnd, nodes = round_nearest, []
     half_pi = mpf_div(mpf_pi(prec, rnd), from_int(2), prec, rnd)
-    xs, wgts = [], []
     for j in (j for j in range(-j_max, j_max + 1) if j % 2 or not level):  # new nodes only
         cosh_t, sinh_t = mpf_cosh_sinh(from_man_exp(j, -level), prec, rnd)
         two_u = mpf_mul_int(mpf_mul(half_pi, sinh_t, prec, rnd), 2, prec, rnd)
-        sig_lo, sig_hi = (mpf_rdiv_int(1, mpf_add(mpf_exp(e, prec, rnd), fone, prec, rnd),
-                                       prec, rnd) for e in (two_u, mpf_neg(two_u)))
-        wgt = mpf_mul(mpf_mul(mpf_mul(width_pi, cosh_t, prec, rnd), sig_lo, prec, rnd),
-                      sig_hi, prec, rnd)
-        if wgt != fzero:
-            wgts.append(wgt)
-            if mpf_lt(sig_lo, sig_hi):
-                xs.append(mpf_sub(bv, mpf_mul(wv, sig_lo, prec, rnd), prec, rnd))
-            else:
-                xs.append(mpf_add(av, mpf_mul(wv, sig_hi, prec, rnd), prec, rnd))
-    return _Rule(tuple(xs), tuple(wgts), {})
+        nodes.append((cosh_t, *(mpf_rdiv_int(1, mpf_add(mpf_exp(e, prec, rnd), fone, prec, rnd),
+                                             prec, rnd) for e in (two_u, mpf_neg(two_u)))))
+    return tuple(zip(*nodes))
+
+
+@functools.partial(memo, maxsize=64)  # bounded for sweeps over b; selftest full uses 28
+def _level_abscissae(prec: int, av: tuple, bv: tuple, level: int, j_max: int) -> tuple:
+    """The abscissae of the level's nodes (:func:`_level_nodes`) over raw (a, b),
+    b - width sig_lo or a + width sig_hi, whichever offset is the smaller."""
+    rnd, wv = round_nearest, mpf_sub(bv, av, prec, round_nearest)
+    return tuple(mpf_sub(bv, mpf_mul(wv, lo, prec, rnd), prec, rnd) if mpf_lt(lo, hi)
+                 else mpf_add(av, mpf_mul(wv, hi, prec, rnd), prec, rnd)
+                 for _, lo, hi in zip(*_level_nodes(prec, level, j_max)))
 
 
 def quadrature(
@@ -136,7 +130,7 @@ def quadrature(
     ctx: PrecisionContext = DEFAULT_CONTEXT,
     max_level: int = 12,
 ):
-    """Tanh-sinh (double-exponential) quadrature of a real-valued f over (a, b).
+    """Tanh-sinh (double-exponential) quadrature of f over (a, b), real or complex.
 
     Levels halve the step until one of two exits is reached:
 
@@ -157,28 +151,33 @@ def quadrature(
     special handling: node offsets from the endpoints are computed
     without cancellation and the weights decay doubly exponentially.
 
-    A level's abscissae and weights depend only on the precision, a, b
-    and the level, so they are kept (:func:`_level_rule`), as tanh-sinh
-    codes keep their tables; nothing that depends on f is.  f is called at
-    each abscissa of nonzero weight, in node order, at ``ctx.workprec(5)``;
-    the weighted sum is formed on raw values (:func:`_tanh_sinh`).
+    A level's nodes and its abscissae over (a, b) are kept, as tanh-sinh codes
+    keep their tables (:func:`_level_nodes`); nothing that depends on f is.  f is
+    called at each abscissa in node order, at ``ctx.workprec(5)``.
 
     When the level differences stop contracting at a small plateau (the
     integrand itself carries error at that scale) the plateau value is
     returned with the plateau as error.  From level 4 on, a difference
     above 10^-target and above a quarter of the last raises
-    :class:`NonConvergent` when the weighted values at the level's outermost
-    nodes are above 10^-target too, times the scale or the level's summed
-    magnitudes if smaller (t^-1.5's level-0 node past the clip sets the
-    scale): the integrand does not vanish at an end of the node range
-    (1/t at 0), and its differences shrink by a constant factor where a
-    resolved integrand's square.
+    :class:`NonConvergent` when a weighted value at the level's outermost
+    nodes is above 10^-target too, times the scale or the level's summed
+    magnitudes if smaller: the integrand does not vanish at an end of the
+    node range (1/t at 0), and its differences shrink by a constant factor
+    where a resolved integrand's square.
     """
-    make, raw = mpmath.mp.make_mpf, mpmath.mpf.mpf_convert_rhs  # as mpf operators take a value
+    make, convert = mpmath.mp.make_mpf, mpmath.mp.convert  # f's values as mpf operators take them
+
+    def level(xs):
+        ys = [convert(f(make(x))) for x in xs]
+        if all(hasattr(y, "_mpf_") for y in ys):
+            return [[y._mpf_ for y in ys]]
+        # complex: both parts, a node with a non-finite part dropped from both
+        zs = [getattr(y, "_mpc_", None) or (y._mpf_, fzero) for y in ys]
+        return list(zip(*((fnan, fnan) if any(p in _NONFINITE for p in z) else z for z in zs)))
+
     with ctx.workprec(5):  # f computes with mpf operators
-        value, err = _tanh_sinh(lambda rule: [raw(f(make(x))) for x in rule.xs], a, b, ctx,
-                                max_level)
-    return make(value), make(err)
+        value, err = _tanh_sinh(level, a, b, ctx, max_level)
+    return make(value[0]) if len(value) == 1 else mpmath.mp.make_mpc(tuple(value)), make(err)
 
 
 _NONFINITE = (finf, fninf, fnan)
@@ -186,9 +185,9 @@ _NONFINITE = (finf, fninf, fnan)
 
 def _tanh_sinh(level: Callable, a: Real, b: Real, ctx: PrecisionContext, max_level: int = 12):
     """:func:`quadrature`'s integrator, raw ``(value, err)`` at precision
-    ``ctx.bits(5)``: ``level(rule)`` gives the integrand's raw values at the
-    abscissae ``rule.xs`` of a level (:class:`_Rule`), and one ``mpf_sum``
-    adds the weighted values, each product at that precision."""
+    ``ctx.bits(5)``: ``level(xs)`` gives the integrand's raw values at a level's raw
+    abscissae xs (a tuple) as a list of parts, real and imaginary if complex, one
+    ``mpf_sum`` per part adds the weighted values, and value lists the parts."""
     prec, rnd = ctx.bits(5), round_nearest
     av, bv = _to_raw(a, prec), _to_raw(b, prec)
     if not mpf_gt(bv, av):
@@ -196,40 +195,48 @@ def _tanh_sinh(level: Callable, a: Real, b: Real, ctx: PrecisionContext, max_lev
     ten = from_int(10)
     target = mpf_pow_int(ten, -(ctx.target_digits + ctx.guard_digits // 2), prec, rnd)
     plateau_limit = mpf_pow_int(ten, -ctx.target_digits, prec, rnd)
-    # clip nodes once the endpoint offset falls below working resolution
-    u_max = mpf_div(mpf_mul_int(mpf_log(ten, prec, rnd), ctx.working_digits + 8, prec, rnd),
-                    from_int(2), prec, rnd)
-    t_max = mpf_asinh(mpf_div(mpf_mul_int(u_max, 2, prec, rnd), mpf_pi(prec, rnd), prec, rnd),
-                      prec, rnd)
+    # clip nodes once the endpoint offset falls below working resolution, 2 u_max = (W + 8) log 10
+    two_u_max = mpf_mul_int(mpf_log(ten, prec, rnd), ctx.working_digits + 8, prec, rnd)
+    t_max = mpf_asinh(mpf_div(two_u_max, mpf_pi(prec, rnd), prec, rnd), prec, rnd)
+    width_pi = mpf_mul(mpf_sub(bv, av, prec, rnd), mpf_pi(prec, rnd), prec, rnd)
 
     def level_terms(level_no):
         j_max = to_int(mpf_shift(t_max, level_no), round_ceiling)  # ceil(t_max / h)
-        rule = _level_rule(prec, av, bv, level_no, j_max)
+        wgts = [mpf_mul(mpf_mul(mpf_mul(width_pi, cosh_t, prec, rnd), lo, prec, rnd), hi, prec, rnd)
+                for cosh_t, lo, hi in zip(*_level_nodes(prec, level_no, j_max))]
+        ys = level(_level_abscissae(prec, av, bv, level_no, j_max))
         # a non-finite value is an endpoint blow-up at a node whose weight already squashes it
-        return [mpf_mul(wgt, y, prec, rnd) for wgt, y in zip(rule.wgts, level(rule), strict=True)
-                if y not in _NONFINITE]
+        return [[mpf_mul(wgt, y, prec, rnd) for wgt, y in zip(wgts, part, strict=True)
+                 if y not in _NONFINITE] for part in ys]
+
+    def sums(op, xs, ys):  # part by part
+        return [op(x, y, prec, rnd) for x, y in itertools.zip_longest(xs, ys, fillvalue=fzero)]
+
+    def magnitude(parts):
+        return mpf_abs(parts[0]) if len(parts) == 1 else mpc_abs(tuple(parts), prec, rnd)
 
     def above(x, limit, scale):
         return mpf_gt(x, mpf_mul(limit, scale, prec, rnd))
 
-    grid_sum = estimate = mpf_sum(level_terms(0), prec, rnd)  # h = 1
+    grid_sum = estimate = [mpf_sum(part, prec, rnd) for part in level_terms(0)]  # h = 1
     prev_delta = None
     for level_no in range(1, max_level + 1):
         terms = level_terms(level_no)
-        grid_sum = mpf_add(grid_sum, mpf_sum(terms, prec, rnd), prec, rnd)
-        new_estimate = mpf_shift(grid_sum, -level_no)  # h * grid_sum, h = 2^-level
-        delta = mpf_abs(mpf_sub(new_estimate, estimate, prec, rnd))
+        grid_sum = sums(mpf_add, grid_sum, [mpf_sum(part, prec, rnd) for part in terms])
+        new_estimate = [mpf_shift(g, -level_no) for g in grid_sum]  # h * grid_sum, h = 2^-level
+        delta = magnitude(sums(mpf_sub, new_estimate, estimate))
         estimate = new_estimate
-        scale = mpf_abs(estimate) if mpf_gt(mpf_abs(estimate), fone) else fone
+        scale = magnitude(estimate) if mpf_gt(magnitude(estimate), fone) else fone
         floor = _rounding_floor(ctx, scale, prec)
         if not above(delta, target, scale):
             return estimate, floor if mpf_gt(floor, delta) else delta
         if level_no >= 4 and above(delta, plateau_limit, scale):
-            ref = mpf_sum(terms, prec, rnd, absolute=True)  # for the end nodes, if below the scale
+            ref = mpf_sum([mpf_sum(part, prec, rnd, absolute=True) for part in terms], prec, rnd)
             ref = ref if mpf_lt(ref, scale) else scale
             if not mpf_lt(delta, prev_delta) or (
-                    mpf_gt(mpf_mul_int(delta, 4, prec, rnd), prev_delta) and terms and any(
-                        above(mpf_abs(y), plateau_limit, ref) for y in (terms[0], terms[-1]))):
+                    mpf_gt(mpf_mul_int(delta, 4, prec, rnd), prev_delta) and any(
+                        above(mpf_abs(y), plateau_limit, ref)
+                        for part in terms if part for y in (part[0], part[-1]))):
                 raise NonConvergent("level differences stalled at "
                                     f"{mpmath.nstr(mpmath.mp.make_mpf(delta), 3)}")
         elif level_no >= 4 and not mpf_lt(delta, prev_delta):
@@ -246,21 +253,16 @@ def _tanh_sinh(level: Callable, a: Real, b: Real, ctx: PrecisionContext, max_lev
 def _route_integral(route: Callable, k: int, b: Real, ctx: PrecisionContext, shift=0, power=0):
     """``(value, err, node_err)`` of int_0^b (b - t)^power R(t + shift) dt by
     :func:`_tanh_sinh`, with ``route(k, nodes, ctx)`` giving R's raw
-    ``(value, err)`` pairs for a level's raw nodes (a tuple), and node_err the
-    largest err of any node.  Each value takes the mpf operations of the
-    scalar ``(b - t) ** power * R(t + shift)`` (R alone at power 0), and keeps
-    its bits.  The nodes t + shift are kept with the level's rule."""
+    ``(value, err)`` pairs for a level's raw nodes, and node_err the largest
+    err of any node.  Each value takes the mpf operations of the scalar
+    ``(b - t) ** power * R(t + shift)`` (R alone at power 0), and keeps its bits."""
     prec, rnd = ctx.bits(5), round_nearest  # the quadrature's
-    end = _to_raw(as_exact(b), prec)
+    end, sv = _to_raw(as_exact(b), prec), from_int(shift)
     node_err = fzero
 
-    def level(rule):
+    def level(ts):
         nonlocal node_err
-        ts = rule.xs
-        zs = rule.shifted.get(shift) if shift else ts
-        if zs is None:
-            zs = rule.shifted.setdefault(  # two threads would make the same tuple
-                shift, tuple(mpf_add(t, from_int(shift), prec, rnd) for t in ts))
+        zs = [mpf_add(t, sv, prec, rnd) for t in ts] if shift else ts
         ys = []
         for t, (y, err) in zip(ts, route(k, zs, ctx), strict=True):
             if mpf_gt(err, node_err):
@@ -268,11 +270,10 @@ def _route_integral(route: Callable, k: int, b: Real, ctx: PrecisionContext, shi
             if power:
                 y = mpf_mul(mpf_pow_int(mpf_sub(end, t, prec, rnd), power, prec, rnd), y, prec, rnd)
             ys.append(y)
-        return ys
+        return [ys]
 
-    value, err = _tanh_sinh(level, 0, b, ctx)
-    make = mpmath.mp.make_mpf
-    return make(value), make(err), make(node_err)
+    (value,), err = _tanh_sinh(level, 0, b, ctx)
+    return tuple(map(mpmath.mp.make_mpf, (value, err, node_err)))
 
 
 def _alt_integrand_level(k: int, ts: tuple, ctx: PrecisionContext):

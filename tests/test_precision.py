@@ -125,7 +125,7 @@ def test_threads_get_the_serial_bits(fn, args):
                                                 (validate._alt_integrand_level, 1, 2, 0)],
                          ids=["log-gamma-route", "alt-route"])
 def test_route_integrals_in_threads_get_the_serial_bits(route, k, b, shift, precision_writes):
-    # the quadrature's rules and node plans are shared across the threads
+    # the quadrature's nodes, abscissae and node plans are shared across the threads
     contexts = [PrecisionContext(20), PrecisionContext(30), PrecisionContext(20)]
 
     def integral(ctx):

@@ -86,6 +86,29 @@ class TestQuadrature:
         with ctx20.workprec():
             assert abs(val - (1 - mpmath.cos(200)) / 200) <= err + ctx20.rounding_floor(1)
 
+    def test_complex_integrand(self, ctx20):
+        val, err = quadrature(lambda t: mpmath.exp(1j * t), 0, 1, ctx20)
+        assert isinstance(val, mpmath.mpc)
+        with ctx20.workprec():
+            oracle = mpmath.mpc(mpmath.sin(1), 1 - mpmath.cos(1))
+            assert abs(val - oracle) <= err + ctx20.rounding_floor(1)
+
+    def test_complex_values_keep_the_real_bits(self, ctx20):
+        # a zero imaginary part leaves the real part's sums and exits as they are
+        real = quadrature(mpmath.log, 0, 1, ctx20)
+        val, err = quadrature(lambda t: mpmath.mpc(mpmath.log(t)), 0, 1, ctx20)
+        assert (val.real._mpf_, val.imag, err._mpf_) == (real[0]._mpf_, 0, real[1]._mpf_)
+        # one complex value makes the estimate complex, as mpf arithmetic does
+        val, _ = quadrature(lambda t: mpmath.mpc(t) if t < 0.5 else t, 0, 1, ctx20)
+        assert isinstance(val, mpmath.mpc)
+
+    def test_values_convert_as_mpf_operators_take_them(self, ctx20):
+        val, _ = quadrature(lambda t: Fraction(1, 3), 0, 1, ctx20)
+        with ctx20.workprec():
+            assert abs(val - mpmath.mpf(1) / 3) <= ctx20.rounding_floor(1)
+        with pytest.raises(TypeError):
+            quadrature(lambda t: None, 0, 1, ctx20)
+
     def test_rejects_empty_interval(self, ctx20):
         with pytest.raises(ValueError):
             quadrature(mpmath.log, 1, 1, ctx20)
@@ -152,9 +175,9 @@ class TestQuadratureHonesty:
 
 
 class TestNodeTable:
-    """A tanh-sinh level's rule is computed once per precision and interval,
-    and a level's node plans once per order and context; a quadrature value
-    does not depend on what the memos hold."""
+    """A tanh-sinh level's nodes are computed once per precision, its abscissae
+    once per interval, and its node plans once per order and context; a
+    quadrature value does not depend on what the memos hold."""
 
     CASES = [
         (lambda t: mpmath.log(t), 0, 1),
@@ -185,13 +208,12 @@ class TestNodeTable:
                 assert self.run(ctx) == separate[ctx]
 
     def test_clear_caches_empties_the_table(self, ctx20):
+        memos = validate._level_nodes, validate._level_abscissae, gengamma._level_plan
         quadrature(mpmath.log, 0, 1, ctx20)
-        assert validate._level_rule.cache_info().currsize
         validate._raabe_integral_check(ctx20)
-        assert gengamma._level_plan.cache_info().currsize
+        assert all(memo.cache_info().currsize for memo in memos)
         clear_caches()
-        assert validate._level_rule.cache_info().currsize == 0
-        assert gengamma._level_plan.cache_info().currsize == 0
+        assert not any(memo.cache_info().currsize for memo in memos)
 
     def test_route_integrals_keep_their_bits_on_kept_rules_and_plans(self, ctx20, monkeypatch):
         # every route integral of selftest full, cold inside the suite, then
@@ -218,35 +240,38 @@ class TestNodeTable:
         assert again() == cold
 
     def test_a_sweep_over_b_keeps_bounded_memos(self):
-        # 26 intervals of 4 levels each, of which the rule memo keeps the last 64 levels
+        # 26 route integrals of 4 or 5 levels each: 108 abscissa tuples and node
+        # plans, of which the memos keep the last 64; the nodes are the 5 levels'
         ctx = PrecisionContext(5)
         clear_caches()
-        quadrature(mpmath.sqrt, 0, 1, ctx)
+        validate._route_integral(validate._log_gengamma_level, 0, 1, ctx, shift=1)
         tracemalloc.start()
         try:
             for i in range(26):
-                quadrature(mpmath.sqrt, 0, 1 + Fraction(i, 26), ctx)
+                validate._route_integral(validate._log_gengamma_level, 0, 1 + Fraction(i, 26),
+                                         ctx, shift=1)
             held = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        assert validate._level_rule.cache_info().currsize == 64
-        assert gengamma._level_plan.cache_info().maxsize == 64
-        assert held < 420_000  # about 0.32 MB for 64 levels; 0.50 MB for all 104
+        assert validate._level_abscissae.cache_info().currsize == 64
+        assert gengamma._level_plan.cache_info().currsize == 64
+        assert validate._level_nodes.cache_info().currsize == 5
+        assert held < 550_000  # about 0.45 MB; 0.65 MB with both memos unbounded
 
 
 class TestLevelIntegrals:
     """One integrand call per tanh-sinh level gives the bits of one call per node."""
 
     def test_integrator_matches_the_public_quadrature(self, ctx20):
-        # a level of raw logarithms at the integrator's precision, against
-        # quadrature's scalar mpmath.log
-        def level(rule):
-            return [mpf_log(x, ctx20.bits(5), round_nearest) for x in rule.xs]
+        # a level of raw logarithms at the integrator's precision, one part,
+        # against quadrature's scalar mpmath.log
+        def level(xs):
+            return [[mpf_log(x, ctx20.bits(5), round_nearest) for x in xs]]
 
         for b in (1, 2, Fraction(11, 2)):
-            got = validate._tanh_sinh(level, 0, b, ctx20)
+            (value, *rest), err = validate._tanh_sinh(level, 0, b, ctx20)
             want = quadrature(mpmath.log, 0, b, ctx20)
-            assert list(got) == [v._mpf_ for v in want]
+            assert not rest and [value, err] == [v._mpf_ for v in want]
 
     # (route, b, shift, power, scalar integrand, scalar err at t)
     @staticmethod

@@ -22,8 +22,8 @@ D in {20, 30, 100, 400}; the value and err of ``validate.quadrature`` over
 (0, b) for b in {1, 2, 3, 11/2} and D in {20, 30}, of log t, exp(-t) sqrt t
 and log_gengamma(0, t+1); the residual and tolerance of each of the 63
 ``selftest full`` checks at D=20, 30 and 40, each run twice from cleared
-caches, so that the second run takes the kept quadrature rules and node
-plans; and ``exact_log_gengamma(k, w)``
+caches, so that the second run takes the kept quadrature nodes, abscissae
+and node plans; and ``exact_log_gengamma(k, w)``
 for k in {0, 1, 3, 6, 12}, w in {1, 2, 7, 50, 100, 200, 1000} and D in
 {20, 100}, called twice from cleared caches, so that a sum made from kept
 weights is compared as well as a fresh one.  Then five arguments beyond
@@ -209,7 +209,7 @@ def dump(path: str) -> None:
 
     for D in (20, 30, 40):
         clear_caches()
-        for call in ("cold", "warm"):  # the second pass on the kept rules, plans and constants
+        for call in ("cold", "warm"):  # the second pass on the kept nodes, plans and constants
             for i, rep in enumerate(selftest("full", PrecisionContext(D))):
                 out[f"selftest D={D} {call} #{i} {rep.name} k={rep.k}"] = report(rep)
     clear_caches()

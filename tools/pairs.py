@@ -25,9 +25,9 @@ from pathlib import Path
 CHANGE = Path(__file__).resolve().parent.parent
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """The result line of one untraced perfbench run in a checkout."""
-    argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+def run_once(checkout: Path, workload: str, seconds: float) -> dict:
+    """The result line of one untraced perfbench run in a checkout, at seed 1."""
+    argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "1",
             "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True, check=True)
     return json.loads(proc.stdout.strip().splitlines()[-1])
@@ -57,7 +57,6 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=50)
-    parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--out", type=Path, help="write every result line here as JSON")
     args = parser.parse_args(argv)
     if args.pairs < 2:
@@ -67,7 +66,7 @@ def main(argv=None) -> int:
     for i in range(args.pairs):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for side in order:
-            results[side].append(run_once(sides[side], args.workload, args.seed, args.seconds))
+            results[side].append(run_once(sides[side], args.workload, args.seconds))
         print(f"pair {i + 1} of {args.pairs} done", file=sys.stderr, flush=True)
     spec = json.loads((CHANGE / "BENCHMARK.json").read_text())
     for metric in spec["end_to_end"]:
@@ -77,7 +76,7 @@ def main(argv=None) -> int:
         if None not in values["parent"] + values["change"]:
             print(summary(name, metric["better"], values["parent"], values["change"]))
     if args.out:
-        command = (f"python3 perfbench/run.py --workload {args.workload} --seed {args.seed}"
+        command = (f"python3 perfbench/run.py --workload {args.workload} --seed 1"
                    f" --seconds {args.seconds:g} --trace 0")
         record = {"command": command,
                   "note": f"{args.pairs} alternating pairs, parent first in odd pairs",

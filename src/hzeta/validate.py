@@ -168,7 +168,7 @@ def quadrature(
     make, convert = mpmath.mp.make_mpf, mpmath.mp.convert  # f's values as mpf operators take them
 
     def level(xs):
-        ys = [convert(f(make(x))) for x in xs]
+        ys = [convert(f(make(x)), strings=False) for x in xs]
         if all(hasattr(y, "_mpf_") for y in ys):
             return [[y._mpf_ for y in ys]]
         # complex: both parts, a node with a non-finite part dropped from both

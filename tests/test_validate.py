@@ -106,8 +106,9 @@ class TestQuadrature:
         val, _ = quadrature(lambda t: Fraction(1, 3), 0, 1, ctx20)
         with ctx20.workprec():
             assert abs(val - mpmath.mpf(1) / 3) <= ctx20.rounding_floor(1)
-        with pytest.raises(TypeError):
-            quadrature(lambda t: None, 0, 1, ctx20)
+        for value in (None, "1"):
+            with pytest.raises(TypeError):
+                quadrature(lambda t: value, 0, 1, ctx20)
 
     def test_rejects_empty_interval(self, ctx20):
         with pytest.raises(ValueError):

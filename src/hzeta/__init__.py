@@ -35,20 +35,7 @@ from .mpcore import (
     harmonic,
     phi,
 )
-from .validate import (
-    CheckReport,
-    alexeiewsky_check,
-    alt_recursion_check,
-    bendersky_recursion_check,
-    general_solution_check,
-    gint_moment_check,
-    jeffery_difference_check,
-    log_coefficient_check,
-    quadrature,
-    selftest,
-    stabilization_check,
-    zeta_positive,
-)
+from .validate import CheckReport, quadrature, selftest, zeta_positive
 
 __version__ = "0.1.0"
 
@@ -62,9 +49,6 @@ __all__ = [
     "PrecisionContext",
     "Result",
     "TermPoly",
-    "alexeiewsky_check",
-    "alt_recursion_check",
-    "bendersky_recursion_check",
     "bernoulli",
     "bernoulli_poly",
     "build_lambda_terms",
@@ -72,18 +56,14 @@ __all__ = [
     "eval_lambda",
     "eval_term_poly",
     "exact_log_gengamma",
-    "general_solution_check",
-    "gint_moment_check",
     "gkbj_auto",
     "gkbj_constant",
     "harmonic",
     "hurwitz_deriv",
     "hurwitz_deriv_integer",
     "integrate_lambda_terms",
-    "jeffery_difference_check",
     "kinkelin_logvarpi",
     "limit_constant",
-    "log_coefficient_check",
     "log_coefficient_poly",
     "log_gengamma",
     "phi",
@@ -91,7 +71,6 @@ __all__ = [
     "selftest",
     "shift_log_gengamma",
     "shift_threshold",
-    "stabilization_check",
     "varpi",
     "zeta_deriv_neg",
     "zeta_positive",

@@ -11,21 +11,23 @@ import hzeta.validate as validate
 from hzeta import (
     NonConvergent,
     PrecisionContext,
-    alexeiewsky_check,
-    alt_recursion_check,
-    bendersky_recursion_check,
     bernoulli_poly,
     clear_caches,
-    general_solution_check,
-    gint_moment_check,
     hurwitz_deriv,
-    jeffery_difference_check,
-    log_coefficient_check,
     log_gengamma,
     quadrature,
     selftest,
-    stabilization_check,
     zeta_positive,
+)
+from hzeta.validate import (
+    alexeiewsky_check,
+    alt_recursion_check,
+    bendersky_recursion_check,
+    general_solution_check,
+    gint_moment_check,
+    jeffery_difference_check,
+    log_coefficient_check,
+    stabilization_check,
 )
 
 
@@ -209,7 +211,7 @@ class TestNodeTable:
                 assert self.run(ctx) == separate[ctx]
 
     def test_clear_caches_empties_the_table(self, ctx20):
-        memos = validate._level_nodes, validate._level_abscissae, gengamma._level_plan
+        memos = validate._level_nodes, gengamma._level_plan
         quadrature(mpmath.log, 0, 1, ctx20)
         validate._raabe_integral_check(ctx20)
         assert all(memo.cache_info().currsize for memo in memos)
@@ -241,8 +243,8 @@ class TestNodeTable:
         assert again() == cold
 
     def test_a_sweep_over_b_keeps_bounded_memos(self):
-        # 26 route integrals of 4 or 5 levels each: 108 abscissa tuples and node
-        # plans, of which the memos keep the last 64; the nodes are the 5 levels'
+        # 26 route integrals of 4 or 5 levels each: 108 node plans, of which the
+        # memo keeps the last 64; the nodes are the 5 levels'
         ctx = PrecisionContext(5)
         clear_caches()
         validate._route_integral(validate._log_gengamma_level, 0, 1, ctx, shift=1)
@@ -254,10 +256,9 @@ class TestNodeTable:
             held = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        assert validate._level_abscissae.cache_info().currsize == 64
         assert gengamma._level_plan.cache_info().currsize == 64
         assert validate._level_nodes.cache_info().currsize == 5
-        assert held < 550_000  # about 0.45 MB; 0.65 MB with both memos unbounded
+        assert held < 550_000  # about 0.27 MB; 0.37 MB with the plan memo unbounded
 
 
 class TestLevelIntegrals:
@@ -478,6 +479,30 @@ class TestSelftest:
         reports = selftest("full", PrecisionContext(digits))
         assert len(reports) == 63
         assert all(r.passed for r in reports), [r for r in reports if not r.passed]
+
+    def test_the_table_is_the_benchmarks_grid(self):
+        # perfbench's identity-suite workload repeats the full rows, by name
+        from perfbench.workloads import _suite_checks
+
+        rows = [(check.__name__, [str(a) if isinstance(a, Fraction) else a for a in args], kwargs)
+                for check, args, kwargs, _ in validate._SUITE]
+        assert rows == _suite_checks()
+
+    def test_each_level_runs_its_rows_of_the_table(self, ctx20, monkeypatch):
+        calls = []
+
+        def spy(check):
+            return lambda *args, **kwargs: calls.append((check, args, kwargs))
+
+        table = validate._SUITE
+        monkeypatch.setattr(validate, "_SUITE", [(spy(c), a, kw, q) for c, a, kw, q in table])
+        for level, count in (("quick", 18), ("full", 63)):
+            calls.clear()
+            selftest(level, ctx20)
+            assert calls == [(check, args, dict(kwargs, ctx=ctx20))
+                             for check, args, kwargs, in_quick in table
+                             if in_quick or level == "full"]
+            assert len(calls) == count
 
     def test_rejects_unknown_level(self, ctx20):
         with pytest.raises(ValueError):

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -392,17 +391,6 @@ def plan(k: int, x: Real, ctx: PrecisionContext = DEFAULT_CONTEXT) -> tuple[int,
     return n, tail_length(k, mpmath.mp.make_mpf(mpf_add(xv, from_int(n), prec, rnd)), ctx)
 
 
-@memo
-def _tail_bounds(k: int) -> list[float]:
-    """log_const + lgamma(s-1) - s log(2 pi) of :func:`tail_length`'s
-    entries for order k, by entry: each bound less (s-1) log y.  tail_length
-    grows the table only as far as it reads."""
-    return []
-
-
-_TAIL_BOUNDS_LOCK = threading.Lock()
-
-
 def tail_length(k: int, y: Real, ctx: PrecisionContext = DEFAULT_CONTEXT) -> int:
     """Tail terms to sum for the order-k series at y > 0: the nonzero tail
     entries before the first whose bound falls below 10^-working_digits
@@ -410,7 +398,7 @@ def tail_length(k: int, y: Real, ctx: PrecisionContext = DEFAULT_CONTEXT) -> int
     large y the held-back entry still feeds the estimate.  The entry of
     1/y^(s-1) is at most 2 zeta(2) k! (s-2)! / ((2 pi)^(k+s) y^(s-1)),
     since |B_2m| <= 2 zeta(2) (2m)! / (2 pi)^2m (Johansson,
-    arXiv:1309.2877); its log less (s-1) log y is kept per order (:func:`_tail_bounds`).
+    arXiv:1309.2877).
     """
     try:  # float() rounds an mpf to nearest
         log_y = math.log(to_float(y._mpf_, True, round_nearest) if isinstance(y, mpmath.mpf) else y)
@@ -418,17 +406,11 @@ def tail_length(k: int, y: Real, ctx: PrecisionContext = DEFAULT_CONTEXT) -> int
         log_y = (math.log(y.man) + y.exp * math.log(2) if isinstance(y, mpmath.mpf)
                  else math.log(y.numerator) - math.log(y.denominator))
     floor = -ctx.working_digits * math.log(10)
+    log_const = math.log(math.pi**2 / 3) + math.lgamma(k + 1) - k * math.log(2 * math.pi)
     prev = math.inf
-    bounds = _tail_bounds(k)
     # B_{k+s} vanishes for odd k + s, so only every other s has an entry
     for terms, s in enumerate(itertools.count(2 + k % 2, 2)):
-        if terms == len(bounds):
-            with _TAIL_BOUNDS_LOCK:  # checked again under the lock: one entry per index
-                if terms == len(bounds):
-                    log_const = (math.log(math.pi**2 / 3) + math.lgamma(k + 1)
-                                 - k * math.log(2 * math.pi))
-                    bounds.append(log_const + math.lgamma(s - 1) - s * math.log(2 * math.pi))
-        bound = bounds[terms] - (s - 1) * log_y
+        bound = log_const + math.lgamma(s - 1) - s * math.log(2 * math.pi) - (s - 1) * log_y
         if bound < floor or bound >= prev:
             return max(terms, 1)
         prev = bound

@@ -4,8 +4,9 @@ integer argument.
 
 Each check returns a :class:`CheckReport` comparing a residual against
 a tolerance assembled from the error estimates of everything that went
-into it; failures are reported, never raised.  ``selftest`` runs the
-rows of a table of them (``_SUITE``).
+into it, both formed exactly from the routes' values and errs, so that no
+check reads or sets mpmath's precision; failures are reported, never
+raised.  ``selftest`` runs the rows of a table of them (``_SUITE``).
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .asymptotic import (
     shift_threshold,
 )
 from .constants import gkbj_auto, gkbj_constant
-from .errors import NonConvergent
+from .errors import HzetaError, NonConvergent
 from .gengamma import _log_gengamma_level, _series_level, exact_log_gengamma, log_gengamma
 from .hurwitz import _head, hurwitz_deriv, zeta_deriv_neg
 from .mpcore import (
@@ -49,7 +50,6 @@ from .mpcore import (
     harmonic,
     memo,
     phi,
-    to_mpf,
 )
 
 __all__ = [
@@ -70,7 +70,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CheckReport:
-    """Outcome of one identity check: passed iff residual <= tolerance.
+    """Outcome of one identity check: passed iff |residual| <= tolerance,
+    decided exactly; the fields hold their roundings at ``ctx.bits(5)``.
 
     Not a :class:`~hzeta.mpcore.Result`: the CLI's selftest lines and the
     benchmark's worker read its name, k, x_or_w, passed and elapsed, which a
@@ -86,26 +87,58 @@ class CheckReport:
 
 
 def _check(body: Callable) -> Callable[..., CheckReport]:
-    """The check whose body returns ``(name, k, x_or_w, residual, tolerance)``:
-    the call is timed and reported, |residual| taken at mpmath's precision
-    outside the body.  The body carries the check's signature and docstring."""
+    """The check whose body, a generator, yields its report's ``(name, k, x_or_w)``
+    once its arguments are checked, then returns the exact ``(residual,
+    tolerance, ctx)``: the call is timed and reported.  A :class:`HzetaError`
+    from the body is a failed report with residual and tolerance NaN.  The
+    body carries the check's signature and docstring."""
 
     @functools.wraps(body)
     def check(*args, **kwargs) -> CheckReport:
         t0 = time.perf_counter()
-        name, k, x, residual, tolerance = body(*args, **kwargs)
-        residual = abs(residual)
-        return CheckReport(name, k, x, residual, tolerance, bool(residual <= tolerance),
+        steps = body(*args, **kwargs)
+        label = next(steps)  # the argument checks raise here
+        try:
+            next(steps)
+        except StopIteration as done:
+            residual, tolerance, ctx = done.value
+        except HzetaError:
+            nan = mpmath.mp.make_mpf(fnan)
+            return CheckReport(*label, nan, nan, False, time.perf_counter() - t0)
+        residual, prec = abs(residual), ctx.bits(5)
+        return CheckReport(*label, _rounded(residual, prec, round_nearest),
+                           _rounded(tolerance, prec, round_ceiling), residual <= tolerance,
                            time.perf_counter() - t0)
 
     return check
 
 
+def _exact(v) -> Fraction:
+    """The value of an int, a Fraction, an mpf or a raw mpf, exactly."""
+    if isinstance(v, (int, Fraction)):
+        return Fraction(v)
+    sign, man, exp, bc = getattr(v, "_mpf_", v)
+    if bc < 0:  # inf or nan, with mantissa 0
+        raise HzetaError("a non-finite value in an identity check")
+    man = -man if sign else man
+    return Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
+
+
+def _rounded(v: Fraction, prec: int, rnd: str) -> mpmath.mpf:
+    """v rounded once, at precision prec in the direction rnd."""
+    return mpmath.mp.make_mpf(mpf_div(from_int(v.numerator), from_int(v.denominator), prec, rnd))
+
+
+def _floor(ctx: PrecisionContext, scale: Fraction) -> Fraction:
+    """``ctx.rounding_floor(scale)`` of a scale >= 0, exactly: scale 10^-(W-2)."""
+    return Fraction(scale, 10 ** (ctx.working_digits - 2))
+
+
 def _two_sided(lhs, rhs, ctx: PrecisionContext, *errs) -> tuple:
-    """``(lhs - rhs, tolerance)`` of an identity lhs = rhs: the errs summed left
-    to right, plus ``ctx.rounding_floor(|lhs| + |rhs| + 1)``, at mpmath's precision."""
-    tolerance = sum(errs[1:], errs[0]) + ctx.rounding_floor(abs(lhs) + abs(rhs) + 1)
-    return lhs - rhs, tolerance
+    """``(lhs - rhs, tolerance)`` of an identity lhs = rhs, exactly: the errs
+    summed, plus the rounding floor of |lhs| + |rhs| + 1."""
+    lhs, rhs = _exact(lhs), _exact(rhs)
+    return lhs - rhs, sum(map(_exact, errs)) + _floor(ctx, abs(lhs) + abs(rhs) + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -315,36 +348,35 @@ def zeta_positive(s: int, ctx: PrecisionContext = DEFAULT_CONTEXT) -> mpmath.mpf
     the value is computed afresh every call."""
     if not isinstance(s, int) or s < 2:
         raise ValueError("argument must be an integer >= 2")
-    with ctx.workprec(5):
-        prec, rnd = mpmath.mp.prec, round_nearest
-        bound = mpf_pow_int(from_int(10), -(ctx.working_digits + 3), prec, rnd)
-        n = max(16, ctx.working_digits)
-        while True:
-            head = mpf_sum([mpf_pow_int(from_int(i), -s, prec, rnd) for i in range(1, n)],
+    prec, rnd = ctx.bits(5), round_nearest
+    bound = mpf_pow_int(from_int(10), -(ctx.working_digits + 3), prec, rnd)
+    n = max(16, ctx.working_digits)
+    while True:
+        head = mpf_sum([mpf_pow_int(from_int(i), -s, prec, rnd) for i in range(1, n)],
+                       prec, rnd)
+        nf = from_int(n)
+        nf2 = mpf_pow_int(nf, 2, prec, rnd)
+        for e, den in ((1 - s, s - 1), (-s, 2)):  # head + n^(1-s)/(s-1) + n^-s/2
+            term = mpf_div(mpf_pow_int(nf, e, prec, rnd), from_int(den), prec, rnd)
+            head = mpf_add(head, term, prec, rnd)
+        # corrections: B_2j/(2j)! * s(s+1)...(s+2j-2) * n^(1-s-2j)
+        rising = from_int(s)
+        power = mpf_pow_int(nf, -s - 1, prec, rnd)
+        correction = fzero
+        prev_mag = None
+        for j in range(1, 80):
+            term = mpf_mul(mpf_mul(_zeta_correction(j, prec), rising, prec, rnd), power,
                            prec, rnd)
-            nf = from_int(n)
-            nf2 = mpf_pow_int(nf, 2, prec, rnd)
-            for e, den in ((1 - s, s - 1), (-s, 2)):  # head + n^(1-s)/(s-1) + n^-s/2
-                term = mpf_div(mpf_pow_int(nf, e, prec, rnd), from_int(den), prec, rnd)
-                head = mpf_add(head, term, prec, rnd)
-            # corrections: B_2j/(2j)! * s(s+1)...(s+2j-2) * n^(1-s-2j)
-            rising = from_int(s)
-            power = mpf_pow_int(nf, -s - 1, prec, rnd)
-            correction = fzero
-            prev_mag = None
-            for j in range(1, 80):
-                term = mpf_mul(mpf_mul(_zeta_correction(j, prec), rising, prec, rnd), power,
-                               prec, rnd)
-                mag = mpf_abs(term)
-                if mpf_lt(mag, bound):
-                    return mpmath.mp.make_mpf(mpf_add(head, correction, prec, rnd))
-                if prev_mag is not None and mpf_ge(mag, prev_mag):
-                    break  # asymptotic tail turned: n too small
-                correction = mpf_add(correction, term, prec, rnd)
-                prev_mag = mag
-                rising = mpf_mul_int(rising, (s + 2 * j - 1) * (s + 2 * j), prec, rnd)
-                power = mpf_div(power, nf2, prec, rnd)
-            n *= 2
+            mag = mpf_abs(term)
+            if mpf_lt(mag, bound):
+                return mpmath.mp.make_mpf(mpf_add(head, correction, prec, rnd))
+            if prev_mag is not None and mpf_ge(mag, prev_mag):
+                break  # asymptotic tail turned: n too small
+            correction = mpf_add(correction, term, prec, rnd)
+            prev_mag = mag
+            rising = mpf_mul_int(rising, (s + 2 * j - 1) * (s + 2 * j), prec, rnd)
+            power = mpf_div(power, nf2, prec, rnd)
+        n *= 2
 
 
 # ---------------------------------------------------------------------------
@@ -364,27 +396,22 @@ def bendersky_recursion_check(
     """
     if k < 0:
         raise ValueError("order must be non-negative")
-    x_ref = 2 * shift_threshold(ctx)
+    yield "bendersky-recursion", k, x
     upper = build_lambda_terms(k + 1, 20 + 1)  # 20 tail terms, one held back
     lower = _integrated_lambda_terms(k, 20 + 1)
     hk_bk1 = harmonic(k) * bernoulli(k + 1)
-    with ctx.workprec(5):
 
-        def sides(pt):
-            lv, le, _ = eval_term_poly(upper, pt, ctx)
-            rv, re, _ = eval_term_poly(lower, pt, ctx)
-            pe = as_exact(pt)
-            if isinstance(pe, Fraction):
-                corr = to_mpf(phi(k + 1, pe + 1) / (k + 1) + hk_bk1 * pe)
-            else:
-                corr = phi(k + 1, pe + 1) / (k + 1) + to_mpf(hk_bk1) * pe
-            return lv, (k + 1) * rv + corr, le + (k + 1) * re
+    def sides(pt):
+        lv, le, _ = eval_term_poly(upper, pt, ctx)
+        rv, re, _ = eval_term_poly(lower, pt, ctx)
+        pe = _exact(as_exact(pt))
+        corr = phi(k + 1, pe + 1) / (k + 1) + hk_bk1 * pe
+        return _exact(lv), (k + 1) * _exact(rv) + corr, _exact(le) + (k + 1) * _exact(re)
 
-        left_x, right_x, err_x = sides(x)
-        left_r, right_r, err_r = sides(x_ref)
-        residual = (left_x - left_r) - (right_x - right_r)
-        tolerance = err_x + err_r + ctx.rounding_floor(abs(left_x) + abs(left_r))
-    return "bendersky-recursion", k, x, residual, tolerance
+    left_x, right_x, err_x = sides(x)
+    left_r, right_r, err_r = sides(2 * shift_threshold(ctx))
+    residual = (left_x - left_r) - (right_x - right_r)
+    return residual, err_x + err_r + _floor(ctx, abs(left_x) + abs(left_r)), ctx
 
 
 @memo
@@ -407,14 +434,14 @@ def alt_recursion_check(
     """
     if k < 0:
         raise ValueError("order must be non-negative")
-    with ctx.workprec(5):
-        qval, qerr, node_err = _route_integral(_alt_integrand_level, k, x, ctx)
-        top = hurwitz_deriv(k + 1, x, ctx)
-        base = zeta_deriv_neg(k + 1, ctx)
-        xf = to_mpf(as_exact(x))
-        return ("alt-recursion", k, x,
-                *_two_sided((k + 1) * qval, top.value - base.value, ctx,
-                            (k + 1) * (qerr + xf * node_err), top.err, base.err))
+    yield "alt-recursion", k, x
+    qval, qerr, node_err = _route_integral(_alt_integrand_level, k, x, ctx)
+    top = hurwitz_deriv(k + 1, x, ctx)
+    base = zeta_deriv_neg(k + 1, ctx)
+    xe = _exact(as_exact(x))
+    return (*_two_sided((k + 1) * _exact(qval), _exact(top.value) - _exact(base.value), ctx,
+                        (k + 1) * (_exact(qerr) + xe * _exact(node_err)), top.err, base.err),
+            ctx)
 
 
 @_check
@@ -426,19 +453,14 @@ def alexeiewsky_check(x: Real, ctx: PrecisionContext = DEFAULT_CONTEXT) -> Check
 
     with log sqrt(2 pi) supplied by the order-0 limiting constant.
     """
-    xe = as_exact(x)
-    with ctx.workprec(5):
-        lhs = log_gengamma(1, xe + 1, ctx)
-        qval, qerr, node_err = _route_integral(_log_gengamma_level, 0, x, ctx, shift=1)
-        base = gkbj_auto(0, ctx)
-        if isinstance(xe, Fraction):
-            poly_part = to_mpf(xe * (xe + 1) / 2)
-        else:
-            poly_part = xe * (xe + 1) / 2
-        xf = to_mpf(xe)
-        rhs = qval + poly_part - xf * base.value
-        return ("alexeiewsky", None, x,
-                *_two_sided(lhs.value, rhs, ctx, lhs.err, qerr, xf * node_err, xf * base.err))
+    xe = _exact(as_exact(x))
+    yield "alexeiewsky", None, x
+    lhs = log_gengamma(1, xe + 1, ctx)
+    qval, qerr, node_err = _route_integral(_log_gengamma_level, 0, x, ctx, shift=1)
+    base = gkbj_auto(0, ctx)
+    rhs = _exact(qval) + xe * (xe + 1) / 2 - xe * _exact(base.value)
+    return (*_two_sided(lhs.value, rhs, ctx, lhs.err, qerr, xe * _exact(node_err),
+                        xe * _exact(base.err)), ctx)
 
 
 @_check
@@ -456,32 +478,21 @@ def general_solution_check(
     """
     if not 1 <= k <= 3:
         raise ValueError("checked for orders 1..3")
-    xe = as_exact(x)
-    with ctx.workprec(5):
-        xf = to_mpf(xe)
-        qval, qerr, node_err = _route_integral(_log_gengamma_level, 0, x, ctx, shift=1,
-                                               power=k - 1)
-        # k! I_k = k! /(k-1)! * integral = k * integral
-        main = k * qval
-        main_err = k * (qerr + xf**k * node_err)
-        psi = mpmath.mpf(0)
-        psi_err = mpmath.mpf(0)
-        for r in range(k):
-            rec = gkbj_auto(r, ctx)
-            if isinstance(xe, Fraction):
-                weight = to_mpf(math.comb(k, r) * xe ** (k - r))
-            else:
-                weight = math.comb(k, r) * xf ** (k - r)
-            psi += weight * rec.value
-            psi_err += abs(weight) * rec.err
-        if isinstance(xe, Fraction):
-            hk_phi = to_mpf(harmonic(k) * phi(k, xe + 1))
-        else:
-            hk_phi = to_mpf(harmonic(k)) * phi(k, xf + 1)
-        rhs = main + hk_phi - psi
-        lhs = log_gengamma(k, xe + 1, ctx)
-        return ("general-solution", k, x,
-                *_two_sided(lhs.value, rhs, ctx, lhs.err, main_err, psi_err))
+    xe = _exact(as_exact(x))
+    yield "general-solution", k, x
+    qval, qerr, node_err = _route_integral(_log_gengamma_level, 0, x, ctx, shift=1, power=k - 1)
+    # k! I_k = k! /(k-1)! * integral = k * integral
+    main = k * _exact(qval)
+    main_err = k * (_exact(qerr) + xe**k * _exact(node_err))
+    psi = psi_err = Fraction(0)
+    for r in range(k):
+        rec = gkbj_auto(r, ctx)
+        weight = math.comb(k, r) * xe ** (k - r)
+        psi += weight * _exact(rec.value)
+        psi_err += abs(weight) * _exact(rec.err)
+    rhs = main + harmonic(k) * phi(k, xe + 1) - psi
+    lhs = log_gengamma(k, xe + 1, ctx)
+    return (*_two_sided(lhs.value, rhs, ctx, lhs.err, main_err, psi_err), ctx)
 
 
 @_check
@@ -501,28 +512,27 @@ def gint_moment_check(
         raise ValueError("moment order must be >= 1")
     if gamma_variant and k != 2:
         raise ValueError("the log Gamma(t) variant is the k = 2 identity")
-    with ctx.workprec(5):  # log Gamma(t + 1), or log Gamma(t) at k = 2 with power 1
-        qval, qerr, node_err = _route_integral(_log_gengamma_level, 0, 1, ctx,
-                                               shift=0 if gamma_variant else 1, power=k - 1)
-        if gamma_variant:
-            d0 = zeta_deriv_neg(0, ctx)
-            d1 = zeta_deriv_neg(1, ctx)
-            rhs = -d0.value - 2 * d1.value + to_mpf(Fraction(1, 6))
-            deriv_err = d0.err + 2 * d1.err
-        else:
-            rhs = mpmath.mpf(0)
-            deriv_err = mpmath.mpf(0)
-            for r in range(k):
-                d = zeta_deriv_neg(r, ctx)
-                c = math.comb(k, r)
-                rhs += c * (to_mpf(harmonic(r) * bernoulli(r + 1) / (r + 1)) - d.value)
-                deriv_err += c * d.err
-            bracket = Fraction(1, 2) + (
-                1 + sum(math.comb(k + 1, r) * bernoulli(r) for r in range(2, k + 1))
-            ) / Fraction(k + 1)
-            rhs -= to_mpf(harmonic(k) * bracket)
-        name = "gint-moment-gamma-variant" if gamma_variant else "gint-moment"
-        return name, k, 1, *_two_sided(k * qval, rhs, ctx, k * (qerr + node_err), deriv_err)
+    yield "gint-moment-gamma-variant" if gamma_variant else "gint-moment", k, 1
+    # log Gamma(t + 1), or log Gamma(t) at k = 2 with power 1
+    qval, qerr, node_err = _route_integral(_log_gengamma_level, 0, 1, ctx,
+                                           shift=0 if gamma_variant else 1, power=k - 1)
+    if gamma_variant:
+        d0, d1 = zeta_deriv_neg(0, ctx), zeta_deriv_neg(1, ctx)
+        rhs = Fraction(1, 6) - _exact(d0.value) - 2 * _exact(d1.value)
+        deriv_err = _exact(d0.err) + 2 * _exact(d1.err)
+    else:
+        rhs = deriv_err = Fraction(0)
+        for r in range(k):
+            d = zeta_deriv_neg(r, ctx)
+            c = math.comb(k, r)
+            rhs += c * (harmonic(r) * bernoulli(r + 1) / (r + 1) - _exact(d.value))
+            deriv_err += c * _exact(d.err)
+        bracket = Fraction(1, 2) + (
+            1 + sum(math.comb(k + 1, r) * bernoulli(r) for r in range(2, k + 1))
+        ) / Fraction(k + 1)
+        rhs -= harmonic(k) * bracket
+    return (*_two_sided(k * _exact(qval), rhs, ctx, k * (_exact(qerr) + _exact(node_err)),
+                        deriv_err), ctx)
 
 
 @_check
@@ -533,19 +543,18 @@ def jeffery_difference_check(
     x to x+1 adds exactly (x+1)^k log(x+1)."""
     if not isinstance(x, int) or x < 1:
         raise ValueError("difference point must be a positive integer")
-    hi = exact_log_gengamma(k, x + 1, ctx)
-    lo = exact_log_gengamma(k, x, ctx)
-    with ctx.workprec(5):
-        step = mpmath.mpf((x + 1) ** k) * mpmath.log(x + 1)
-        residual = hi.value - lo.value - step
-        tolerance = ctx.rounding_floor(abs(hi.value) + abs(step) + 1)
-    return "jeffery-difference", k, x, residual, tolerance
+    yield "jeffery-difference", k, x
+    hi = _exact(exact_log_gengamma(k, x + 1, ctx).value)
+    lo = _exact(exact_log_gengamma(k, x, ctx).value)
+    step = (x + 1) ** k * _exact(mpf_log(from_int(x + 1), ctx.bits(5), round_nearest))
+    return hi - lo - step, _floor(ctx, abs(hi) + abs(step) + 1), ctx
 
 
 @_check
 def log_coefficient_check(k: int, ctx: PrecisionContext = DEFAULT_CONTEXT) -> CheckReport:
     """The polynomial multiplying log x in the order-k expansion equals
     B_{k+1}(x+1)/(k+1), exactly, at every integer 1 <= x <= 20."""
+    yield "log-coefficient", k, None
     # each side in integers over one denominator: lcm, and den (k+1) for B_{k+1}(x+1)/(k+1)
     coeffs = log_coefficient_poly(k)
     lcm = math.lcm(*(c.denominator for c in coeffs))
@@ -553,7 +562,7 @@ def log_coefficient_check(k: int, ctx: PrecisionContext = DEFAULT_CONTEXT) -> Ch
     a, den = _bernoulli_poly_ints(k + 1)
     bad = sum(_horner(values, x, 1) * den * (k + 1) != _horner(a, x + 1, 1) * lcm
               for x in range(1, 21))
-    return "log-coefficient", k, None, mpmath.mpf(bad), mpmath.mpf("0.5")
+    return bad, Fraction(1, 2), ctx
 
 
 @_check
@@ -563,59 +572,55 @@ def stabilization_check(
     """The trial-method constant must not depend on the trial argument:
     values at w = 50, 100, 200 (20 tail terms) agree within their
     reported errors.  The strongest detector of a slip in the series."""
+    yield "stabilization", k, None
     records = [gkbj_constant(k, w, 20, ctx) for w in (50, 100, 200)]
-    with ctx.workprec():
-        values = [r.value for r in records]
-        residual = max(values) - min(values)
-        tolerance = 2 * max(r.err for r in records) + ctx.rounding_floor(1)
-    return "stabilization", k, None, residual, tolerance
+    values = [_exact(r.value) for r in records]
+    tolerance = 2 * max(_exact(r.err) for r in records) + _floor(ctx, 1)
+    return max(values) - min(values), tolerance, ctx
 
 
-def _unit_integral(name: str, f: Callable, exact: int, ctx: PrecisionContext) -> tuple:
-    """The body of the check int_0^1 f = exact by :func:`quadrature`, within its
-    err and the rounding floor at 1."""
-    val, err = quadrature(f, 0, 1, ctx)
-    with ctx.workprec():
-        return name, None, None, val - exact, err + ctx.rounding_floor(1)
+def _unit_integral(level: Callable, exact: int, ctx: PrecisionContext) -> tuple:
+    """``(residual, tolerance, ctx)`` of int_0^1 f = exact by :func:`_tanh_sinh`,
+    with ``level`` giving f's raw values, within its err and the rounding floor at 1."""
+    (value,), err = _tanh_sinh(level, 0, 1, ctx)
+    return _exact(value) - exact, _exact(err) + _floor(ctx, 1), ctx
 
 
 @_check
 def _quadrature_unit_check(ctx) -> CheckReport:
-    return _unit_integral("quadrature-constant", lambda t: mpmath.mpf(1), 1, ctx)
+    yield "quadrature-constant", None, None
+    return _unit_integral(lambda xs: [[fone] * len(xs)], 1, ctx)
 
 
 @_check
 def _quadrature_log_check(ctx) -> CheckReport:
-    return _unit_integral("quadrature-log-singular", mpmath.log, -1, ctx)
+    yield "quadrature-log-singular", None, None
+    prec = ctx.bits(5)
+    return _unit_integral(lambda xs: [[mpf_log(x, prec, round_nearest) for x in xs]], -1, ctx)
 
 
 @_check
 def _raabe_integral_check(ctx) -> CheckReport:
     """int_0^1 log Gamma(t+1) dt = log sqrt(2 pi) - 1, with both sides
     built from the package's own order-0 machinery."""
-    with ctx.workprec(5):
-        val, err, node_err = _route_integral(_log_gengamma_level, 0, 1, ctx, shift=1)
-        base = gkbj_auto(0, ctx)
-        residual = val - (base.value - 1)
-        tolerance = err + node_err + base.err + ctx.rounding_floor(1)
-    return "raabe-integral", None, None, residual, tolerance
+    yield "raabe-integral", None, None
+    val, err, node_err = _route_integral(_log_gengamma_level, 0, 1, ctx, shift=1)
+    base = gkbj_auto(0, ctx)
+    residual = _exact(val) - (_exact(base.value) - 1)
+    tolerance = _exact(err) + _exact(node_err) + _exact(base.err) + _floor(ctx, 1)
+    return residual, tolerance, ctx
 
 
 @_check
 def _zeta_even_check(m: int, ctx) -> CheckReport:
     """zeta(2m) against the closed form pi^(2m) |B_2m| 2^(2m-1)/(2m)!."""
     s = 2 * m
-    with ctx.workprec(5):
-        value = zeta_positive(s, ctx)
-        closed = (
-            mpmath.pi**s
-            * to_mpf(abs(bernoulli(s)))
-            * mpmath.mpf(2) ** (s - 1)
-            / math.factorial(s)
-        )
-        residual = value - closed
-        tolerance = ctx.rounding_floor(abs(closed) * 10)
-    return "zeta-even-closed-form", s, None, residual, tolerance
+    yield "zeta-even-closed-form", s, None
+    value = zeta_positive(s, ctx)
+    prec = ctx.bits(5)
+    pi_s = _exact(mpf_pow_int(mpf_pi(prec, round_nearest), s, prec, round_nearest))
+    closed = pi_s * abs(bernoulli(s)) * 2 ** (s - 1) / math.factorial(s)
+    return _exact(value) - closed, _floor(ctx, abs(closed) * 10), ctx
 
 
 # selftest's (check, args, kwargs, in_quick) rows, in order, ctx passed as a keyword;

@@ -314,7 +314,7 @@ class TestTailBoundTable:
                 assert tail_length(k, y, ctx) == closed_form_tail_length(k, y, ctx)
 
     def test_concurrent_growth_matches_serial(self):
-        # threads growing one order's table at once: one entry per index
+        # threads counting one order's tail at once get the serial counts
         clear_caches()
         ctx = PrecisionContext(1000)
         args = [(k, y) for k in (0, 1, 5) for y in (900, 300, 60, 20, 5)]
@@ -336,23 +336,6 @@ class TestTailBoundTable:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert all(results[i] == serial for i in range(8))
-        shared = {k: list(asymptotic._tail_bounds(k)) for k in (0, 1, 5)}
-        clear_caches()
-        for k, y in args:
-            tail_length(k, y, ctx)
-        assert shared == {k: asymptotic._tail_bounds(k) for k in (0, 1, 5)}
-
-    def test_grows_on_demand_and_clears(self):
-        clear_caches()
-        tail_length(0, 20, PrecisionContext(20))
-        short = len(asymptotic._tail_bounds(0))
-        assert 0 < short < 40
-        tail_length(0, 900, PrecisionContext(1000))
-        assert len(asymptotic._tail_bounds(0)) > 10 * short
-        assert asymptotic._tail_bounds.cache_info().currsize == 1  # one table per order
-        clear_caches()
-        assert asymptotic._tail_bounds.cache_info().currsize == 0
-        assert asymptotic._tail_bounds(0) == []
 
 
 class TestIntegerTail:

@@ -138,3 +138,34 @@ def test_route_integrals_in_threads_get_the_serial_bits(route, k, b, shift, prec
     assert mpmath.mp.prec == prec
     assert precision_writes == []
     assert results == [[bits] * 4 for bits in serial]
+
+
+def _report(rep):
+    return rep.name, rep.k, rep.x_or_w, rep.residual._mpf_, rep.tolerance._mpf_, rep.passed
+
+
+@pytest.mark.parametrize("level", ["quick", "full"])
+def test_selftest_in_threads_gets_the_serial_reports(level, precision_writes):
+    contexts = [PrecisionContext(20), PrecisionContext(60), PrecisionContext(20)]
+
+    def reports(ctx):
+        return [_report(rep) for rep in validate.selftest(level, ctx)]
+
+    serial = [reports(ctx) for ctx in contexts]
+    clear_caches()
+    prec = mpmath.mp.prec
+    results = _in_threads(reports, contexts, 1)
+    assert mpmath.mp.prec == prec
+    assert precision_writes == []
+    assert results == [[r] for r in serial]
+
+
+def test_selftest_reports_ignore_the_ambient_precision(precision_writes):
+    seen = []
+    for ambient in (53, 300):
+        with mpmath.workprec(ambient):
+            clear_caches()
+            before = len(precision_writes)
+            seen.append([_report(rep) for rep in validate.selftest("full", PrecisionContext(20))])
+            assert precision_writes[before:] == []
+    assert seen[0] == seen[1]

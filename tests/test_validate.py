@@ -11,6 +11,7 @@ import hzeta.validate as validate
 from hzeta import (
     NonConvergent,
     PrecisionContext,
+    Result,
     bernoulli_poly,
     clear_caches,
     hurwitz_deriv,
@@ -19,6 +20,7 @@ from hzeta import (
     selftest,
     zeta_positive,
 )
+from hzeta.cli import run
 from hzeta.validate import (
     alexeiewsky_check,
     alt_recursion_check,
@@ -434,6 +436,23 @@ class TestIdentityChecks:
         again = bendersky_recursion_check(1, 100, ctx20)  # rebuilt, the same bits
         assert (again.residual, again.tolerance) == (first.residual, first.tolerance)
 
+    @pytest.mark.parametrize("check, args", [(bendersky_recursion_check, (1,)),
+                                             (alexeiewsky_check, ()),
+                                             (general_solution_check, (2,))],
+                             ids=lambda v: getattr(v, "__name__", None))
+    def test_a_point_counts_by_its_value_not_its_type(self, ctx20, check, args):
+        reports = [check(*args, x, ctx20) for x in (Fraction(5, 2), 2.5, mpmath.mpf("2.5"))]
+        assert all(rep.passed for rep in reports)
+        assert len({(rep.residual._mpf_, rep.tolerance._mpf_) for rep in reports}) == 1
+
+    def test_a_non_finite_value_fails_its_check(self, ctx20, monkeypatch):
+        # equal infinite values would otherwise cancel to a zero residual
+        inf = mpmath.mpf("inf")
+        monkeypatch.setattr(validate, "gkbj_constant",
+                            lambda k, w, terms, ctx: Result("L", k, w, inf, inf, "trial", {}))
+        rep = stabilization_check(1, ctx20)
+        assert not rep.passed and mpmath.isnan(rep.residual)
+
     def test_stabilization(self, ctx20):
         for k in range(5):
             rep = stabilization_check(k, ctx20)
@@ -503,6 +522,20 @@ class TestSelftest:
                              for check, args, kwargs, in_quick in table
                              if in_quick or level == "full"]
             assert len(calls) == count
+
+    def test_a_check_that_raises_is_a_failed_report(self, ctx20, monkeypatch, capsys):
+        clean = selftest("quick", ctx20)
+
+        def stalled(*args, **kwargs):
+            raise NonConvergent("level differences stalled")
+
+        monkeypatch.setattr(validate, "_tanh_sinh", stalled)
+        reports = selftest("quick", ctx20)
+        assert [(r.name, r.k, r.x_or_w) for r in reports] == [(r.name, r.k, r.x_or_w) for r in clean]
+        assert [r.name for r in reports if not r.passed] == [
+            "quadrature-constant", "quadrature-log-singular", "raabe-integral"]
+        assert run(["selftest", "--level", "quick"]) == 1
+        assert "15/18 passed" in capsys.readouterr().out
 
     def test_rejects_unknown_level(self, ctx20):
         with pytest.raises(ValueError):

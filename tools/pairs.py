@@ -1,26 +1,33 @@
 """Alternating benchmark pairs of this checkout against a parent checkout.
 
-    python tools/pairs.py PARENT_DIR --workload identity-suite --pairs 10 --seconds 50
+    python tools/pairs.py PARENT_DIR --workload identity-suite --workload cli-replay \
+        --pairs 10 --seconds 50 --out OUT.json
 
-Each pair runs ``python3 perfbench/run.py --workload W --seed 1 --seconds S
---trace 0`` once in PARENT_DIR and once in this checkout (the one holding
-this script), the parent first in odd pairs and the change first in even
-ones, so that a drift of the host falls on both sides alike.  For each
-end-to-end metric of ``BENCHMARK.json`` it then prints the per-pair values
-(parent/change), both medians, the parent's quartiles and the number of
-pairs the change won, by the metric's direction.  ``--out PATH`` also
-writes every result line of both sides as JSON.  Neither checkout is
-modified.
+For each workload W, each pair runs ``python3 perfbench/run.py --workload W
+--seed 1 --seconds S --trace 0`` once in PARENT_DIR and once in this
+checkout (the one holding this script), the parent first in odd pairs and
+the change first in even ones, so that a drift of the host falls on both
+sides alike.  For each end-to-end metric of ``BENCHMARK.json`` it then
+prints, per workload, the per-pair values (parent/change), both medians,
+the parent's quartiles and the number of pairs the change won, by the
+metric's direction.  ``--out PATH`` also writes the benchmark record in
+the layout of the ``BENCH_*.json`` files: the command, the host, a note,
+and for each side its commit ("unknown" outside a git checkout) and the
+last pair's result line per workload.  Neither checkout is modified.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
+import platform
 import statistics
 import subprocess
 import sys
 from pathlib import Path
+
+import mpmath
 
 CHANGE = Path(__file__).resolve().parent.parent
 
@@ -51,37 +58,51 @@ def summary(name: str, better: str, parent: list, change: list) -> str:
             f" change better in {wins} of {len(parent)}")
 
 
+def host() -> str:
+    """The host as the benchmark record names it: CPUs, Python and mpmath."""
+    return (f"{os.cpu_count()}-vCPU host, Python {platform.python_version()},"
+            f" mpmath {mpmath.__version__} ({mpmath.libmp.BACKEND} backend)")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=Path, help="root of the parent checkout")
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", required=True, action="append",
+                        help="a workload to run; give it once per workload")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=50)
-    parser.add_argument("--out", type=Path, help="write every result line here as JSON")
+    parser.add_argument("--out", type=Path, help="write the benchmark record here as JSON")
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("--pairs must be at least 2, for quartiles")
     sides = {"parent": args.parent.resolve(), "change": CHANGE}
-    results: dict[str, list] = {"parent": [], "change": []}
-    for i in range(args.pairs):
-        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-        for side in order:
-            results[side].append(run_once(sides[side], args.workload, args.seconds))
-        print(f"pair {i + 1} of {args.pairs} done", file=sys.stderr, flush=True)
     spec = json.loads((CHANGE / "BENCHMARK.json").read_text())
-    for metric in spec["end_to_end"]:
-        name = metric["name"]
-        values = {side: [r["metrics"].get(name, {}).get("value") for r in results[side]]
-                  for side in sides}
-        if None not in values["parent"] + values["change"]:
-            print(summary(name, metric["better"], values["parent"], values["change"]))
+    last: dict[str, dict] = {"parent": {}, "change": {}}
+    for workload in args.workload:
+        results: dict[str, list] = {"parent": [], "change": []}
+        for i in range(args.pairs):
+            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+            for side in order:
+                results[side].append(run_once(sides[side], workload, args.seconds))
+            print(f"{workload}: pair {i + 1} of {args.pairs} done", file=sys.stderr, flush=True)
+        for metric in spec["end_to_end"]:
+            name = metric["name"]
+            values = {side: [r["metrics"].get(name, {}).get("value") for r in results[side]]
+                      for side in sides}
+            if None not in values["parent"] + values["change"]:
+                print(f"{workload} " + summary(name, metric["better"], values["parent"],
+                                                values["change"]))
+        for side in sides:
+            last[side][workload] = results[side][-1]
     if args.out:
-        command = (f"python3 perfbench/run.py --workload {args.workload} --seed 1"
-                   f" --seconds {args.seconds:g} --trace 0")
-        record = {"command": command,
-                  "note": f"{args.pairs} alternating pairs, parent first in odd pairs",
-                  **{side: {"commit": commit(path), args.workload: results[side]}
-                     for side, path in sides.items()}}
+        workloads = args.workload[0] if len(args.workload) == 1 else f"{{{','.join(args.workload)}}}"
+        record = {"command": f"python3 perfbench/run.py --workload {workloads} --seed 1"
+                             f" --seconds {args.seconds:g} --trace 0",
+                  "host": host(),
+                  "note": f"one result line per side and workload, the last of {args.pairs}"
+                          " alternating parent/change pairs at seed 1 on each workload"
+                          " (tools/pairs.py), parent first in odd pairs",
+                  **{side: {"commit": commit(path), **last[side]} for side, path in sides.items()}}
         args.out.write_text(json.dumps(record, indent=1) + "\n")
     return 0
 

@@ -33,8 +33,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import mpmath
-from mpmath.libmp import from_int, from_man_exp, fzero, mpf_abs, mpf_add, mpf_ge, mpf_gt, mpf_le
-from mpmath.libmp import from_str, mpf_log, mpf_mul, mpf_pow_int, mpf_sub, round_nearest, to_float
+from mpmath.libmp import from_man_exp, from_str, fzero, mpf_abs, mpf_add, mpf_gt, mpf_le, mpf_log
+from mpmath.libmp import mpf_mul, mpf_pow_int, round_nearest
 
 from .errors import ArgumentTooSmall
 from .mpcore import (
@@ -45,6 +45,7 @@ from .mpcore import (
     _rounding_floor,
     _tangents,
     _to_raw,
+    as_exact,
     bernoulli,
     harmonic,
     memo,
@@ -379,16 +380,11 @@ def shift_threshold(ctx: PrecisionContext = DEFAULT_CONTEXT) -> int:
 
 
 def plan(k: int, x: Real, ctx: PrecisionContext = DEFAULT_CONTEXT) -> tuple[int, int]:
-    """Shift count n lifting x to :func:`shift_threshold`, and the tail length at x + n.
-    n is 0 from the threshold up by an exact test, so no x beyond float range meets math.ceil.
-    At an mpf x, t - x and x + n are the mpf operators' steps at ``ctx.bits(5)``, on raw values."""
-    t = shift_threshold(ctx)
-    if not isinstance(x, mpmath.mpf):
-        n = 0 if x >= t else math.ceil(t - x)
-        return n, tail_length(k, x + n, ctx)
-    prec, rnd, xv, tv = ctx.bits(5), round_nearest, x._mpf_, from_int(t)
-    n = 0 if mpf_ge(xv, tv) else math.ceil(to_float(mpf_sub(tv, xv, prec, rnd), False, rnd))
-    return n, tail_length(k, mpmath.mp.make_mpf(mpf_add(xv, from_int(n), prec, rnd)), ctx)
+    """Shift count n lifting x to :func:`shift_threshold`, and the tail length at x + n,
+    both from x's exact value: n is the exact ceiling of t - x, and 0 from t up."""
+    t, x = shift_threshold(ctx), as_exact(x)
+    n = 0 if x >= t else math.ceil(t - x)
+    return n, tail_length(k, x + n, ctx)
 
 
 def tail_length(k: int, y: Real, ctx: PrecisionContext = DEFAULT_CONTEXT) -> int:
@@ -400,11 +396,11 @@ def tail_length(k: int, y: Real, ctx: PrecisionContext = DEFAULT_CONTEXT) -> int
     since |B_2m| <= 2 zeta(2) (2m)! / (2 pi)^2m (Johansson,
     arXiv:1309.2877).
     """
-    try:  # float() rounds an mpf to nearest
-        log_y = math.log(to_float(y._mpf_, True, round_nearest) if isinstance(y, mpmath.mpf) else y)
-    except OverflowError:  # beyond float range: from y's mantissa and exponent, or p and q
-        log_y = (math.log(y.man) + y.exp * math.log(2) if isinstance(y, mpmath.mpf)
-                 else math.log(y.numerator) - math.log(y.denominator))
+    y = as_exact(y)
+    try:  # float() rounds p/q to nearest
+        log_y = math.log(y)
+    except OverflowError:  # beyond float range: from p and q
+        log_y = math.log(y.numerator) - math.log(y.denominator)
     floor = -ctx.working_digits * math.log(10)
     log_const = math.log(math.pi**2 / 3) + math.lgamma(k + 1) - k * math.log(2 * math.pi)
     prev = math.inf

@@ -19,8 +19,8 @@ from array import array
 from fractions import Fraction
 
 import mpmath
-from mpmath.libmp import fone, from_int, from_man_exp, mpf_add, mpf_div, mpf_log, mpf_mul
-from mpmath.libmp import mpf_pow_int, mpf_sub, round_ceiling, round_nearest
+from mpmath.libmp import from_int, from_man_exp, mpf_add, mpf_div, mpf_log, mpf_mul, mpf_sub
+from mpmath.libmp import round_ceiling, round_nearest
 
 from .asymptotic import _check_truncation, _eval_term_poly, _remainder, build_lambda_terms, plan
 from .mpcore import (
@@ -30,6 +30,7 @@ from .mpcore import (
     Result,
     _bernoulli_poly_ints,
     _horner,
+    _ratio,
     _rounding_floor,
     _to_raw,
     as_exact,
@@ -198,28 +199,21 @@ def shift_log_gengamma(
     if not xe > 0:
         raise ValueError("argument must be positive")
     prec = ctx.bits(5)
-    return mpmath.mp.make_mpf(_shift_chain(k, xe, n, _to_raw(value_at_shifted, prec), prec))
+    return mpmath.mp.make_mpf(_shift_chain(k, xe.numerator, xe.denominator, n,
+                                           _to_raw(value_at_shifted, prec), prec))
 
 
-def _shift_chain(k: int, xe, n: int, total: tuple, prec: int) -> tuple:
+def _shift_chain(k: int, p: int, q: int, n: int, total: tuple, prec: int) -> tuple:
     """:func:`shift_log_gengamma`'s n steps from the raw ``total`` at precision
-    prec, for an exact x > 0 (Fraction or mpf), raw."""
+    prec, for x = p/q > 0 in lowest terms, raw."""
     rnd = round_nearest
     if n and k == 0:
-        total = mpf_sub(total, _log_rising(xe, n, prec), prec, rnd)
-    elif n and isinstance(xe, Fraction):
-        p, q = xe.numerator, xe.denominator
+        total = mpf_sub(total, _log_rising(p, q, n, prec), prec, rnd)
+    elif n:
         qv, qkv = from_int(q), from_int(q**k)
         for num in range(p, p + n * q, q):  # at k = 1 the power is the base
             base = mpf_div(from_int(num, prec, rnd), qv, prec, rnd)
             power = base if k == 1 else mpf_div(from_int(num**k, prec, rnd), qkv, prec, rnd)
-            log = mpf_log(base, prec, rnd)
-            total = mpf_sub(total, mpf_mul(power, log, prec, rnd), prec, rnd)
-    elif n:
-        xv = xe._mpf_
-        for j in range(n):
-            base = mpf_add(xv, from_int(j), prec, rnd)
-            power = base if k == 1 else mpf_pow_int(base, k, prec, rnd)
             log = mpf_log(base, prec, rnd)
             total = mpf_sub(total, mpf_mul(power, log, prec, rnd), prec, rnd)
     return total
@@ -239,18 +233,11 @@ def _rising_product(start: int, step: int, n: int, bits: int) -> tuple[int, int]
     return prod, shift
 
 
-def _log_rising(xe, n: int, prec: int) -> tuple:
-    """log(x (x+1) ... (x+n-1)), raw at precision prec, for an exact x > 0
-    (Fraction or mpf), as one log of the integer product of the numerators
-    p + j q over q^n, for x = p/q (an mpf m 2^e is m / 2^-e, or m 2^e / 1).
-    The product keeps prec + 10 + log2(n) bits: the log moves by < 2^-(prec + 9)."""
-    bits = prec + 10 + n.bit_length()
-    if isinstance(xe, Fraction):
-        p, q = xe.numerator, xe.denominator
-    else:
-        man, exp = xe.man_exp
-        p, q = (man, 1 << -exp) if exp < 0 else (man << exp, 1)
-    prod, shift = _rising_product(p, q, n, bits)
+def _log_rising(p: int, q: int, n: int, prec: int) -> tuple:
+    """log(x (x+1) ... (x+n-1)), raw at precision prec, for x = p/q > 0, as one
+    log of the integer product of the numerators p + j q over q^n.  The product
+    keeps prec + 10 + log2(n) bits: the log moves by < 2^-(prec + 9)."""
+    prod, shift = _rising_product(p, q, n, prec + 10 + n.bit_length())
     # q = odd 2^z: 2^(n z) goes to the exponent, since an mpf of that integer
     # costs more than the log (mpmath strips its trailing zeros a byte at a time)
     z = (q & -q).bit_length() - 1
@@ -267,11 +254,11 @@ def shifted_series(
     ctx: PrecisionContext = DEFAULT_CONTEXT,
     tail_terms: int | None = None,
 ):
-    """``base`` plus the order-k remainder series at x + n, with n and the
-    tail length from :func:`~hzeta.asymptotic.plan`, then brought back
-    down to x by :func:`shift_log_gengamma`, on raw values at
+    """``base`` plus the order-k remainder series at x + n - 1, with n and the
+    tail length from :func:`~hzeta.asymptotic.plan` at x - 1, then brought
+    back down to x by :func:`shift_log_gengamma`, on raw values at
     ``ctx.bits(5)``: the path of every real argument and so of every
-    quadrature node.
+    quadrature node.  x + n - 1 is formed exactly, and rounded once.
 
     Returns ``(value, err, params)``: err adds ``base_err``, the series
     estimate and a rounding allowance; ``params["tail_terms"]`` counts
@@ -283,9 +270,9 @@ def shifted_series(
     """
     rnd, make, prec = round_nearest, mpmath.mp.make_mpf, ctx.bits(5)
     xe = as_exact(x)
-    n, planned, at = _shift_plan(k, xe, ctx, prec)
+    n, planned = plan(k, xe - 1, ctx)
     terms = planned if tail_terms is None else tail_terms
-    lam, lam_err, used = _remainder(k, at, terms, ctx)
+    lam, lam_err, used = _remainder(k, xe + n - 1, terms, ctx)
     shifted = mpf_add(_to_raw(base, prec), lam._mpf_, prec, rnd)
     value = shift_log_gengamma(k, xe, n, make(shifted), ctx)
     err = mpf_add(mpf_add(_to_raw(base_err, prec), lam_err._mpf_, prec, rnd),
@@ -293,45 +280,33 @@ def shifted_series(
     return value, make(err), {"tail_terms": used}
 
 
-def _shift_plan(k: int, xe, ctx: PrecisionContext, prec: int):
-    """``(n, tail_terms, x + n - 1)`` for an exact x > 0 (Fraction or mpf), with
-    n and the tail length from ``plan(k, x - 1)``; for an mpf, x - 1 and
-    x + n - 1 are raw steps at precision prec, as the mpf operators take them."""
-    if isinstance(xe, Fraction):
-        n, terms = plan(k, xe - 1, ctx)
-        return n, terms, xe + n - 1
-    rnd, make, xv = round_nearest, mpmath.mp.make_mpf, xe._mpf_
-    n, terms = plan(k, make(mpf_sub(xv, fone, prec, rnd)), ctx)
-    return n, terms, make(mpf_sub(mpf_add(xv, from_int(n), prec, rnd), fone, prec, rnd))
-
-
 @functools.partial(memo, maxsize=64)  # bounded for sweeps over b; selftest full uses 44
 def _level_plan(k: int, nodes: tuple, ctx: PrecisionContext) -> array:
-    """n and the tail length of :func:`_shift_plan` at each raw node, interleaved."""
-    prec, make = ctx.bits(5), mpmath.mp.make_mpf
-    return array("I", itertools.chain.from_iterable(
-        _shift_plan(k, make(xv), ctx, prec)[:2] for xv in nodes))
+    """n and the tail length of :func:`shifted_series`'s plan at each raw node,
+    interleaved."""
+    plans = (plan(k, Fraction(p - q, q), ctx) for p, q in map(_ratio, nodes))
+    return array("I", itertools.chain.from_iterable(plans))
 
 
 def _series_level(k: int, nodes, base: Real, base_err: Real, ctx: PrecisionContext):
     """:func:`shifted_series` at each raw node of one quadrature level, as raw
-    ``(value, err)`` pairs with its bits: the same plan (:func:`_shift_plan`,
-    kept by :func:`_level_plan`, with x + n - 1 formed again by its two raw
-    steps), the raw bodies of the series and the shift, and ArgumentTooSmall
-    where ``_remainder`` raises it."""
+    ``(value, err)`` pairs with its bits: the same plan (kept by
+    :func:`_level_plan`), x + n - 1 by one raw addition, correctly rounded as
+    the scalar route rounds it, the raw bodies of the series and the shift,
+    and ArgumentTooSmall where ``_remainder`` raises it."""
     rnd, make, prec = round_nearest, mpmath.mp.make_mpf, ctx.bits(5)
     out, polys = [], {}  # tail length -> term list, for this level
     base, base_err = _to_raw(base, prec), _to_raw(base_err, prec)
     plans = _level_plan(k, tuple(nodes), ctx)
     for xv, n, terms in zip(nodes, plans[::2], plans[1::2], strict=True):
-        at = mpf_sub(mpf_add(xv, from_int(n), prec, rnd), fone, prec, rnd)
+        at = mpf_add(xv, from_int(n - 1), prec, rnd)
         poly = polys.get(terms) or polys.setdefault(terms, build_lambda_terms(k, terms + 1))
         lam, lam_err, _ = _eval_term_poly(poly, at, ctx, prec)
         _check_truncation(k, make(at), lam, lam_err, prec)
         shifted = mpf_add(base, lam, prec, rnd)
         err = mpf_add(mpf_add(base_err, lam_err, prec, rnd),
                       _rounding_floor(ctx, shifted, prec), prec, rnd)
-        out.append((_shift_chain(k, make(xv), n, shifted, prec), err))
+        out.append((_shift_chain(k, *_ratio(xv), n, shifted, prec), err))
     return out
 
 
@@ -375,11 +350,11 @@ def log_gengamma(
     xe = as_exact(x)
     if not xe > 0:
         raise ValueError("argument must be positive")
-    is_int = xe.denominator == 1 if isinstance(xe, Fraction) else mpmath.isint(xe)
+    is_int = xe.denominator == 1
     if method == "exact" or (method == "auto" and is_int and xe <= constants._MAX_TRIAL_W):
         if not is_int:
             raise ValueError("exact summation needs an integer argument")
-        return exact_log_gengamma(k, int(xe) - 1, ctx)
+        return exact_log_gengamma(k, xe.numerator - 1, ctx)
 
     limit_const = constants.gkbj_auto(k, ctx)
     value, err, params = shifted_series(k, xe, limit_const.value, limit_const.err, ctx, tail_terms)

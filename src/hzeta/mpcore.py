@@ -118,17 +118,26 @@ def _to_raw(x: Real, prec: int) -> tuple:
     return from_int(x, prec, round_nearest) if isinstance(x, int) else mp.mpf(x, prec=prec)._mpf_
 
 
-def as_exact(x: Real):
-    """Keep int/Fraction arguments exact (as Fraction), and an mpf or a float
-    as an mpf of exactly its value; anything else (an mpmath constant, a
-    string) raises TypeError rather than be rounded at the ambient precision."""
+def as_exact(x: Real) -> Fraction:
+    """The exact value p/q of an int, a Fraction, a float or a finite mpf, as a
+    Fraction; inf and nan raise ValueError, and anything else (an mpmath
+    constant, a string) TypeError rather than be rounded at the ambient precision."""
     if isinstance(x, (int, Fraction)):
         return Fraction(x)
-    if isinstance(x, mpmath.mpf):
-        return x
-    if isinstance(x, float):
-        return mp.make_mpf(from_float(x))  # 53 bits, never rounded
+    if isinstance(x, (float, mpmath.mpf)):
+        return Fraction(*_ratio(from_float(x) if isinstance(x, float) else x._mpf_))
     raise TypeError(f"expected an int, Fraction, float or mpf argument, not {type(x).__name__}")
+
+
+def _ratio(v: tuple) -> tuple[int, int]:
+    """``(p, q)`` with p/q the value of a raw binary value v, in lowest terms and
+    q a power of two, from its mantissa and exponent; inf and nan raise
+    ValueError (internal use)."""
+    sign, man, exp, bc = v
+    if bc < 0:  # inf or nan, with mantissa 0
+        raise ValueError("argument must be finite")
+    man = -man if sign else man
+    return (man << exp, 1) if exp >= 0 else (man, 1 << -exp)
 
 
 # ---------------------------------------------------------------------------

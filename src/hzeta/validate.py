@@ -43,6 +43,7 @@ from .mpcore import (
     _bernoulli_poly_ints,
     _bernoulli_poly_raw,
     _horner,
+    _ratio,
     _rounding_floor,
     _to_raw,
     as_exact,
@@ -117,11 +118,10 @@ def _exact(v) -> Fraction:
     """The value of an int, a Fraction, an mpf or a raw mpf, exactly."""
     if isinstance(v, (int, Fraction)):
         return Fraction(v)
-    sign, man, exp, bc = getattr(v, "_mpf_", v)
-    if bc < 0:  # inf or nan, with mantissa 0
-        raise HzetaError("a non-finite value in an identity check")
-    man = -man if sign else man
-    return Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
+    try:
+        return Fraction(*_ratio(getattr(v, "_mpf_", v)))
+    except ValueError:
+        raise HzetaError("a non-finite value in an identity check") from None
 
 
 def _rounded(v: Fraction, prec: int, rnd: str) -> mpmath.mpf:
@@ -165,7 +165,6 @@ def quadrature(
     a: Real,
     b: Real,
     ctx: PrecisionContext = DEFAULT_CONTEXT,
-    max_level: int = 12,
 ):
     """Tanh-sinh (double-exponential) quadrature of f over (a, b), real or complex.
 
@@ -214,14 +213,15 @@ def quadrature(
         return list(zip(*((fnan, fnan) if any(p in _NONFINITE for p in z) else z for z in zs)))
 
     with ctx.workprec(5):  # f computes with mpf operators
-        value, err = _tanh_sinh(level, a, b, ctx, max_level)
+        value, err = _tanh_sinh(level, a, b, ctx)
     return make(value[0]) if len(value) == 1 else mpmath.mp.make_mpc(tuple(value)), make(err)
 
 
 _NONFINITE = (finf, fninf, fnan)
+_MAX_LEVEL = 12  # the last level tried, step 2^-12
 
 
-def _tanh_sinh(level: Callable, a: Real, b: Real, ctx: PrecisionContext, max_level: int = 12):
+def _tanh_sinh(level: Callable, a: Real, b: Real, ctx: PrecisionContext):
     """:func:`quadrature`'s integrator, raw ``(value, err)`` at precision
     ``ctx.bits(5)``: ``level(xs)`` gives the integrand's raw values at a level's raw
     abscissae xs (a list) as a list of parts, real and imaginary if complex, one
@@ -263,7 +263,7 @@ def _tanh_sinh(level: Callable, a: Real, b: Real, ctx: PrecisionContext, max_lev
 
     grid_sum = estimate = [mpf_sum(part, prec, rnd) for part in level_terms(0)]  # h = 1
     prev_delta = None
-    for level_no in range(1, max_level + 1):
+    for level_no in range(1, _MAX_LEVEL + 1):
         terms = level_terms(level_no)
         grid_sum = sums(mpf_add, grid_sum, [mpf_sum(part, prec, rnd) for part in terms])
         new_estimate = [mpf_shift(g, -level_no) for g in grid_sum]  # h * grid_sum, h = 2^-level
@@ -290,7 +290,7 @@ def _tanh_sinh(level: Callable, a: Real, b: Real, ctx: PrecisionContext, max_lev
         prev_delta = delta
     if prev_delta is not None and not above(prev_delta, plateau_limit, scale):
         return estimate, mpf_mul_int(prev_delta, 2, prec, rnd)
-    raise NonConvergent(f"no convergence after {max_level} levels")
+    raise NonConvergent(f"no convergence after {_MAX_LEVEL} levels")
 
 
 def _route_integral(route: Callable, k: int, b: Real, ctx: PrecisionContext, shift=0, power=0):
@@ -404,7 +404,7 @@ def bendersky_recursion_check(
     def sides(pt):
         lv, le, _ = eval_term_poly(upper, pt, ctx)
         rv, re, _ = eval_term_poly(lower, pt, ctx)
-        pe = _exact(as_exact(pt))
+        pe = as_exact(pt)
         corr = phi(k + 1, pe + 1) / (k + 1) + hk_bk1 * pe
         return _exact(lv), (k + 1) * _exact(rv) + corr, _exact(le) + (k + 1) * _exact(re)
 
@@ -438,7 +438,7 @@ def alt_recursion_check(
     qval, qerr, node_err = _route_integral(_alt_integrand_level, k, x, ctx)
     top = hurwitz_deriv(k + 1, x, ctx)
     base = zeta_deriv_neg(k + 1, ctx)
-    xe = _exact(as_exact(x))
+    xe = as_exact(x)
     return (*_two_sided((k + 1) * _exact(qval), _exact(top.value) - _exact(base.value), ctx,
                         (k + 1) * (_exact(qerr) + xe * _exact(node_err)), top.err, base.err),
             ctx)
@@ -453,7 +453,7 @@ def alexeiewsky_check(x: Real, ctx: PrecisionContext = DEFAULT_CONTEXT) -> Check
 
     with log sqrt(2 pi) supplied by the order-0 limiting constant.
     """
-    xe = _exact(as_exact(x))
+    xe = as_exact(x)
     yield "alexeiewsky", None, x
     lhs = log_gengamma(1, xe + 1, ctx)
     qval, qerr, node_err = _route_integral(_log_gengamma_level, 0, x, ctx, shift=1)
@@ -478,7 +478,7 @@ def general_solution_check(
     """
     if not 1 <= k <= 3:
         raise ValueError("checked for orders 1..3")
-    xe = _exact(as_exact(x))
+    xe = as_exact(x)
     yield "general-solution", k, x
     qval, qerr, node_err = _route_integral(_log_gengamma_level, 0, x, ctx, shift=1, power=k - 1)
     # k! I_k = k! /(k-1)! * integral = k * integral

@@ -22,7 +22,7 @@ from hzeta import (
 from hzeta import gengamma, hurwitz
 from hzeta.asymptotic import plan, shift_threshold
 from hzeta.gengamma import PrimeLogTable
-from hzeta.mpcore import to_mpf
+from hzeta.mpcore import as_exact, to_mpf
 
 
 class TestExactSum:
@@ -358,7 +358,7 @@ class TestLogGengamma:
         ctx = PrecisionContext(40)
         with mpmath.mp.workdps(15):
             g = log_gengamma(0, x, ctx)
-        assert g.arg._mpf_ == x._mpf_
+        assert g.arg == as_exact(x)
         with mpmath.mp.workdps(80):
             assert abs(g.value - mpmath.loggamma(x)) <= g.err <= mpmath.mpf(10) ** -40
 
@@ -378,6 +378,26 @@ class TestLogGengamma:
         assert g.err > 0
 
 
+class TestArgumentByValue:
+    """A real argument counts by its value: a full-mantissa mpf and the equal
+    Fraction give the same value, err and params, bit for bit."""
+
+    @staticmethod
+    def nodes(ctx):
+        rng = random.Random(60)
+        prec = dps_to_prec(ctx.working_digits + 5)
+        return [mpmath.mp.make_mpf(from_man_exp(rng.getrandbits(prec) * 6, -prec, prec))
+                for _ in range(60)]  # in (0, 6)
+
+    @pytest.mark.parametrize("k", range(5))
+    @pytest.mark.parametrize("route", [hurwitz_deriv, log_gengamma], ids=lambda f: f.__name__)
+    def test_mpf_and_fraction_give_the_same_bits(self, route, k, ctx20):
+        for x in self.nodes(ctx20):
+            man, exp = x.man_exp
+            a, b = route(k, x, ctx20), route(k, Fraction(man) * Fraction(2) ** exp, ctx20)
+            assert (a.value._mpf_, a.err._mpf_, a.params) == (b.value._mpf_, b.err._mpf_, b.params)
+
+
 def _abscissae(b, ctx):
     """The raw tanh-sinh abscissae of (0, b) at ctx, in the order quadrature takes them."""
     from hzeta.validate import quadrature
@@ -392,9 +412,9 @@ class TestLevelRoute:
 
     @staticmethod
     def plan_nodes(ctx):
-        """x = 2 - c 2^(e - 4), c = 5 and 11, with 2^e the float ulp at t - 1: plan
-        takes n from the float of t - (x - 1) = t - 1 + (c/16) 2^e, rounded to
-        nearest, so n rounds down to t - 1 at c = 5 and up to t at c = 11."""
+        """x = 2 - c 2^(e - 4), c = 5 and 11, with 2^e the float ulp at t - 1: the
+        float of t - (x - 1) = t - 1 + (c/16) 2^e rounds down to t - 1 at c = 5
+        and up to t at c = 11, but n is the exact ceiling, t at both."""
         e = (shift_threshold(ctx) - 1).bit_length() - 1 - 52
         return [from_man_exp((1 << (5 - e)) - c, e - 4) for c in (5, 11)]
 
@@ -429,6 +449,6 @@ class TestLevelRoute:
     def test_nodes_reach_the_exact_sum_and_both_roundings_of_n(self, ctx20):
         assert from_int(2) in self.nodes(ctx20)  # log Gamma(t + 1) at the midpoint of (0, 2)
         t = shift_threshold(ctx20)
-        with ctx20.workprec(5):
-            ns = [plan(0, mpmath.mp.make_mpf(x) - 1, ctx20)[0] for x in self.plan_nodes(ctx20)]
-        assert ns == [t - 1, t]  # the exact ceiling is t at both
+        xs = [as_exact(mpmath.mp.make_mpf(x)) for x in self.plan_nodes(ctx20)]
+        ns = [plan(0, x - 1, ctx20)[0] for x in xs]
+        assert ns == [t, t]

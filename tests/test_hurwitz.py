@@ -12,7 +12,7 @@ from hzeta import (
     zeta_positive,
 )
 from hzeta.constants import gkbj_auto, gkbj_constant
-from hzeta.mpcore import bernoulli, harmonic, to_mpf
+from hzeta.mpcore import as_exact, bernoulli, harmonic, to_mpf
 
 
 class TestZetaDerivNeg:
@@ -151,7 +151,7 @@ class TestRealOffsets:
         ctx = PrecisionContext(40)
         with mpmath.mp.workdps(15):
             d = hurwitz_deriv(1, w, ctx)
-        assert d.arg._mpf_ == w._mpf_
+        assert d.arg == as_exact(w)
         with mpmath.mp.workdps(80):
             assert abs(d.value - mpmath.zeta(-1, w, 1)) <= d.err <= mpmath.mpf(10) ** -40
 

@@ -9,7 +9,9 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from hzeta import PrecisionContext, bernoulli, bernoulli_poly, build_lambda_terms, harmonic, hurwitz_deriv, phi
-from hzeta import exact_log_gengamma, gengamma, mpcore, validate, zeta_positive
+from hzeta import exact_log_gengamma, gengamma, log_gengamma, mpcore, shift_log_gengamma, validate
+from hzeta import zeta_positive
+from hzeta.asymptotic import plan
 from hzeta.mpcore import BernoulliCache, as_exact, clear_caches, to_mpf
 from hzeta.validate import selftest
 
@@ -266,11 +268,23 @@ class TestAsExact:
         with pytest.raises(TypeError):
             hurwitz_deriv(0, mpmath.e, PrecisionContext(20))
 
+    @pytest.mark.parametrize(
+        "x", [math.inf, -math.inf, math.nan, mpmath.inf, -mpmath.inf, mpmath.nan],
+        ids=["inf", "-inf", "nan", "mpf-inf", "mpf--inf", "mpf-nan"])
+    @pytest.mark.parametrize("call", [
+        lambda x, ctx: hurwitz_deriv(1, x, ctx),
+        lambda x, ctx: log_gengamma(1, x, ctx),
+        lambda x, ctx: shift_log_gengamma(1, x, 3, 0, ctx),
+        lambda x, ctx: plan(1, x, ctx),
+    ], ids=["hurwitz_deriv", "log_gengamma", "shift_log_gengamma", "plan"])
+    def test_a_nonfinite_argument_fails_at_the_entry_point(self, call, x):
+        with pytest.raises(ValueError, match="argument must be finite"):
+            call(x, PrecisionContext(20))
+
     @pytest.mark.parametrize("prec", [10, 53, 200])
     def test_a_float_keeps_all_its_bits_at_any_ambient_precision(self, prec):
         with mpmath.mp.workprec(prec):
-            man, exp = as_exact(0.1).man_exp
-        assert Fraction(man) * Fraction(2) ** exp == Fraction(0.1)
+            assert as_exact(0.1) == Fraction(0.1)
 
     def test_a_float_argument_is_not_rounded_by_a_low_ambient_precision(self):
         ctx = PrecisionContext(20)

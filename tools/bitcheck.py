@@ -21,12 +21,12 @@ in {1, 2, 3} at the same nodes, at the precision of ``ctx.workprec(5)``;
 D in {20, 30, 100, 400}; the value and err of ``validate.quadrature`` over
 (0, b) for b in {1, 2, 3, 11/2} and D in {20, 30}, of log t, exp(-t) sqrt t
 and log_gengamma(0, t+1); every field but ``elapsed`` of the report of each
-of the 63 ``selftest full`` checks at D=20, 30 and 40 (residual, tolerance,
-passed, name, k and x_or_w, so that a reordered or relabelled suite shows),
-each run twice from cleared caches, so that the second run takes the kept
-quadrature nodes and node plans; and ``exact_log_gengamma(k, w)``
-for k in {0, 1, 3, 6, 12}, w in {1, 2, 7, 50, 100, 200, 1000} and D in
-{20, 100}, called twice from cleared caches, so that a sum made from kept
+of the 63 ``selftest full`` checks at D=20, 30 and 40 (residual and
+tolerance with all their bits, passed, name, k and x_or_w, so that a
+reordered or relabelled suite shows), each run twice from cleared caches,
+so that the second run takes the kept quadrature nodes and node plans; and
+``exact_log_gengamma(k, w)`` for k in {0, 1, 3, 6, 12}, w in {1, 2, 7, 50,
+100, 200, 1000} and D in {20, 100}, called twice from cleared caches, so that a sum made from kept
 weights is compared as well as a fresh one.  Then five arguments beyond
 float range at D=20, ``hurwitz_deriv`` for k in {0, 1} at 10^400/3 and
 mpf('1e400'), and ``log_gengamma(0, 10^400/3)``, each recorded as its bits
@@ -205,8 +205,8 @@ def dump(path: str) -> None:
         for k in (0, 1, 3, 6, 12):
             for w in (20, 25, 30, 45, 50, 100, 200, 400):
                 out[f"L D={D} k={k} w={w}"] = record(gkbj_constant, k, w, None, ctx)
-    def report(rep):  # every field but the wall clock
-        return (bits(mpmath.mpf(rep.residual)), bits(mpmath.mpf(rep.tolerance)),
+    def report(rep):  # every field but the wall clock, residual and tolerance unrounded
+        return (bits(rep.residual), bits(rep.tolerance),
                 [rep.passed, rep.name, rep.k, None if rep.x_or_w is None else str(rep.x_or_w)])
 
     for D in (20, 30, 40):

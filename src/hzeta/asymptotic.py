@@ -311,12 +311,13 @@ def eval_lambda(
     exceeds one part in 10^3 of the value, signalling that the caller
     must shift the argument upward first.
     """
+    x = as_exact(x)
     value, err, used = _remainder(k, x, tail_terms, ctx)
     return Result("lambda", k, x, value, err, "truncated-series", {"tail_terms": used})
 
 
-def _remainder(k: int, x: Real, tail_terms: int | None, ctx: PrecisionContext):
-    """:func:`eval_lambda` as ``(value, err, tail_terms_used)``, with no Result."""
+def _remainder(k: int, x: Fraction, tail_terms: int | None, ctx: PrecisionContext):
+    """:func:`eval_lambda` at an exact x, as ``(value, err, tail_terms_used)``."""
     if not x >= 1:
         raise ValueError("series argument must be >= 1; shift first")
     if tail_terms is None:
@@ -325,15 +326,16 @@ def _remainder(k: int, x: Real, tail_terms: int | None, ctx: PrecisionContext):
         raise ValueError("tail_terms must be >= 1")
     poly = build_lambda_terms(k, tail_terms + 1)
     value, err, used = eval_term_poly(poly, x, ctx)
-    _check_truncation(k, x, value._mpf_, err._mpf_, ctx.bits(5))
+    _check_truncation(k, x.numerator, x.denominator, value._mpf_, err._mpf_, ctx.bits(5))
     return value, err, used
 
 
-def _check_truncation(k: int, x, value: tuple, err: tuple, prec: int) -> None:
-    """Raise :class:`ArgumentTooSmall` when the raw err exceeds 10^-3 of |value|."""
+def _check_truncation(k: int, p: int, q: int, value: tuple, err: tuple, prec: int) -> None:
+    """Raise :class:`ArgumentTooSmall`, naming x = p/q, when the raw err exceeds 10^-3 |value|."""
     if mpf_gt(err, mpf_mul(_TOO_SMALL, mpf_abs(value), prec, round_nearest)):
         err = mpmath.nstr(mpmath.mp.make_mpf(err), 3)
-        raise ArgumentTooSmall(f"truncation error {err} too large for order {k} at x={x}")
+        raise ArgumentTooSmall(f"truncation error {err} too large for order {k} at "
+                               f"x={Fraction(p, q)}")
 
 
 def integrate_lambda_terms(poly: TermPoly) -> TermPoly:

@@ -293,8 +293,8 @@ def _series_level(k: int, nodes, base: Real, base_err: Real, ctx: PrecisionConte
     ``(value, err)`` pairs with its bits: the same plan (kept by
     :func:`_level_plan`), x + n - 1 by one raw addition, correctly rounded as
     the scalar route rounds it, the raw bodies of the series and the shift,
-    and ArgumentTooSmall where ``_remainder`` raises it."""
-    rnd, make, prec = round_nearest, mpmath.mp.make_mpf, ctx.bits(5)
+    and ArgumentTooSmall where ``_remainder`` raises it, with its message."""
+    rnd, prec = round_nearest, ctx.bits(5)
     out, polys = [], {}  # tail length -> term list, for this level
     base, base_err = _to_raw(base, prec), _to_raw(base_err, prec)
     plans = _level_plan(k, tuple(nodes), ctx)
@@ -302,11 +302,12 @@ def _series_level(k: int, nodes, base: Real, base_err: Real, ctx: PrecisionConte
         at = mpf_add(xv, from_int(n - 1), prec, rnd)
         poly = polys.get(terms) or polys.setdefault(terms, build_lambda_terms(k, terms + 1))
         lam, lam_err, _ = _eval_term_poly(poly, at, ctx, prec)
-        _check_truncation(k, make(at), lam, lam_err, prec)
+        p, q = _ratio(xv)
+        _check_truncation(k, p + (n - 1) * q, q, lam, lam_err, prec)
         shifted = mpf_add(base, lam, prec, rnd)
         err = mpf_add(mpf_add(base_err, lam_err, prec, rnd),
                       _rounding_floor(ctx, shifted, prec), prec, rnd)
-        out.append((_shift_chain(k, *_ratio(xv), n, shifted, prec), err))
+        out.append((_shift_chain(k, p, q, n, shifted, prec), err))
     return out
 
 
@@ -330,7 +331,6 @@ def log_gengamma(
     x: Real,
     ctx: PrecisionContext = DEFAULT_CONTEXT,
     tail_terms: int | None = None,
-    method: str = "auto",
 ) -> Result:
     """log Gamma_k(x) for real x > 0.
 
@@ -338,22 +338,14 @@ def log_gengamma(
     the exact sum.  Otherwise the argument is shifted up to the
     precision-dependent threshold (a larger integer needs no shift), the
     limiting constant plus truncated series is evaluated there, and the
-    shift is removed exactly.  ``method`` may force ``"exact"``, which
-    raises ValueError above that bound, or ``"asymptotic"`` (the latter
-    also works at integer arguments, which is how the two routes are
-    cross-checked).
+    shift is removed exactly.
     """
     if k < 0:
         raise ValueError("order must be non-negative")
-    if method not in ("auto", "exact", "asymptotic"):
-        raise ValueError(f"unknown method {method!r}")
     xe = as_exact(x)
     if not xe > 0:
         raise ValueError("argument must be positive")
-    is_int = xe.denominator == 1
-    if method == "exact" or (method == "auto" and is_int and xe <= constants._MAX_TRIAL_W):
-        if not is_int:
-            raise ValueError("exact summation needs an integer argument")
+    if xe.denominator == 1 and xe <= constants._MAX_TRIAL_W:
         return exact_log_gengamma(k, xe.numerator - 1, ctx)
 
     limit_const = constants.gkbj_auto(k, ctx)

@@ -25,7 +25,7 @@ from typing import Optional, Union
 
 import mpmath
 from mpmath import mp
-from mpmath.libmp import dps_to_prec, from_float, from_int, fzero, mpf_abs, mpf_add, mpf_div
+from mpmath.libmp import dps_to_prec, from_float, from_int, from_man_exp, mpf_abs, mpf_div
 from mpmath.libmp import mpf_mul, mpf_pos, mpf_pow_int, round_nearest
 
 Real = Union[int, Fraction, float, mpmath.mpf]
@@ -111,8 +111,7 @@ def to_mpf(x: Real) -> mpmath.mpf:
 def _to_raw(x: Real, prec: int) -> tuple:
     """``to_mpf(x)._mpf_`` at precision ``prec``, without the mpf (internal use)."""
     if isinstance(x, Fraction):
-        return mpf_div(from_int(x.numerator, prec, round_nearest), from_int(x.denominator),
-                       prec, round_nearest)
+        return mpf_div(from_int(x.numerator), from_int(x.denominator), prec, round_nearest)
     if isinstance(x, mpmath.mpf):
         return mpf_pos(x._mpf_, prec, round_nearest)
     return from_int(x, prec, round_nearest) if isinstance(x, int) else mp.mpf(x, prec=prec)._mpf_
@@ -124,8 +123,15 @@ def as_exact(x: Real) -> Fraction:
     constant, a string) TypeError rather than be rounded at the ambient precision."""
     if isinstance(x, (int, Fraction)):
         return Fraction(x)
-    if isinstance(x, (float, mpmath.mpf)):
-        return Fraction(*_ratio(from_float(x) if isinstance(x, float) else x._mpf_))
+    return Fraction(*_ratio(_binary(x)))
+
+
+def _binary(x) -> tuple:
+    """The exact raw value of a float or an mpf; anything else raises TypeError (internal use)."""
+    if isinstance(x, float):
+        return from_float(x)
+    if isinstance(x, mpmath.mpf):
+        return x._mpf_
     raise TypeError(f"expected an int, Fraction, float or mpf argument, not {type(x).__name__}")
 
 
@@ -263,48 +269,44 @@ def _horner(coeffs, p: int, q: int) -> int:
 def bernoulli_poly(n: int, x: Real):
     """Bernoulli polynomial B_n(x) = sum_j C(n,j) B_j x^(n-j).
 
-    Exact Fraction for int/Fraction arguments, one per call, by Horner's rule in
-    integers over the common denominator kept per n (:func:`_bernoulli_poly_ints`);
-    big float (at the ambient mpmath precision, summed on raw values as the mpf
-    operators do, from coefficients kept per precision) otherwise.
+    By Horner's rule in integers at x's exact value p/q, over the common
+    denominator kept per n (:func:`_bernoulli_poly_ints`): a Fraction for
+    an int or Fraction x, and for a float or mpf x that value rounded once,
+    at the ambient mpmath precision, as an mpf (:func:`_poly_at`).
     """
     if n < 0:
         raise ValueError("degree must be non-negative")
-    if isinstance(x, (int, Fraction)):
-        coeffs, den = _bernoulli_poly_ints(n)
-        return Fraction(_horner(coeffs, x.numerator, x.denominator), den * x.denominator**n)
-    return mp.make_mpf(_bernoulli_poly_raw(n, _to_raw(x, mp.prec), mp.prec))
-
-
-def _bernoulli_poly_raw(n: int, xv: tuple, prec: int) -> tuple:
-    """:func:`bernoulli_poly` at a raw x, raw, at precision prec (internal use)."""
-    acc = fzero
-    for c, power in _bernoulli_poly_terms(n, prec):
-        term = mpf_mul(c, mpf_pow_int(xv, power, prec, round_nearest), prec, round_nearest)
-        acc = mpf_add(acc, term, prec, round_nearest)
-    return acc
-
-
-@memo
-def _bernoulli_poly_terms(n: int, prec: int) -> tuple[tuple[tuple, int], ...]:
-    """``(c, n - j)`` for each nonzero B_j, with c = C(n,j) B_j rounded at
-    precision ``prec`` as to_mpf rounds it (internal use)."""
-    return tuple((_to_raw(math.comb(n, j) * bernoulli(j), prec), n - j)
-                 for j in range(n + 1) if bernoulli(j))
+    coeffs, den = _bernoulli_poly_ints(n)
+    return _poly_at(coeffs, den, x)
 
 
 def phi(n: int, x: Real):
-    """Power-sum polynomial (B_{n+1}(x) - B_{n+1}) / (n+1).
+    """Power-sum polynomial (B_{n+1}(x) - B_{n+1}) / (n+1), as :func:`bernoulli_poly`.
 
     At integer x >= 1 this equals sum_{i=1}^{x-1} i^n, exactly.
     """
     if n < 1:
         raise ValueError("power-sum order must be >= 1")
-    if isinstance(x, (int, Fraction)):  # bernoulli_poly's integers, less the constant B_{n+1}
-        coeffs, den = _bernoulli_poly_ints(n + 1)
+    coeffs, den = _bernoulli_poly_ints(n + 1)
+    return _poly_at(coeffs[:-1] + (0,), den * (n + 1), x)
+
+
+def _poly_at(coeffs, den: int, x: Real):
+    """(coeffs[0] x^m + ... + coeffs[m]) / den at x's exact value: a Fraction
+    for an int or Fraction x, else rounded once at the ambient precision."""
+    if isinstance(x, (int, Fraction)):
         p, q = x.numerator, x.denominator
-        return Fraction(_horner(coeffs[:-1], p, q) * p, den * (n + 1) * q ** (n + 1))
-    return (bernoulli_poly(n + 1, x) - to_mpf(bernoulli(n + 1))) / (n + 1)
+        return Fraction(_horner(coeffs, p, q), den * q ** (len(coeffs) - 1))
+    return mp.make_mpf(_poly_raw(coeffs, den, *_ratio(_binary(x)), mp.prec))
+
+
+def _poly_raw(coeffs, den: int, p: int, q: int, prec: int) -> tuple:
+    """(coeffs[0] x^m + ... + coeffs[m]) / den at a binary x = p/q, q = 2^z,
+    raw, rounded once at precision prec: the Horner integer is the mantissa,
+    2^-mz the exponent, and one division by den rounds (internal use)."""
+    z = q.bit_length() - 1  # q^m stays out of the integers: mpmath strips its zeros slowly
+    return mpf_div(from_man_exp(_horner(coeffs, p, q), -(len(coeffs) - 1) * z), from_int(den),
+                   prec, round_nearest)
 
 
 def harmonic(n: int) -> Fraction:

@@ -41,8 +41,8 @@ from .mpcore import (
     PrecisionContext,
     Real,
     _bernoulli_poly_ints,
-    _bernoulli_poly_raw,
     _horner,
+    _poly_raw,
     _ratio,
     _rounding_floor,
     _to_raw,
@@ -321,13 +321,14 @@ def _route_integral(route: Callable, k: int, b: Real, ctx: PrecisionContext, shi
 
 def _alt_integrand_level(k: int, ts: tuple, ctx: PrecisionContext):
     """The alternative recursion's integrand at each raw node t of a level, with
-    the err of zeta'(-k, t) and the bits of ``hurwitz_deriv(k, t).value +
-    bernoulli_poly(k + 1, t) / (k + 1) ** 2``, raw, at ``ctx.bits(5)``."""
+    the err of zeta'(-k, t): ``hurwitz_deriv(k, t).value`` plus
+    B_{k+1}(t) / (k + 1)^2 rounded once, raw, at ``ctx.bits(5)``."""
     prec, rnd = ctx.bits(5), round_nearest
-    den = from_int((k + 1) ** 2)
+    coeffs, den = _bernoulli_poly_ints(k + 1)
+    den *= (k + 1) ** 2
     pairs = _series_level(k, ts, _head(k, prec), 0, ctx)
-    return [(mpf_add(d, mpf_div(_bernoulli_poly_raw(k + 1, t, prec), den, prec, rnd), prec, rnd),
-             err) for t, (d, err) in zip(ts, pairs, strict=True)]
+    return [(mpf_add(d, _poly_raw(coeffs, den, *_ratio(t), prec), prec, rnd), err)
+            for t, (d, err) in zip(ts, pairs, strict=True)]
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,8 @@ from hzeta import (
     log_coefficient_poly,
     shift_threshold,
 )
-from hzeta import asymptotic, constants, hurwitz_deriv, log_gengamma, validate, zeta_deriv_neg
+from hzeta import asymptotic, constants, gengamma, hurwitz, hurwitz_deriv, log_gengamma, validate
+from hzeta import zeta_deriv_neg
 from hzeta.asymptotic import plan, tail_length
 from hzeta.mpcore import clear_caches, harmonic, to_mpf
 
@@ -119,6 +120,23 @@ class TestEvalLambda:
     def test_below_one_rejected(self, ctx20):
         with pytest.raises(ValueError):
             eval_lambda(0, Fraction(1, 2), 20, ctx20)
+
+    @pytest.mark.parametrize("x", [mpmath.mpf(30.5), 30.5], ids=["mpf", "float"])
+    def test_arg_is_the_exact_value(self, ctx20, x):
+        arg = eval_lambda(0, x, ctx=ctx20).arg
+        assert type(arg) is Fraction and arg == Fraction(61, 2)
+
+    def test_truncation_message_names_the_exact_argument_on_both_routes(self, ctx20,
+                                                                        monkeypatch):
+        # every err is too large against a zero ratio; the node 0.375 is
+        # shifted to 0.375 + 20 = 163/8
+        monkeypatch.setattr(asymptotic, "_TOO_SMALL", mpmath.libmp.fzero)
+        node = mpmath.mpf(0.375)
+        head = hurwitz._head(1, ctx20.bits(5))
+        with pytest.raises(ArgumentTooSmall, match=r"at x=163/8$"):
+            gengamma._series_level(1, [node._mpf_], head, 0, ctx20)
+        with pytest.raises(ArgumentTooSmall, match=r"at x=163/8$"):
+            hurwitz_deriv(1, node, ctx20)
 
     def test_err_covers_truth(self, ctx20):
         # truncation-error honesty: reported err bounds the actual deviation
@@ -527,7 +545,8 @@ GOLDEN = [
      (0, 28282222547820186625719580674736449717001, -233, 135)),
     (log_gengamma, 3, Fraction(17, 7), 20, (0, 1275172087755793307056380424726851525, -120, 120),
      (0, 23254657161538563363678733777518409953041, -225, 135)),
-    (bernoulli_poly, 2, "node", 20, (0, 65547909971462224489961157413610072140911, -136, 136), None),
+    # B_2 at the node: the correctly rounded value, one ulp above 67f798b's
+    (bernoulli_poly, 2, "node", 20, (0, 4096744373216389030622572338350629508807, -132, 132), None),
     (validate.quadrature, "log", 3, 20, (0, 25771025660524956779611835311643606524219, -136, 135),
      (0, 882212407421, -135, 40)),
 ]

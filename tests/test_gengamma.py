@@ -14,6 +14,7 @@ from hzeta import (
     PrecisionContext,
     clear_caches,
     exact_log_gengamma,
+    gkbj_auto,
     hurwitz_deriv,
     hurwitz_deriv_integer,
     log_gengamma,
@@ -284,7 +285,7 @@ class TestIntegersBeyondTheExactSum:
         with pytest.raises(ValueError, match="exact sums stop"):
             exact_log_gengamma(0, 10**6 + 1, ctx20)
         with pytest.raises(ValueError, match="exact sums stop"):
-            log_gengamma(0, 10**8, ctx20, method="exact")
+            exact_log_gengamma(0, 10**8 - 1, ctx20)
         with pytest.raises(ValueError, match="exact sums stop"):
             hurwitz_deriv_integer(0, 10**6 + 2, ctx20)
         assert gengamma._prime_logs()._sieved <= 10**6  # refused before any sieving
@@ -323,18 +324,20 @@ class TestLogGengamma:
             assert abs(hi.value - lo.value - step) <= hi.err + lo.err
 
     def test_asymptotic_matches_exact_sum(self, ctx20):
-        g = log_gengamma(1, 101, ctx20, method="asymptotic")
+        limit = gkbj_auto(1, ctx20)
+        value, _, _ = gengamma.shifted_series(1, 101, limit.value, limit.err, ctx20)
         e = exact_log_gengamma(1, 100, ctx20)
         with ctx20.workprec():
-            assert abs(g.value - e.value) < mpmath.mpf("1e-29") * abs(e.value)
+            assert abs(value - e.value) < mpmath.mpf("1e-29") * abs(e.value)
 
     def test_method_agreement_grid(self, ctx20):
         for k in range(5):
+            limit = gkbj_auto(k, ctx20)
             for x in (20, 50, 200):
-                a = log_gengamma(k, x, ctx20, method="asymptotic")
+                value, _, _ = gengamma.shifted_series(k, x, limit.value, limit.err, ctx20)
                 e = exact_log_gengamma(k, x - 1, ctx20)
                 with ctx20.workprec():
-                    assert abs(a.value - e.value) <= mpmath.mpf("1e-20")
+                    assert abs(value - e.value) <= mpmath.mpf("1e-20")
 
     def test_ordinary_loggamma_oracle(self, ctx20):
         # order 0 is the ordinary log-gamma; mpmath is an independent route
@@ -362,15 +365,11 @@ class TestLogGengamma:
         with mpmath.mp.workdps(80):
             assert abs(g.value - mpmath.loggamma(x)) <= g.err <= mpmath.mpf(10) ** -40
 
-    def test_rejects_nonpositive_and_bad_method(self, ctx20):
+    def test_rejects_nonpositive(self, ctx20):
         with pytest.raises(ValueError):
             log_gengamma(0, 0, ctx20)
         with pytest.raises(ValueError):
             log_gengamma(0, Fraction(-3, 2), ctx20)
-        with pytest.raises(ValueError):
-            log_gengamma(0, 2, ctx20, method="nope")
-        with pytest.raises(ValueError):
-            log_gengamma(0, Fraction(1, 2), ctx20, method="exact")
 
     def test_err_and_method_tags(self, ctx20):
         g = log_gengamma(2, Fraction(7, 2), ctx20)

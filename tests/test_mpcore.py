@@ -1,4 +1,5 @@
 import math
+import random
 import sys
 import threading
 from fractions import Fraction
@@ -7,6 +8,7 @@ import mpmath
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
+from mpmath.libmp import from_int, mpf_div, round_nearest
 
 from hzeta import PrecisionContext, bernoulli, bernoulli_poly, build_lambda_terms, harmonic, hurwitz_deriv, phi
 from hzeta import exact_log_gengamma, gengamma, log_gengamma, mpcore, shift_log_gengamma, validate
@@ -197,6 +199,44 @@ class TestIntegerPath:
         assert mpcore._bernoulli_poly_ints.cache_info().currsize == 0
 
 
+class TestBinaryArgument:
+    """At a float or mpf, bernoulli_poly and phi are the Fraction result at
+    the argument's exact value, rounded once at the ambient precision."""
+
+    @staticmethod
+    def nodes():
+        rng = random.Random(23)
+        with mpmath.mp.workprec(300):  # 272-bit mantissas in (-2, 6)
+            return [mpmath.mpf((rng.getrandbits(272), -269)) - 2 for _ in range(60)]
+
+    @pytest.mark.parametrize("prec", [53, 136])
+    @pytest.mark.parametrize("fn", [bernoulli_poly, phi], ids=["bernoulli_poly", "phi"])
+    def test_equals_the_rounded_fraction_result(self, fn, prec):
+        for x in self.nodes():
+            for n in range(1, 7):
+                with mpmath.mp.workprec(prec):
+                    got = fn(n, x)
+                    assert got._mpf_ == to_mpf(fn(n, as_exact(x)))._mpf_, (n, x)
+                    assert fn(n, float(x))._mpf_ == to_mpf(fn(n, as_exact(float(x))))._mpf_
+
+
+class TestToMpf:
+    @pytest.mark.parametrize("prec", [53, 136])
+    def test_a_fraction_is_rounded_once(self, prec):
+        # numerators longer than the precision, which a rounded numerator
+        # would round twice
+        rng = random.Random(prec)
+        for _ in range(500):
+            den = rng.choice((3, 7, 11, 1000003, rng.getrandbits(40) | 1))
+            x = Fraction(rng.getrandbits(prec + rng.randint(1, 80)), den)
+            want = mpf_div(from_int(x.numerator), from_int(x.denominator), prec, round_nearest)
+            with mpmath.mp.workprec(prec):
+                got = to_mpf(x)
+            assert got._mpf_ == want, x
+            if prec == 53:
+                assert float(got) == float(x), x
+
+
 class TestPhi:
     def test_small_sums(self):
         assert phi(1, 4) == 6
@@ -264,9 +304,15 @@ class TestAsExact:
         with pytest.raises(TypeError):
             as_exact(x)
 
-    def test_an_mpmath_constant_is_rejected_at_the_entry_point(self):
+    @pytest.mark.parametrize("x", [mpmath.e, "0.5"], ids=["e", "str"])
+    @pytest.mark.parametrize("call", [
+        lambda x: hurwitz_deriv(0, x, PrecisionContext(20)),
+        lambda x: bernoulli_poly(2, x),
+        lambda x: phi(2, x),
+    ], ids=["hurwitz_deriv", "bernoulli_poly", "phi"])
+    def test_an_mpmath_constant_is_rejected_at_the_entry_point(self, call, x):
         with pytest.raises(TypeError):
-            hurwitz_deriv(0, mpmath.e, PrecisionContext(20))
+            call(x)
 
     @pytest.mark.parametrize(
         "x", [math.inf, -math.inf, math.nan, mpmath.inf, -mpmath.inf, mpmath.nan],
@@ -276,7 +322,9 @@ class TestAsExact:
         lambda x, ctx: log_gengamma(1, x, ctx),
         lambda x, ctx: shift_log_gengamma(1, x, 3, 0, ctx),
         lambda x, ctx: plan(1, x, ctx),
-    ], ids=["hurwitz_deriv", "log_gengamma", "shift_log_gengamma", "plan"])
+        lambda x, ctx: bernoulli_poly(2, x),
+        lambda x, ctx: phi(2, x),
+    ], ids=["hurwitz_deriv", "log_gengamma", "shift_log_gengamma", "plan", "bernoulli_poly", "phi"])
     def test_a_nonfinite_argument_fails_at_the_entry_point(self, call, x):
         with pytest.raises(ValueError, match="argument must be finite"):
             call(x, PrecisionContext(20))
@@ -305,13 +353,10 @@ class TestMemo:
             assert fn.cache_info().currsize == 0, fn.__wrapped__.__qualname__
 
     def test_clear_caches_empties_the_raw_value_tables(self):
-        # the exact sum's prime weights, the Bernoulli polynomial's raw
-        # coefficients and zeta_positive's corrections
+        # the exact sum's prime weights and zeta_positive's corrections
         ctx = PrecisionContext(20)
-        tables = (gengamma._prime_weights, mpcore._bernoulli_poly_terms, validate._zeta_correction)
+        tables = (gengamma._prime_weights, validate._zeta_correction)
         exact_log_gengamma(2, 50, ctx)
-        with ctx.workprec(5):
-            bernoulli_poly(3, mpmath.mpf(1) / 3)
         zeta_positive(4, ctx)
         assert all(fn.cache_info().currsize for fn in tables)
         clear_caches()

@@ -8,15 +8,16 @@ then compare two dumps:
 
     python tools/bitcheck.py A.json B.json
 
-The 5,538 numeric cases: ``hurwitz_deriv`` and ``log_gengamma`` at 96
+The 6,602 numeric cases: ``hurwitz_deriv`` and ``log_gengamma`` at 96
 mpf nodes (full mantissas, in (0, 4) and (20, 300)) and 24 rationals, for
 k in {0, 1, 3} and D in {20, 30, 100}, and the quadrature's level routes
 at the same 96 nodes (``gengamma._log_gengamma_level``, and
 ``gengamma._series_level`` from ``hurwitz._head``), which a checkout
 without them records as its scalar ``log_gengamma`` and
 ``hurwitz_deriv``, so that the comparison checks the level routes against
-the scalar routes of the other side; ``bernoulli_poly(n, node)`` for n
-in {1, 2, 3} at the same nodes, at the precision of ``ctx.workprec(5)``;
+the scalar routes of the other side; ``bernoulli_poly(n, node)`` and
+``phi(n, node)`` for n in {1, 2, 3} at the same nodes, at the precision of
+``ctx.workprec(5)``;
 ``gkbj_constant`` at eight trial arguments, for k in {0, 1, 3, 6, 12} and
 D in {20, 30, 100, 400}; the value and err of ``validate.quadrature`` over
 (0, b) for b in {1, 2, 3, 11/2} and D in {20, 30}, of log t, exp(-t) sqrt t
@@ -34,10 +35,12 @@ or as the name of the exception it raises.  The checks that never reach a
 quadrature node: ``zeta_positive(s)`` for s in {2, 3, 4, 5, 6, 8, 12} and D in
 {20, 30, 100}; the reports of ``log_coefficient_check(k)`` for k <= 8 and
 of ``bendersky_recursion_check(k, x)`` for k <= 8, x in {7/2, 50, 100} and
-D in {20, 30}; and, as exact strings, ``bernoulli_poly(n, q)`` for n <= 12
-and ``phi(n, q)`` for 1 <= n <= 12 at 20 seeded rationals q.  Then the
-integers beyond the exact sum's bound of 10^6 (``log_gengamma`` at 10^400,
-mpf('1e400') and, for k = 1, 10^400; ``exact_log_gengamma(0, 10^6 + 1)``;
+D in {20, 30}; ``to_mpf`` of 100 seeded Fractions at 53 and at 136 bits each,
+with numerators 1 to 80 bits longer than the precision; and, as exact
+strings, ``bernoulli_poly(n, q)`` for n <= 12 and ``phi(n, q)`` for
+1 <= n <= 12 at 20 seeded rationals q.  Then the integers beyond the exact
+sum's bound of 10^6 (``log_gengamma`` at 10^400, mpf('1e400') and, for
+k = 1, 10^400; ``exact_log_gengamma(0, 10^6 + 1)``;
 ``hz`` and ``gamma`` at 1e400 through ``cli.run``), each recorded as its
 bits or output or as the name of the exception it raises; integers between
 10^6 and 10^400 are left out, since without the bound their exact sums
@@ -80,13 +83,18 @@ def compare(path_a: str, path_b: str) -> None:
     for k in cli + exact + huge:
         del a[k], b[k]
 
-    def num(t):
-        return mpmath.mpf(((-1) ** t[0] * int(t[1]), t[2]))
+    def num(t):  # exactly: a 136-bit value one ulp off differs by 0 at 53 bits
+        man, exp = (-1) ** t[0] * int(t[1]), t[2]
+        return Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
+
+    def show(x):
+        return mpmath.nstr(mpmath.mpf(x.numerator) / x.denominator, 3)
 
     diff = [k for k in a if a[k][0] != b[k][0]]
     for k in diff:
-        print(k, "|delta| =", mpmath.nstr(abs(num(a[k][0]) - num(b[k][0])), 3),
-              "err =", mpmath.nstr(num(b[k][1]), 3))
+        delta, ref = abs(num(a[k][0]) - num(b[k][0])), abs(num(a[k][0]))
+        print(k, "|delta| =", show(delta), "relative", show(delta / ref) if ref else "inf",
+              "err =", show(num(b[k][1])))
     rel = max(float(abs(num(a[k][1]) - num(b[k][1])) / num(a[k][1])) for k in a if int(a[k][1][1]))
     print(f"{len(a)} cases: {len(diff)} values differ; {sum(a[k][1] != b[k][1] for k in a)} errs differ,"
           f" by at most {rel:.1e} relative; {sum(a[k][2] != b[k][2] for k in a)} params differ")
@@ -140,7 +148,7 @@ def cli_record(argv) -> tuple:
 def dump(path: str) -> None:
     from hzeta import PrecisionContext, bernoulli_poly, exact_log_gengamma, gengamma, gkbj_constant
     from hzeta import hurwitz, hurwitz_deriv, log_gengamma, phi
-    from hzeta.mpcore import clear_caches
+    from hzeta.mpcore import clear_caches, to_mpf
     from hzeta.validate import bendersky_recursion_check, log_coefficient_check, quadrature
     from hzeta.validate import selftest, zeta_positive
 
@@ -177,6 +185,7 @@ def dump(path: str) -> None:
             for n in (1, 2, 3):
                 for i, x in enumerate(nodes):
                     out[f"B D={D} n={n} #{i}"] = (bits(bernoulli_poly(n, x)), zero, None)
+                    out[f"phi D={D} n={n} #{i}"] = (bits(phi(n, x)), zero, None)
         rats = [Fraction(rng.randint(1, 400), rng.randint(2, 97)) for _ in range(24)]
         rats = [r if r.denominator != 1 else r + Fraction(1, 3) for r in rats]
         for name, fn in (("hz", hurwitz_deriv), ("lg", log_gengamma)):
@@ -232,6 +241,13 @@ def dump(path: str) -> None:
             for x in (Fraction(7, 2), 50, 100):
                 rep = bendersky_recursion_check(k, x, PrecisionContext(D))
                 out[f"bendersky D={D} k={k} x={x}"] = report(rep)
+    rng = random.Random(23)  # numerators 1 to 80 bits longer than the precision
+    for prec in (53, 136):
+        for i in range(100):
+            den = rng.choice((3, 7, 11, 1000003, rng.getrandbits(40) | 1))
+            x = Fraction(rng.getrandbits(prec + rng.randint(1, 80)), den)
+            with mpmath.workprec(prec):
+                out[f"to_mpf prec={prec} #{i}"] = (bits(to_mpf(x)), zero, None)
     rng = random.Random(15)
     rats = [Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**3)) for _ in range(20)]
     for i, q in enumerate(rats):

@@ -280,7 +280,7 @@ def shifted_series(
     return value, make(err), {"tail_terms": used}
 
 
-@functools.partial(memo, maxsize=64)  # bounded for sweeps over b; selftest full uses 44
+@functools.partial(memo, maxsize=64)  # bounded for sweeps over b; selftest full uses 36
 def _level_plan(k: int, nodes: tuple, ctx: PrecisionContext) -> array:
     """n and the tail length of :func:`shifted_series`'s plan at each raw node,
     interleaved."""

@@ -2,6 +2,13 @@
 supporting arbitrary-precision quadrature and zeta values at positive
 integer argument.
 
+Two quadrature rules share one set of exits (:func:`_settle`): tanh-sinh
+for the public :func:`quadrature`, whose integrand is unknown, and for the
+route integrals whose integrand is singular at an end (log Gamma(t),
+zeta'(-k, t)); Gauss-Legendre for the route integrals at shift >= 1, such
+as (b - t)^power log Gamma(t + 1), analytic on the whole interval, where it
+needs fewer than half of tanh-sinh's integrand evaluations.
+
 Each check returns a :class:`CheckReport` comparing a residual against
 a tolerance assembled from the error estimates of everything that went
 into it, both formed exactly from the routes' values and errs, so that no
@@ -168,7 +175,9 @@ def quadrature(
 ):
     """Tanh-sinh (double-exponential) quadrature of f over (a, b), real or complex.
 
-    Levels halve the step until one of two exits is reached:
+    Levels halve the step until one of two exits is reached (the exits,
+    :func:`_settle`, are shared with the Gauss-Legendre rule of the route
+    integrals):
 
     - the difference between successive estimates is at most the
       convergence target 10^-(target + guard/2) times the scale
@@ -218,23 +227,22 @@ def quadrature(
 
 
 _NONFINITE = (finf, fninf, fnan)
-_MAX_LEVEL = 12  # the last level tried, step 2^-12
+_MAX_LEVEL = 12  # tanh-sinh's last level, step 2^-12
+_GL_MAX_ROUND = 8  # Gauss-Legendre's last round, 8 * 2^8 = 2048 points
 
 
 def _tanh_sinh(level: Callable, a: Real, b: Real, ctx: PrecisionContext):
     """:func:`quadrature`'s integrator, raw ``(value, err)`` at precision
     ``ctx.bits(5)``: ``level(xs)`` gives the integrand's raw values at a level's raw
     abscissae xs (a list) as a list of parts, real and imaginary if complex, one
-    ``mpf_sum`` per part adds the weighted values, and value lists the parts."""
+    ``mpf_sum`` per part adds the weighted values, and value lists the parts;
+    :func:`_settle` decides when to stop."""
     prec, rnd = ctx.bits(5), round_nearest
     av, bv = _to_raw(a, prec), _to_raw(b, prec)
     if not mpf_gt(bv, av):
         raise ValueError("need b > a")
-    ten = from_int(10)
-    target = mpf_pow_int(ten, -(ctx.target_digits + ctx.guard_digits // 2), prec, rnd)
-    plateau_limit = mpf_pow_int(ten, -ctx.target_digits, prec, rnd)
     # clip nodes once the endpoint offset falls below working resolution, 2 u_max = (W + 8) log 10
-    two_u_max = mpf_mul_int(mpf_log(ten, prec, rnd), ctx.working_digits + 8, prec, rnd)
+    two_u_max = mpf_mul_int(mpf_log(from_int(10), prec, rnd), ctx.working_digits + 8, prec, rnd)
     t_max = mpf_asinh(mpf_div(two_u_max, mpf_pi(prec, rnd), prec, rnd), prec, rnd)
     wv = mpf_sub(bv, av, prec, rnd)
     width_pi = mpf_mul(wv, mpf_pi(prec, rnd), prec, rnd)
@@ -252,8 +260,93 @@ def _tanh_sinh(level: Callable, a: Real, b: Real, ctx: PrecisionContext):
         return [[mpf_mul(wgt, y, prec, rnd) for wgt, y in zip(wgts, part, strict=True)
                  if y not in _NONFINITE] for part in ys]
 
-    def sums(op, xs, ys):  # part by part
-        return [op(x, y, prec, rnd) for x, y in itertools.zip_longest(xs, ys, fillvalue=fzero)]
+    def rounds():
+        terms = level_terms(0)
+        grid_sum = [mpf_sum(part, prec, rnd) for part in terms]  # h = 1
+        yield grid_sum, terms
+        for level_no in range(1, _MAX_LEVEL + 1):
+            terms = level_terms(level_no)
+            grid_sum = _parts(mpf_add, grid_sum, [mpf_sum(part, prec, rnd) for part in terms], prec)
+            yield [mpf_shift(g, -level_no) for g in grid_sum], terms  # h * grid_sum, h = 2^-level
+
+    return _settle(rounds(), ctx)
+
+
+@functools.partial(memo, maxsize=16)  # a precision's rounds; selftest full uses 4
+def _gl_nodes(prec: int, n: int) -> tuple:
+    """The n-point Gauss-Legendre rule's positive nodes x, largest first, at
+    precision prec, as two tuples: the offsets (1 - x)/2 and the half-weights
+    w/2 = (1 - x^2) / (n P_{n-1}(x))^2.  Each x is a root of P_n found by
+    Newton's method on the three-term recurrence in integers at wp = prec + 20
+    bits, from the guess cos(pi (i - 1/4) / (n + 1/2)); the rule on (-1, 1)
+    takes each x and -x."""
+    wp = prec + 20
+    one = 1 << wp
+    offsets, halves = [], []
+    for i in range(1, n // 2 + 1):
+        x = int(math.cos(math.pi * (i - 0.25) / (n + 0.5)) * 2**53) << (wp - 53)
+        for _ in range(64):  # until a step is below 2^8 units, left untaken: P_{n-1} is at x
+            p_prev, p = one, x  # P_{j-1}, P_j at x, times 2^wp
+            for j in range(1, n):
+                p_prev, p = p, ((2 * j + 1) * (x * p >> wp) - j * p_prev) // (j + 1)
+            # Newton: P_n / P_n' with P_n' = n (x P_n - P_{n-1}) / (x^2 - 1)
+            step = p * (x * x - one * one) // (n * (x * p - p_prev * one))
+            if abs(step) < 256:
+                break
+            x -= step
+        offsets.append(from_man_exp(one - x, -wp - 1, prec, round_nearest))
+        halves.append(mpf_div(from_int(one * one - x * x), from_int((n * p_prev) ** 2), prec,
+                              round_nearest))
+    return tuple(offsets), tuple(halves)
+
+
+def _gauss_legendre(level: Callable, a: Real, b: Real, ctx: PrecisionContext):
+    """Gauss-Legendre quadrature of an integrand analytic on [a, b], as
+    :func:`_tanh_sinh` takes it and returns: rounds of n = 8, 16, 32, ...
+    points (nodes kept by :func:`_gl_nodes`), each estimate on its own, up to
+    8 * 2^_GL_MAX_ROUND points, with :func:`_settle`'s exits.  For an integrand
+    analytic inside an ellipse with foci a and b and semi-axis sum rho (b - a)/2
+    the error falls like rho^(-2n) (Trefethen, SIAM Review 50, 2008), so one
+    doubling squares it and the predicted next difference is an overestimate."""
+    prec, rnd = ctx.bits(5), round_nearest
+    av, bv = _to_raw(a, prec), _to_raw(b, prec)
+    if not mpf_gt(bv, av):
+        raise ValueError("need b > a")
+    wv = mpf_sub(bv, av, prec, rnd)
+
+    def rounds():
+        for round_no in range(_GL_MAX_ROUND + 1):
+            offsets, halves = _gl_nodes(prec, 8 << round_no)
+            # abscissae a + width (1 + x)/2 from a to b: a + width offset, then b - width offset
+            near = [mpf_mul(wv, s, prec, rnd) for s in offsets]
+            wgts = [mpf_mul(wv, h, prec, rnd) for h in halves]
+            ys = level([mpf_add(av, d, prec, rnd) for d in reversed(near)]
+                       + [mpf_sub(bv, d, prec, rnd) for d in near])
+            wgts = wgts[::-1] + wgts
+            terms = [[mpf_mul(wgt, y, prec, rnd) for wgt, y in zip(wgts, part, strict=True)]
+                     for part in ys]
+            yield [mpf_sum(part, prec, rnd) for part in terms], terms
+
+    return _settle(rounds(), ctx)
+
+
+def _parts(op: Callable, xs: list, ys: list, prec: int) -> list:
+    """op of two estimates part by part, raw at precision prec."""
+    return [op(x, y, prec, round_nearest)
+            for x, y in itertools.zip_longest(xs, ys, fillvalue=fzero)]
+
+
+def _settle(rounds, ctx: PrecisionContext):
+    """The exits of both rules, raw ``(value, err)`` at ``ctx.bits(5)`` from
+    ``rounds``, which yields each level's estimate (a list of parts) and
+    weighted values (a list per part, the outermost nodes first and last), as
+    :func:`quadrature` describes them; past the last level, a plateau at most
+    10^-target is returned with twice its value as err, and anything else raises
+    :class:`NonConvergent`."""
+    prec, rnd = ctx.bits(5), round_nearest
+    ten = from_int(10)
+    target = mpf_pow_int(ten, -(ctx.target_digits + ctx.guard_digits // 2), prec, rnd)
+    plateau_limit = mpf_pow_int(ten, -ctx.target_digits, prec, rnd)
 
     def magnitude(parts):
         return mpf_abs(parts[0]) if len(parts) == 1 else mpc_abs(tuple(parts), prec, rnd)
@@ -261,13 +354,10 @@ def _tanh_sinh(level: Callable, a: Real, b: Real, ctx: PrecisionContext):
     def above(x, limit, scale):
         return mpf_gt(x, mpf_mul(limit, scale, prec, rnd))
 
-    grid_sum = estimate = [mpf_sum(part, prec, rnd) for part in level_terms(0)]  # h = 1
+    estimate, _ = next(rounds)
     prev_delta = None
-    for level_no in range(1, _MAX_LEVEL + 1):
-        terms = level_terms(level_no)
-        grid_sum = sums(mpf_add, grid_sum, [mpf_sum(part, prec, rnd) for part in terms])
-        new_estimate = [mpf_shift(g, -level_no) for g in grid_sum]  # h * grid_sum, h = 2^-level
-        delta = magnitude(sums(mpf_sub, new_estimate, estimate))
+    for level_no, (new_estimate, terms) in enumerate(rounds, 1):
+        delta = magnitude(_parts(mpf_sub, new_estimate, estimate, prec))
         estimate = new_estimate
         scale = magnitude(estimate) if mpf_gt(magnitude(estimate), fone) else fone
         floor = _rounding_floor(ctx, scale, prec)
@@ -290,15 +380,18 @@ def _tanh_sinh(level: Callable, a: Real, b: Real, ctx: PrecisionContext):
         prev_delta = delta
     if prev_delta is not None and not above(prev_delta, plateau_limit, scale):
         return estimate, mpf_mul_int(prev_delta, 2, prec, rnd)
-    raise NonConvergent(f"no convergence after {_MAX_LEVEL} levels")
+    raise NonConvergent(f"no convergence after {level_no} levels")
 
 
 def _route_integral(route: Callable, k: int, b: Real, ctx: PrecisionContext, shift=0, power=0):
-    """``(value, err, node_err)`` of int_0^b (b - t)^power R(t + shift) dt by
-    :func:`_tanh_sinh`, with ``route(k, nodes, ctx)`` giving R's raw
-    ``(value, err)`` pairs for a level's raw nodes, and node_err the largest
-    err of any node.  Each value takes the mpf operations of the scalar
-    ``(b - t) ** power * R(t + shift)`` (R alone at power 0), and keeps its bits."""
+    """``(value, err, node_err)`` of int_0^b (b - t)^power R(t + shift) dt, with
+    ``route(k, nodes, ctx)`` giving R's raw ``(value, err)`` pairs for a level's
+    raw nodes, and node_err the largest err of any node.  At shift >= 1 the
+    argument t + shift stays at least 1 from R's singular point 0, so the
+    integrand is analytic on [0, b] and :func:`_gauss_legendre` integrates it;
+    at shift 0 (log Gamma(t), zeta'(-k, t)) :func:`_tanh_sinh` does.  Each value
+    takes the mpf operations of the scalar ``(b - t) ** power * R(t + shift)``
+    (R alone at power 0), and keeps its bits."""
     prec, rnd = ctx.bits(5), round_nearest  # the quadrature's
     end, sv = _to_raw(as_exact(b), prec), from_int(shift)
     node_err = fzero
@@ -315,7 +408,7 @@ def _route_integral(route: Callable, k: int, b: Real, ctx: PrecisionContext, shi
             ys.append(y)
         return [ys]
 
-    (value,), err = _tanh_sinh(level, 0, b, ctx)
+    (value,), err = (_gauss_legendre if shift >= 1 else _tanh_sinh)(level, 0, b, ctx)
     return tuple(map(mpmath.mp.make_mpf, (value, err, node_err)))
 
 

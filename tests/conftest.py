@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from mpmath.ctx_mp_python import PythonMPContext
 
 from hzeta import PrecisionContext
 
@@ -14,6 +15,21 @@ def ctx20():
 @pytest.fixture(scope="session")
 def ctx30():
     return PrecisionContext(target_digits=30)
+
+
+@pytest.fixture()
+def precision_writes(monkeypatch):
+    """Every assignment to mpmath's ``prec`` or ``dps``, as (name, value)."""
+    writes = []
+    for name in ("prec", "dps"):
+        prop = getattr(PythonMPContext, name)
+
+        def setter(ctx, n, _set=prop.fset, _name=name):
+            writes.append((_name, n))
+            _set(ctx, n)
+
+        monkeypatch.setattr(PythonMPContext, name, property(prop.fget, setter))
+    return writes
 
 
 @pytest.fixture()

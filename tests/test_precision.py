@@ -8,7 +8,6 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from mpmath.ctx_mp_python import PythonMPContext
 
 import hzeta.validate as validate
 from hzeta import (
@@ -52,21 +51,6 @@ def _bits(result):
     if isinstance(result, mpmath.mpf):
         return result._mpf_
     return result.value._mpf_, result.err._mpf_, result.params
-
-
-@pytest.fixture
-def precision_writes(monkeypatch):
-    """Every assignment to mpmath's ``prec`` or ``dps``, as (name, value)."""
-    writes = []
-    for name in ("prec", "dps"):
-        prop = getattr(PythonMPContext, name)
-
-        def setter(ctx, n, _set=prop.fset, _name=name):
-            writes.append((_name, n))
-            _set(ctx, n)
-
-        monkeypatch.setattr(PythonMPContext, name, property(prop.fget, setter))
-    return writes
 
 
 @pytest.mark.parametrize("fn, args", ROUTES, ids=lambda v: getattr(v, "__name__", None))
@@ -122,10 +106,12 @@ def test_threads_get_the_serial_bits(fn, args):
 
 
 @pytest.mark.parametrize("route, k, b, shift", [(validate._log_gengamma_level, 0, 1, 1),
+                                                (validate._log_gengamma_level, 0, 2, 1),
                                                 (validate._alt_integrand_level, 1, 2, 0)],
-                         ids=["log-gamma-route", "alt-route"])
+                         ids=["log-gamma-route", "log-gamma-route-64-points", "alt-route"])
 def test_route_integrals_in_threads_get_the_serial_bits(route, k, b, shift, precision_writes):
-    # the quadrature's nodes, abscissae and node plans are shared across the threads
+    # the quadrature's nodes, abscissae and node plans are shared across the threads;
+    # over (0, 2) at D=20 the Gauss-Legendre rounds run to 64 points
     contexts = [PrecisionContext(20), PrecisionContext(30), PrecisionContext(20)]
 
     def integral(ctx):

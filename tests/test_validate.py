@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from mpmath.libmp import mpf_log, round_nearest
+from mpmath.libmp import fone, mpf_log, mpf_neg, round_nearest
 
 import hzeta.gengamma as gengamma
 import hzeta.mpcore as mpcore
@@ -179,10 +179,66 @@ class TestQuadratureHonesty:
         assert len(calls) == 285
 
 
+class TestRouteIntegralHonesty:
+    """A route integral's err, plus its nodes' err integrated over the weight
+    (b - t)^power, covers the actual error against mpmath.quad at D+40 digits,
+    whichever rule ran: Gauss-Legendre at shift 1, tanh-sinh at shift 0."""
+
+    @pytest.mark.parametrize("digits", [20, 50])
+    @pytest.mark.parametrize("b, shift, power", [
+        *((b, 1, power) for b in (1, 2, Fraction(5, 2), Fraction(11, 2)) for power in (0, 1, 3)),
+        (1, 0, 1)])
+    def test_error_covers_actual(self, b, shift, power, digits):
+        ctx = PrecisionContext(digits)
+        value, err, node_err = validate._route_integral(validate._log_gengamma_level, 0, b, ctx,
+                                                        shift, power)
+        with mpmath.mp.workdps(digits + 40):
+            end = mpmath.mpf(b.numerator) / b.denominator if isinstance(b, Fraction) else b
+            oracle = mpmath.quad(lambda t: (end - t) ** power * mpmath.loggamma(t + shift),
+                                 [0, end])
+            weight = end ** (power + 1) / (power + 1)
+            assert abs(value - oracle) <= err + weight * node_err
+
+
+class TestGaussLegendreNodes:
+    """The kept n-point rule is Gauss-Legendre's: exact for polynomials of degree
+    2n - 1 up to rounding, symmetric, and built without touching mpmath's precision."""
+
+    @pytest.mark.parametrize("digits", [20, 100])
+    def test_rule_integrates_polynomials_of_degree_below_2n(self, digits, precision_writes):
+        ctx = PrecisionContext(digits)
+        prec = ctx.bits(5)
+        clear_caches()
+        rules = {n: validate._gl_nodes(prec, n) for n in (8, 16, 32, 64)}
+        assert precision_writes == []
+        with mpmath.mp.workprec(prec + 60):
+            floor = ctx.rounding_floor(1)
+            for n, (offsets, halves) in rules.items():
+                assert len(offsets) == len(halves) == n // 2
+                s = [mpmath.mp.make_mpf(v) for v in offsets]  # nodes s and 1 - s on (0, 1)
+                h = [mpmath.mp.make_mpf(v) for v in halves]
+                assert abs(4 * mpmath.fsum(h) - 2) <= 2 * floor  # the weights on (-1, 1)
+                for j in range(2 * n):
+                    moment = mpmath.fsum(hi * (si**j + (1 - si) ** j) for si, hi in zip(s, h))
+                    assert abs(moment - mpmath.mpf(1) / (j + 1)) <= floor, (n, j)
+
+    def test_nodes_are_symmetric(self, ctx20):
+        seen = []
+
+        def level(xs):
+            seen.append(xs)
+            return [[fone] * len(xs)]
+
+        (value,), _ = validate._gauss_legendre(level, -1, 1, ctx20)
+        assert [len(xs) for xs in seen] == [8, 16]  # the constant: one difference of 0
+        assert all(xs == [mpf_neg(x) for x in reversed(xs)] for xs in seen)
+        assert abs(validate._exact(value) - 2) <= validate._floor(ctx20, Fraction(2))
+
+
 class TestNodeTable:
-    """A tanh-sinh level's nodes are computed once per precision, its abscissae
-    once per interval, and its node plans once per order and context; a
-    quadrature value does not depend on what the memos hold."""
+    """A tanh-sinh level's nodes and a Gauss-Legendre rule are computed once per
+    precision, their abscissae once per interval, and the node plans once per
+    order and context; a quadrature value does not depend on what the memos hold."""
 
     CASES = [
         (lambda t: mpmath.log(t), 0, 1),
@@ -213,7 +269,7 @@ class TestNodeTable:
                 assert self.run(ctx) == separate[ctx]
 
     def test_clear_caches_empties_the_table(self, ctx20):
-        memos = validate._level_nodes, gengamma._level_plan
+        memos = validate._level_nodes, validate._gl_nodes, gengamma._level_plan
         quadrature(mpmath.log, 0, 1, ctx20)
         validate._raabe_integral_check(ctx20)
         assert all(memo.cache_info().currsize for memo in memos)
@@ -245,8 +301,8 @@ class TestNodeTable:
         assert again() == cold
 
     def test_a_sweep_over_b_keeps_bounded_memos(self):
-        # 26 route integrals of 4 or 5 levels each: 108 node plans, of which the
-        # memo keeps the last 64; the nodes are the 5 levels'
+        # 26 Gauss-Legendre route integrals of 2 or 3 rounds each: 70 node plans,
+        # of which the memo keeps the last 64; the rules are the 3 rounds'
         ctx = PrecisionContext(5)
         clear_caches()
         validate._route_integral(validate._log_gengamma_level, 0, 1, ctx, shift=1)
@@ -259,12 +315,13 @@ class TestNodeTable:
         finally:
             tracemalloc.stop()
         assert gengamma._level_plan.cache_info().currsize == 64
-        assert validate._level_nodes.cache_info().currsize == 5
-        assert held < 550_000  # about 0.27 MB; 0.37 MB with the plan memo unbounded
+        assert validate._gl_nodes.cache_info().currsize == 3
+        assert validate._level_nodes.cache_info().currsize == 0
+        assert held < 550_000  # about 0.24 MB
 
 
 class TestLevelIntegrals:
-    """One integrand call per tanh-sinh level gives the bits of one call per node."""
+    """One integrand call per level or round gives the bits of one call per node."""
 
     def test_integrator_matches_the_public_quadrature(self, ctx20):
         # a level of raw logarithms at the integrator's precision, one part,
@@ -300,6 +357,8 @@ class TestLevelIntegrals:
         ]
 
     def test_route_integrals_match_scalar_integrands(self, ctx20):
+        # shift 1 runs Gauss-Legendre, fed here the scalar integrand as quadrature
+        # feeds tanh-sinh; shift 0 runs tanh-sinh, against quadrature itself
         for route, k, b, shift, power, scalar in self.cases(ctx20):
             errs = []
 
@@ -308,9 +367,17 @@ class TestLevelIntegrals:
                 errs.append(err)
                 return value
 
+            def level(xs):
+                return [[mpmath.mp.convert(f(mpmath.mp.make_mpf(x)))._mpf_ for x in xs]]
+
             value, err, node_err = validate._route_integral(route, k, b, ctx20, shift, power)
-            want = quadrature(f, 0, b, ctx20)
-            assert (value._mpf_, err._mpf_) == (want[0]._mpf_, want[1]._mpf_), (route, b)
+            if shift:
+                with ctx20.workprec(5):
+                    (want, *rest), want_err = validate._gauss_legendre(level, 0, b, ctx20)
+                assert not rest
+            else:
+                want, want_err = (v._mpf_ for v in quadrature(f, 0, b, ctx20))
+            assert (value._mpf_, err._mpf_) == (want, want_err), (route, b)
             assert node_err._mpf_ == max(errs)._mpf_
 
 
@@ -529,7 +596,7 @@ class TestSelftest:
         def stalled(*args, **kwargs):
             raise NonConvergent("level differences stalled")
 
-        monkeypatch.setattr(validate, "_tanh_sinh", stalled)
+        monkeypatch.setattr(validate, "_settle", stalled)  # both rules' exits
         reports = selftest("quick", ctx20)
         assert [(r.name, r.k, r.x_or_w) for r in reports] == [(r.name, r.k, r.x_or_w) for r in clean]
         assert [r.name for r in reports if not r.passed] == [

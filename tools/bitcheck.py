@@ -8,7 +8,7 @@ then compare two dumps:
 
     python tools/bitcheck.py A.json B.json
 
-The 6,602 numeric cases: ``hurwitz_deriv`` and ``log_gengamma`` at 96
+The 6,636 numeric cases: ``hurwitz_deriv`` and ``log_gengamma`` at 96
 mpf nodes (full mantissas, in (0, 4) and (20, 300)) and 24 rationals, for
 k in {0, 1, 3} and D in {20, 30, 100}, and the quadrature's level routes
 at the same 96 nodes (``gengamma._log_gengamma_level``, and
@@ -25,7 +25,10 @@ and log_gengamma(0, t+1); every field but ``elapsed`` of the report of each
 of the 63 ``selftest full`` checks at D=20, 30 and 40 (residual and
 tolerance with all their bits, passed, name, k and x_or_w, so that a
 reordered or relabelled suite shows), each run twice from cleared caches,
-so that the second run takes the kept quadrature nodes and node plans; and
+so that the second run takes the kept quadrature nodes and node plans; the
+value, err and node_err of each of the 17 route integrals of ``selftest
+full`` at D=20 and 30 (``validate._route_integral`` as the checks call it,
+keyed by route, k, b, shift and power, and numbered where checks share one); and
 ``exact_log_gengamma(k, w)`` for k in {0, 1, 3, 6, 12}, w in {1, 2, 7, 50,
 100, 200, 1000} and D in {20, 100}, called twice from cleared caches, so that a sum made from kept
 weights is compared as well as a fresh one.  Then five arguments beyond
@@ -48,8 +51,9 @@ take millions of logarithms.  Then the cold command path: stdout, stderr
 and exit status of ``cli.run([..., "--json"])`` for each of the 177
 command lines of perfbench's cli-replay workload at seed 1, caches cleared
 before each as that workload does, with the selftest reports' ``elapsed``
-dropped.  The comparison prints each differing value with its distance and
-err, each differing exact value, huge-argument case and command line, then
+dropped.  The comparison prints each differing value, and each route
+integral whose value, err or node_err moved, with its distance and err,
+each differing exact value, huge-argument case and command line, then
 one summary line for each part, the numeric cases also by kind.
 """
 
@@ -91,10 +95,11 @@ def compare(path_a: str, path_b: str) -> None:
         return mpmath.nstr(mpmath.mpf(x.numerator) / x.denominator, 3)
 
     diff = [k for k in a if a[k][0] != b[k][0]]
-    for k in diff:
-        delta, ref = abs(num(a[k][0]) - num(b[k][0])), abs(num(a[k][0]))
-        print(k, "|delta| =", show(delta), "relative", show(delta / ref) if ref else "inf",
-              "err =", show(num(b[k][1])))
+    for k in a:  # a route integral also when only its err or node_err moved
+        if k in diff or (k.startswith("route ") and a[k] != b[k]):
+            delta, ref = abs(num(a[k][0]) - num(b[k][0])), abs(num(a[k][0]))
+            print(k, "|delta| =", show(delta), "relative", show(delta / ref) if ref else "inf",
+                  "err =", show(num(b[k][1])))
     rel = max(float(abs(num(a[k][1]) - num(b[k][1])) / num(a[k][1])) for k in a if int(a[k][1][1]))
     print(f"{len(a)} cases: {len(diff)} values differ; {sum(a[k][1] != b[k][1] for k in a)} errs differ,"
           f" by at most {rel:.1e} relative; {sum(a[k][2] != b[k][2] for k in a)} params differ")
@@ -147,7 +152,7 @@ def cli_record(argv) -> tuple:
 
 def dump(path: str) -> None:
     from hzeta import PrecisionContext, bernoulli_poly, exact_log_gengamma, gengamma, gkbj_constant
-    from hzeta import hurwitz, hurwitz_deriv, log_gengamma, phi
+    from hzeta import hurwitz, hurwitz_deriv, log_gengamma, phi, validate
     from hzeta.mpcore import clear_caches, to_mpf
     from hzeta.validate import bendersky_recursion_check, log_coefficient_check, quadrature
     from hzeta.validate import selftest, zeta_positive
@@ -223,6 +228,22 @@ def dump(path: str) -> None:
         for call in ("cold", "warm"):  # the second pass on the kept nodes, plans and constants
             for i, rep in enumerate(selftest("full", PrecisionContext(D))):
                 out[f"selftest D={D} {call} #{i}"] = report(rep)
+    route_integral = validate._route_integral
+
+    def spy(route, k, b, ctx, shift=0, power=0):  # the route integrals as the checks call them
+        value, err, node_err = route_integral(route, k, b, ctx, shift, power)
+        key = f"route D={ctx.target_digits} {route.__name__} k={k} b={b} shift={shift} power={power}"
+        seen[key] = seen.get(key, 0) + 1
+        out[f"{key} #{seen[key]}"] = (bits(value), bits(err), bits(node_err))
+        return value, err, node_err
+
+    validate._route_integral = spy
+    try:
+        for D in (20, 30):
+            seen: dict = {}
+            selftest("full", PrecisionContext(D))
+    finally:
+        validate._route_integral = route_integral
     clear_caches()
     for D in (20, 100):
         ctx = PrecisionContext(D)

@@ -3,11 +3,10 @@ supporting arbitrary-precision quadrature and zeta values at positive
 integer argument.
 
 Two quadrature rules share one set of exits (:func:`_settle`): tanh-sinh
-for the public :func:`quadrature`, whose integrand is unknown, and for the
-route integrals whose integrand is singular at an end (log Gamma(t),
-zeta'(-k, t)); Gauss-Legendre for the route integrals at shift >= 1, such
-as (b - t)^power log Gamma(t + 1), analytic on the whole interval, where it
-needs fewer than half of tanh-sinh's integrand evaluations.
+for the public :func:`quadrature`, whose integrand is unknown, and
+Gauss-Legendre for every route integral, (b - t)^power R(t + 1) with R log
+Gamma or zeta'(-k, .), analytic on [0, b]; where an identity's integrand is
+singular at t = 0, its check subtracts that end in closed form.
 
 Each check returns a :class:`CheckReport` comparing a residual against
 a tolerance assembled from the error estimates of everything that went
@@ -175,22 +174,21 @@ def quadrature(
 ):
     """Tanh-sinh (double-exponential) quadrature of f over (a, b), real or complex.
 
-    Levels halve the step until one of two exits is reached (the exits,
-    :func:`_settle`, are shared with the Gauss-Legendre rule of the route
-    integrals):
+    Levels halve the step until one of two exits, tested in this order, is
+    reached (the exits, :func:`_settle`, are shared with the Gauss-Legendre
+    rule of the route integrals):
 
+    - the next level's difference, predicted as delta^2 / prev_delta from
+      the last two contracting differences, is at or below the rounding
+      floor ``ctx.rounding_floor(scale)``, scale = max(1, |estimate|); the
+      current estimate is returned with the rounding floor as error, which
+      is what the next level would report.  The prediction is exact at a
+      constant contraction ratio and overestimates for tanh-sinh, whose
+      ratio only shrinks (Takahasi & Mori 1974; Bailey, Jeyabalan & Li
+      2005), so the skipped level could not have changed the error;
     - the difference between successive estimates is at most the
-      convergence target 10^-(target + guard/2) times the scale
-      max(1, |estimate|); the error returned is that difference, or the
-      rounding floor ``ctx.rounding_floor(scale)`` if larger;
-    - the next level's difference, predicted as delta^2 / prev_delta
-      from the last two contracting differences, is at or below the
-      rounding floor; the current estimate is returned with the rounding
-      floor as error, which is what the next level would report.  The
-      prediction is exact at a constant contraction ratio and
-      overestimates for tanh-sinh, whose ratio only shrinks (Takahasi &
-      Mori 1974; Bailey, Jeyabalan & Li 2005), so the skipped level
-      could not have changed the error.
+      convergence target 10^-(target + guard/2) times the scale; the error
+      returned is that difference, or the rounding floor if larger.
 
     Integrable endpoint singularities of logarithmic type need no
     special handling: node offsets from the endpoints are computed
@@ -301,13 +299,13 @@ def _gl_nodes(prec: int, n: int) -> tuple:
 
 
 def _gauss_legendre(level: Callable, a: Real, b: Real, ctx: PrecisionContext):
-    """Gauss-Legendre quadrature of an integrand analytic on [a, b], as
-    :func:`_tanh_sinh` takes it and returns: rounds of n = 8, 16, 32, ...
-    points (nodes kept by :func:`_gl_nodes`), each estimate on its own, up to
-    8 * 2^_GL_MAX_ROUND points, with :func:`_settle`'s exits.  For an integrand
-    analytic inside an ellipse with foci a and b and semi-axis sum rho (b - a)/2
-    the error falls like rho^(-2n) (Trefethen, SIAM Review 50, 2008), so one
-    doubling squares it and the predicted next difference is an overestimate."""
+    """Gauss-Legendre quadrature of an integrand analytic on [a, b] (a piece of
+    a route integral), as :func:`_tanh_sinh` takes it and returns: rounds of
+    n = 8, 16, 32, ... points (rules kept by :func:`_gl_nodes`), each estimate
+    on its own, with :func:`_settle`'s exits.  Analytic inside the ellipse with
+    foci a and b and semi-axis sum rho (b - a)/2, the error falls like rho^(-2n)
+    (Trefethen, SIAM Review 50, 2008): a doubling squares it, and the predicted
+    next difference is an overestimate."""
     prec, rnd = ctx.bits(5), round_nearest
     av, bv = _to_raw(a, prec), _to_raw(b, prec)
     if not mpf_gt(bv, av):
@@ -361,6 +359,9 @@ def _settle(rounds, ctx: PrecisionContext):
         estimate = new_estimate
         scale = magnitude(estimate) if mpf_gt(magnitude(estimate), fone) else fone
         floor = _rounding_floor(ctx, scale, prec)
+        if prev_delta is not None and mpf_lt(delta, prev_delta) and mpf_le(
+                mpf_div(mpf_pow_int(delta, 2, prec, rnd), prev_delta, prec, rnd), floor):
+            return estimate, floor
         if not above(delta, target, scale):
             return estimate, floor if mpf_gt(floor, delta) else delta
         if level_no >= 4 and above(delta, plateau_limit, scale):
@@ -374,41 +375,36 @@ def _settle(rounds, ctx: PrecisionContext):
                                     f"{mpmath.nstr(mpmath.mp.make_mpf(delta), 3)}")
         elif level_no >= 4 and not mpf_lt(delta, prev_delta):
             return estimate, mpf_mul_int(delta, 2, prec, rnd)
-        if prev_delta is not None and mpf_lt(delta, prev_delta):
-            if mpf_le(mpf_div(mpf_pow_int(delta, 2, prec, rnd), prev_delta, prec, rnd), floor):
-                return estimate, floor
         prev_delta = delta
     if prev_delta is not None and not above(prev_delta, plateau_limit, scale):
         return estimate, mpf_mul_int(prev_delta, 2, prec, rnd)
     raise NonConvergent(f"no convergence after {level_no} levels")
 
 
-def _route_integral(route: Callable, k: int, b: Real, ctx: PrecisionContext, shift=0, power=0):
-    """``(value, err, node_err)`` of int_0^b (b - t)^power R(t + shift) dt, with
-    ``route(k, nodes, ctx)`` giving R's raw ``(value, err)`` pairs for a level's
-    raw nodes, and node_err the largest err of any node.  At shift >= 1 the
-    argument t + shift stays at least 1 from R's singular point 0, so the
-    integrand is analytic on [0, b] and :func:`_gauss_legendre` integrates it;
-    at shift 0 (log Gamma(t), zeta'(-k, t)) :func:`_tanh_sinh` does.  Each value
-    takes the mpf operations of the scalar ``(b - t) ** power * R(t + shift)``
-    (R alone at power 0), and keeps its bits."""
+def _route_integral(route: Callable, k: int, b: Real, ctx: PrecisionContext, power=0):
+    """``(value, err, node_err)`` of int_0^b (b - t)^power R(t + 1) dt, with
+    ``route(k, nodes, ctx)`` giving R's raw ``(value, err)`` pairs for a round's
+    raw nodes, and node_err the largest err of any node.  R is singular at 0 only;
+    cut at 1, 3, 7, ..., 2^j - 1, each piece of [0, b] is as long as its distance
+    from t = -1, so :func:`_gauss_legendre` converges as fast on each, and value
+    and err are the pieces' sums.  Each node's value takes the mpf operations of
+    the scalar ``(b - t) ** power * R(t + 1)``, and keeps its bits."""
     prec, rnd = ctx.bits(5), round_nearest  # the quadrature's
-    end, sv = _to_raw(as_exact(b), prec), from_int(shift)
-    node_err = fzero
+    b = as_exact(b)
+    end, node_err = _to_raw(b, prec), fzero
 
     def level(ts):
         nonlocal node_err
-        zs = [mpf_add(t, sv, prec, rnd) for t in ts] if shift else ts
-        ys = []
-        for t, (y, err) in zip(ts, route(k, zs, ctx), strict=True):
-            if mpf_gt(err, node_err):
-                node_err = err
-            if power:
-                y = mpf_mul(mpf_pow_int(mpf_sub(end, t, prec, rnd), power, prec, rnd), y, prec, rnd)
-            ys.append(y)
-        return [ys]
+        pairs = route(k, [mpf_add(t, fone, prec, rnd) for t in ts], ctx)
+        for _, err in pairs:
+            node_err = err if mpf_gt(err, node_err) else node_err
+        return [[mpf_mul(mpf_pow_int(mpf_sub(end, t, prec, rnd), power, prec, rnd), y, prec, rnd)
+                 for t, (y, _) in zip(ts, pairs, strict=True)]]
 
-    (value,), err = (_gauss_legendre if shift >= 1 else _tanh_sinh)(level, 0, b, ctx)
+    cuts = [0, *itertools.takewhile(lambda c: c < b, (2**j - 1 for j in itertools.count(1)))]
+    pieces = [_gauss_legendre(level, lo, hi, ctx) for lo, hi in zip(cuts, cuts[1:] + [b])]
+    value = mpf_sum([value for (value,), _ in pieces], prec, rnd)
+    err = mpf_sum([err for _, err in pieces], prec, round_ceiling)
     return tuple(map(mpmath.mp.make_mpf, (value, err, node_err)))
 
 
@@ -524,18 +520,21 @@ def alt_recursion_check(
         (k+1) * int_0^x [zeta'(-k,t) - zeta(-k,t)/(k+1)] dt
             = zeta'(-k-1, x) - zeta'(-k-1)
 
-    with zeta(-k, t) = -B_{k+1}(t)/(k+1).
+    with zeta(-k, t) = -B_{k+1}(t)/(k+1).  The integrand, singular at t = 0, is
+    the one at t + 1 less t^k log t + t^k/(k+1), whose integral x^(k+1) log x/(k+1)
+    is subtracted exactly but for log x, whose rounding the tolerance charges.
     """
     if k < 0:
         raise ValueError("order must be non-negative")
     yield "alt-recursion", k, x
     qval, qerr, node_err = _route_integral(_alt_integrand_level, k, x, ctx)
-    top = hurwitz_deriv(k + 1, x, ctx)
-    base = zeta_deriv_neg(k + 1, ctx)
-    xe = as_exact(x)
-    return (*_two_sided((k + 1) * _exact(qval), _exact(top.value) - _exact(base.value), ctx,
-                        (k + 1) * (_exact(qerr) + xe * _exact(node_err)), top.err, base.err),
-            ctx)
+    top, base = hurwitz_deriv(k + 1, x, ctx), zeta_deriv_neg(k + 1, ctx)
+    xe, prec = as_exact(x), ctx.bits(5)
+    log_x = _exact(mpf_log(_to_raw(xe, prec), prec, round_nearest))  # x and its log rounded
+    return (*_two_sided((k + 1) * _exact(qval) - xe ** (k + 1) * log_x,
+                        _exact(top.value) - _exact(base.value), ctx,
+                        (k + 1) * (_exact(qerr) + xe * _exact(node_err)), top.err, base.err,
+                        xe ** (k + 1) * (abs(log_x) + 1) / 2 ** (prec - 1)), ctx)
 
 
 @_check
@@ -550,7 +549,7 @@ def alexeiewsky_check(x: Real, ctx: PrecisionContext = DEFAULT_CONTEXT) -> Check
     xe = as_exact(x)
     yield "alexeiewsky", None, x
     lhs = log_gengamma(1, xe + 1, ctx)
-    qval, qerr, node_err = _route_integral(_log_gengamma_level, 0, x, ctx, shift=1)
+    qval, qerr, node_err = _route_integral(_log_gengamma_level, 0, x, ctx)
     base = gkbj_auto(0, ctx)
     rhs = _exact(qval) + xe * (xe + 1) / 2 - xe * _exact(base.value)
     return (*_two_sided(lhs.value, rhs, ctx, lhs.err, qerr, xe * _exact(node_err),
@@ -574,7 +573,7 @@ def general_solution_check(
         raise ValueError("checked for orders 1..3")
     xe = as_exact(x)
     yield "general-solution", k, x
-    qval, qerr, node_err = _route_integral(_log_gengamma_level, 0, x, ctx, shift=1, power=k - 1)
+    qval, qerr, node_err = _route_integral(_log_gengamma_level, 0, x, ctx, power=k - 1)
     # k! I_k = k! /(k-1)! * integral = k * integral
     main = k * _exact(qval)
     main_err = k * (_exact(qerr) + xe**k * _exact(node_err))
@@ -600,16 +599,15 @@ def gint_moment_check(
               - H_k [1/2 + (1 + sum_{r=2}^k C(k+1,r) B_r)/(k+1)]
 
     With ``gamma_variant`` (k = 2 only) the integrand uses log Gamma(t)
-    and the closed form becomes -zeta'(0) - 2 zeta'(-1) + 1/6.
+    and the closed form becomes -zeta'(0) - 2 zeta'(-1) + 1/6; log Gamma(t) =
+    log Gamma(t+1) - log t adds int_0^1 (t-1) log t dt = 3/4 to the k = 2 integral.
     """
     if k < 1:
         raise ValueError("moment order must be >= 1")
     if gamma_variant and k != 2:
         raise ValueError("the log Gamma(t) variant is the k = 2 identity")
     yield "gint-moment-gamma-variant" if gamma_variant else "gint-moment", k, 1
-    # log Gamma(t + 1), or log Gamma(t) at k = 2 with power 1
-    qval, qerr, node_err = _route_integral(_log_gengamma_level, 0, 1, ctx,
-                                           shift=0 if gamma_variant else 1, power=k - 1)
+    qval, qerr, node_err = _route_integral(_log_gengamma_level, 0, 1, ctx, power=k - 1)
     if gamma_variant:
         d0, d1 = zeta_deriv_neg(0, ctx), zeta_deriv_neg(1, ctx)
         rhs = Fraction(1, 6) - _exact(d0.value) - 2 * _exact(d1.value)
@@ -625,8 +623,8 @@ def gint_moment_check(
             1 + sum(math.comb(k + 1, r) * bernoulli(r) for r in range(2, k + 1))
         ) / Fraction(k + 1)
         rhs -= harmonic(k) * bracket
-    return (*_two_sided(k * _exact(qval), rhs, ctx, k * (_exact(qerr) + _exact(node_err)),
-                        deriv_err), ctx)
+    return (*_two_sided(k * (_exact(qval) + Fraction(3, 4) * gamma_variant), rhs, ctx,
+                        k * (_exact(qerr) + _exact(node_err)), deriv_err), ctx)
 
 
 @_check
@@ -698,7 +696,7 @@ def _raabe_integral_check(ctx) -> CheckReport:
     """int_0^1 log Gamma(t+1) dt = log sqrt(2 pi) - 1, with both sides
     built from the package's own order-0 machinery."""
     yield "raabe-integral", None, None
-    val, err, node_err = _route_integral(_log_gengamma_level, 0, 1, ctx, shift=1)
+    val, err, node_err = _route_integral(_log_gengamma_level, 0, 1, ctx)
     base = gkbj_auto(0, ctx)
     residual = _exact(val) - (_exact(base.value) - 1)
     tolerance = _exact(err) + _exact(node_err) + _exact(base.err) + _floor(ctx, 1)

@@ -105,17 +105,17 @@ def test_threads_get_the_serial_bits(fn, args):
     assert results == [[bits] * 30 for bits in serial]
 
 
-@pytest.mark.parametrize("route, k, b, shift", [(validate._log_gengamma_level, 0, 1, 1),
-                                                (validate._log_gengamma_level, 0, 2, 1),
-                                                (validate._alt_integrand_level, 1, 2, 0)],
+@pytest.mark.parametrize("route, k, b", [(validate._log_gengamma_level, 0, 1),
+                                         (validate._log_gengamma_level, 0, 2),
+                                         (validate._alt_integrand_level, 1, 2)],
                          ids=["log-gamma-route", "log-gamma-route-64-points", "alt-route"])
-def test_route_integrals_in_threads_get_the_serial_bits(route, k, b, shift, precision_writes):
+def test_route_integrals_in_threads_get_the_serial_bits(route, k, b, precision_writes):
     # the quadrature's nodes, abscissae and node plans are shared across the threads;
-    # over (0, 2) at D=20 the Gauss-Legendre rounds run to 64 points
+    # over (0, 2), two pieces, the Gauss-Legendre rounds run to 64 points at D=30
     contexts = [PrecisionContext(20), PrecisionContext(30), PrecisionContext(20)]
 
     def integral(ctx):
-        return [v._mpf_ for v in validate._route_integral(route, k, b, ctx, shift)]
+        return [v._mpf_ for v in validate._route_integral(route, k, b, ctx)]
 
     serial = [integral(ctx) for ctx in contexts]
     clear_caches()

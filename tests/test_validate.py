@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from mpmath.libmp import fone, mpf_log, mpf_neg, round_nearest
+from mpmath.libmp import fone, mpf_log, mpf_neg, mpf_sum, round_ceiling, round_nearest
 
 import hzeta.gengamma as gengamma
 import hzeta.mpcore as mpcore
@@ -182,22 +182,46 @@ class TestQuadratureHonesty:
 class TestRouteIntegralHonesty:
     """A route integral's err, plus its nodes' err integrated over the weight
     (b - t)^power, covers the actual error against mpmath.quad at D+40 digits,
-    whichever rule ran: Gauss-Legendre at shift 1, tanh-sinh at shift 0."""
+    on one piece or on many; so does it for the integrals singular at t = 0
+    that the checks take from a route integral with the singular end
+    subtracted in closed form."""
 
     @pytest.mark.parametrize("digits", [20, 50])
-    @pytest.mark.parametrize("b, shift, power", [
-        *((b, 1, power) for b in (1, 2, Fraction(5, 2), Fraction(11, 2)) for power in (0, 1, 3)),
-        (1, 0, 1)])
-    def test_error_covers_actual(self, b, shift, power, digits):
+    @pytest.mark.parametrize("b, power", [
+        *((b, power) for b in (1, 2, Fraction(5, 2), Fraction(11, 2)) for power in (0, 1, 3)),
+        (100, 0), (1000, 0)])
+    def test_error_covers_actual(self, b, power, digits):
         ctx = PrecisionContext(digits)
         value, err, node_err = validate._route_integral(validate._log_gengamma_level, 0, b, ctx,
-                                                        shift, power)
+                                                        power)
         with mpmath.mp.workdps(digits + 40):
             end = mpmath.mpf(b.numerator) / b.denominator if isinstance(b, Fraction) else b
-            oracle = mpmath.quad(lambda t: (end - t) ** power * mpmath.loggamma(t + shift),
-                                 [0, end])
+            oracle = mpmath.quad(lambda t: (end - t) ** power * mpmath.loggamma(t + 1),
+                                 [0, *(c for c in (1, 10, 100) if c < end), end])
             weight = end ** (power + 1) / (power + 1)
             assert abs(value - oracle) <= err + weight * node_err
+
+    @pytest.mark.parametrize("digits", [20, 50])
+    @pytest.mark.parametrize("k, x", [(0, 1), (0, 2), (1, 3)])
+    def test_alt_recursion_integral(self, k, x, digits):
+        # int_0^x [zeta'(-k, t) + B_{k+1}(t)/(k+1)^2] dt is the route integral
+        # at t + 1 less x^(k+1) log x / (k+1)
+        ctx = PrecisionContext(digits)
+        value, err, node_err = validate._route_integral(validate._alt_integrand_level, k, x, ctx)
+        with mpmath.mp.workdps(digits + 40):
+            oracle = mpmath.quad(
+                lambda t: mpmath.zeta(-k, t, 1) + mpmath.bernpoly(k + 1, t) / (k + 1) ** 2, [0, x])
+            corrected = value - mpmath.mpf(x) ** (k + 1) * mpmath.log(x) / (k + 1)
+            assert abs(corrected - oracle) <= err + x * node_err
+
+    @pytest.mark.parametrize("digits", [20, 50])
+    def test_gamma_variant_integral(self, digits):
+        # int_0^1 (1 - t) log Gamma(t) dt is the route integral at power 1 plus 3/4
+        ctx = PrecisionContext(digits)
+        value, err, node_err = validate._route_integral(validate._log_gengamma_level, 0, 1, ctx, 1)
+        with mpmath.mp.workdps(digits + 40):
+            oracle = mpmath.quad(lambda t: (1 - t) * mpmath.loggamma(t), [0, 1])
+            assert abs(value + mpmath.mpf(3) / 4 - oracle) <= err + node_err / 2
 
 
 class TestGaussLegendreNodes:
@@ -301,23 +325,23 @@ class TestNodeTable:
         assert again() == cold
 
     def test_a_sweep_over_b_keeps_bounded_memos(self):
-        # 26 Gauss-Legendre route integrals of 2 or 3 rounds each: 70 node plans,
-        # of which the memo keeps the last 64; the rules are the 3 rounds'
+        # 40 route integrals over (0, 1 + i/40), every piece in 2 rounds: the 2 node
+        # plans of (0, 1) kept, 78 of the 39 pieces (1, b), of which the memo keeps
+        # the last 62; the rules are the 2 rounds'
         ctx = PrecisionContext(5)
         clear_caches()
-        validate._route_integral(validate._log_gengamma_level, 0, 1, ctx, shift=1)
+        validate._route_integral(validate._log_gengamma_level, 0, 1, ctx)
         tracemalloc.start()
         try:
-            for i in range(26):
-                validate._route_integral(validate._log_gengamma_level, 0, 1 + Fraction(i, 26),
-                                         ctx, shift=1)
+            for i in range(40):
+                validate._route_integral(validate._log_gengamma_level, 0, 1 + Fraction(i, 40), ctx)
             held = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
         assert gengamma._level_plan.cache_info().currsize == 64
-        assert validate._gl_nodes.cache_info().currsize == 3
+        assert validate._gl_nodes.cache_info().currsize == 2
         assert validate._level_nodes.cache_info().currsize == 0
-        assert held < 550_000  # about 0.24 MB
+        assert held < 550_000  # about 0.17 MB
 
 
 class TestLevelIntegrals:
@@ -334,32 +358,30 @@ class TestLevelIntegrals:
             want = quadrature(mpmath.log, 0, b, ctx20)
             assert not rest and [value, err] == [v._mpf_ for v in want]
 
-    # (route, b, shift, power, scalar integrand, scalar err at t)
+    # (route, k, b, power, scalar integrand at t + 1 and its err)
     @staticmethod
     def cases(ctx):
-        def gamma(t, shift):
-            return log_gengamma(0, t + shift, ctx)
+        def gamma(t):
+            return log_gengamma(0, t + 1, ctx)
 
         def alt(k, t):
-            d = hurwitz_deriv(k, t, ctx)
-            return d.value + bernoulli_poly(k + 1, t) / (k + 1) ** 2, d.err
+            d = hurwitz_deriv(k, t + 1, ctx)
+            return d.value + bernoulli_poly(k + 1, t + 1) / (k + 1) ** 2, d.err
 
         return [
-            (validate._log_gengamma_level, 0, 2, 1, 0,
-             lambda t: (gamma(t, 1).value, gamma(t, 1).err)),
-            (validate._log_gengamma_level, 0, Fraction(5, 2), 1, 1,
-             lambda t: ((mpmath.mpf(5) / 2 - t) ** 1 * gamma(t, 1).value, gamma(t, 1).err)),
-            (validate._log_gengamma_level, 0, 1, 1, 3,
-             lambda t: ((1 - t) ** 3 * gamma(t, 1).value, gamma(t, 1).err)),
-            (validate._log_gengamma_level, 0, 1, 0, 1,
-             lambda t: ((1 - t) * gamma(t, 0).value, gamma(t, 0).err)),
-            (validate._alt_integrand_level, 1, 3, 0, 0, lambda t: alt(1, t)),
+            (validate._log_gengamma_level, 0, 2, 0, lambda t: (gamma(t).value, gamma(t).err)),
+            (validate._log_gengamma_level, 0, Fraction(5, 2), 1,
+             lambda t: ((mpmath.mpf(5) / 2 - t) ** 1 * gamma(t).value, gamma(t).err)),
+            (validate._log_gengamma_level, 0, 1, 3,
+             lambda t: ((1 - t) ** 3 * gamma(t).value, gamma(t).err)),
+            (validate._alt_integrand_level, 1, 3, 0, lambda t: alt(1, t)),
         ]
 
     def test_route_integrals_match_scalar_integrands(self, ctx20):
-        # shift 1 runs Gauss-Legendre, fed here the scalar integrand as quadrature
-        # feeds tanh-sinh; shift 0 runs tanh-sinh, against quadrature itself
-        for route, k, b, shift, power, scalar in self.cases(ctx20):
+        # Gauss-Legendre on the pieces (0, 1) and (1, b), fed here the scalar
+        # integrand as quadrature feeds tanh-sinh, the pieces summed
+        prec = ctx20.bits(5)
+        for route, k, b, power, scalar in self.cases(ctx20):
             errs = []
 
             def f(t):
@@ -370,13 +392,13 @@ class TestLevelIntegrals:
             def level(xs):
                 return [[mpmath.mp.convert(f(mpmath.mp.make_mpf(x)))._mpf_ for x in xs]]
 
-            value, err, node_err = validate._route_integral(route, k, b, ctx20, shift, power)
-            if shift:
-                with ctx20.workprec(5):
-                    (want, *rest), want_err = validate._gauss_legendre(level, 0, b, ctx20)
-                assert not rest
-            else:
-                want, want_err = (v._mpf_ for v in quadrature(f, 0, b, ctx20))
+            value, err, node_err = validate._route_integral(route, k, b, ctx20, power)
+            with ctx20.workprec(5):
+                pieces = [validate._gauss_legendre(level, lo, hi, ctx20)
+                          for lo, hi in ([(0, 1), (1, b)] if b > 1 else [(0, b)])]
+            assert all(not rest for (_, *rest), _ in pieces)
+            want = mpf_sum([v for (v, *_), _ in pieces], prec, round_nearest)
+            want_err = mpf_sum([e for _, e in pieces], prec, round_ceiling)
             assert (value._mpf_, err._mpf_) == (want, want_err), (route, b)
             assert node_err._mpf_ == max(errs)._mpf_
 
@@ -434,6 +456,18 @@ class TestIdentityChecks:
         for k, x in GRIDS["general"]:
             rep = general_solution_check(k, x, ctx20)
             assert rep.passed, rep
+
+    def test_long_intervals_keep_small_rules(self, ctx20, monkeypatch):
+        # [0, x] cut at 1, 3, 7, ..., 2047: each piece converges as (0, 1) does,
+        # where one rule over (0, 3000) ran to 2048 points
+        clear_caches()
+        sizes = set()
+        gl_nodes = validate._gl_nodes
+        monkeypatch.setattr(validate, "_gl_nodes",
+                            lambda prec, n: sizes.add(n) or gl_nodes(prec, n))
+        assert alexeiewsky_check(3000, ctx20).passed
+        assert general_solution_check(2, 200, ctx20).passed
+        assert sizes and max(sizes) <= 64
 
     def test_general_solution_rejects_large_order(self, ctx20):
         with pytest.raises(ValueError):

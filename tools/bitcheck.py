@@ -28,7 +28,7 @@ reordered or relabelled suite shows), each run twice from cleared caches,
 so that the second run takes the kept quadrature nodes and node plans; the
 value, err and node_err of each of the 17 route integrals of ``selftest
 full`` at D=20 and 30 (``validate._route_integral`` as the checks call it,
-keyed by route, k, b, shift and power, and numbered where checks share one); and
+keyed by route, k, b and power, and numbered where checks share one); and
 ``exact_log_gengamma(k, w)`` for k in {0, 1, 3, 6, 12}, w in {1, 2, 7, 50,
 100, 200, 1000} and D in {20, 100}, called twice from cleared caches, so that a sum made from kept
 weights is compared as well as a fresh one.  Then five arguments beyond
@@ -230,9 +230,10 @@ def dump(path: str) -> None:
                 out[f"selftest D={D} {call} #{i}"] = report(rep)
     route_integral = validate._route_integral
 
-    def spy(route, k, b, ctx, shift=0, power=0):  # the route integrals as the checks call them
-        value, err, node_err = route_integral(route, k, b, ctx, shift, power)
-        key = f"route D={ctx.target_digits} {route.__name__} k={k} b={b} shift={shift} power={power}"
+    def spy(route, k, b, ctx, **kwargs):  # the route integrals as the checks call them
+        value, err, node_err = route_integral(route, k, b, ctx, **kwargs)
+        key = (f"route D={ctx.target_digits} {route.__name__} k={k} b={b}"
+               f" power={kwargs.get('power', 0)}")
         seen[key] = seen.get(key, 0) + 1
         out[f"{key} #{seen[key]}"] = (bits(value), bits(err), bits(node_err))
         return value, err, node_err

@@ -2,11 +2,11 @@
 supporting arbitrary-precision quadrature and zeta values at positive
 integer argument.
 
-Two quadrature rules share one set of exits (:func:`_settle`): tanh-sinh
-for the public :func:`quadrature`, whose integrand is unknown, and
-Gauss-Legendre for every route integral, (b - t)^power R(t + 1) with R log
-Gamma or zeta'(-k, .), analytic on [0, b]; where an identity's integrand is
-singular at t = 0, its check subtracts that end in closed form.
+Two quadrature rules: tanh-sinh, with the exits of :func:`_settle`, for the
+public :func:`quadrature`, whose integrand is unknown, and Gauss-Legendre for
+every route integral, (b - t)^power R(t + 1) with R log Gamma or zeta'(-k, .),
+analytic on [0, b], one rule per piece, its size fixed by a remainder bound
+before any evaluation; a check whose integrand is singular at 0 subtracts that end.
 
 Each check returns a :class:`CheckReport` comparing a residual against
 a tolerance assembled from the error estimates of everything that went
@@ -175,8 +175,7 @@ def quadrature(
     """Tanh-sinh (double-exponential) quadrature of f over (a, b), real or complex.
 
     Levels halve the step until one of two exits, tested in this order, is
-    reached (the exits, :func:`_settle`, are shared with the Gauss-Legendre
-    rule of the route integrals):
+    reached (:func:`_settle`):
 
     - the next level's difference, predicted as delta^2 / prev_delta from
       the last two contracting differences, is at or below the rounding
@@ -207,7 +206,9 @@ def quadrature(
     nodes is above 10^-target too, times the scale or the level's summed
     magnitudes if smaller: the integrand does not vanish at an end of the
     node range (1/t at 0), and its differences shrink by a constant factor
-    where a resolved integrand's square.
+    where a resolved integrand's square.  At either exit, a weighted value at
+    the level's outermost nodes above the rounding floor raises it too: the
+    mass beyond the clipped node range (t^-1/2 at 0) is not resolved.
     """
     make, convert = mpmath.mp.make_mpf, mpmath.mp.convert  # f's values as mpf operators take them
 
@@ -226,7 +227,6 @@ def quadrature(
 
 _NONFINITE = (finf, fninf, fnan)
 _MAX_LEVEL = 12  # tanh-sinh's last level, step 2^-12
-_GL_MAX_ROUND = 8  # Gauss-Legendre's last round, 8 * 2^8 = 2048 points
 
 
 def _tanh_sinh(level: Callable, a: Real, b: Real, ctx: PrecisionContext):
@@ -270,7 +270,7 @@ def _tanh_sinh(level: Callable, a: Real, b: Real, ctx: PrecisionContext):
     return _settle(rounds(), ctx)
 
 
-@functools.partial(memo, maxsize=16)  # a precision's rounds; selftest full uses 4
+@functools.partial(memo, maxsize=16)  # a precision's rules; selftest full uses 5
 def _gl_nodes(prec: int, n: int) -> tuple:
     """The n-point Gauss-Legendre rule's positive nodes x, largest first, at
     precision prec, as two tuples: the offsets (1 - x)/2 and the half-weights
@@ -298,34 +298,51 @@ def _gl_nodes(prec: int, n: int) -> tuple:
     return tuple(offsets), tuple(halves)
 
 
-def _gauss_legendre(level: Callable, a: Real, b: Real, ctx: PrecisionContext):
-    """Gauss-Legendre quadrature of an integrand analytic on [a, b] (a piece of
-    a route integral), as :func:`_tanh_sinh` takes it and returns: rounds of
-    n = 8, 16, 32, ... points (rules kept by :func:`_gl_nodes`), each estimate
-    on its own, with :func:`_settle`'s exits.  Analytic inside the ellipse with
-    foci a and b and semi-axis sum rho (b - a)/2, the error falls like rho^(-2n)
-    (Trefethen, SIAM Review 50, 2008): a doubling squares it, and the predicted
-    next difference is an overestimate."""
+def _gauss_legendre(level: Callable, a: Real, b: Real, n: int, ctx: PrecisionContext):
+    """The n-point Gauss-Legendre rule (kept by :func:`_gl_nodes`) over [a, b],
+    raw at ``ctx.bits(5)``: one call ``level(xs)`` on its raw abscissae from a to
+    b, which gives one part, as :func:`_tanh_sinh` takes it."""
     prec, rnd = ctx.bits(5), round_nearest
     av, bv = _to_raw(a, prec), _to_raw(b, prec)
-    if not mpf_gt(bv, av):
-        raise ValueError("need b > a")
     wv = mpf_sub(bv, av, prec, rnd)
+    offsets, halves = _gl_nodes(prec, n)
+    # abscissae a + width (1 + x)/2 from a to b: a + width offset, then b - width offset
+    near = [mpf_mul(wv, s, prec, rnd) for s in offsets]
+    wgts = [mpf_mul(wv, h, prec, rnd) for h in halves]
+    (ys,) = level([mpf_add(av, d, prec, rnd) for d in reversed(near)]
+                  + [mpf_sub(bv, d, prec, rnd) for d in near])
+    terms = [mpf_mul(wgt, y, prec, rnd) for wgt, y in zip(wgts[::-1] + wgts, ys, strict=True)]
+    return mpf_sum(terms, prec, rnd)
 
-    def rounds():
-        for round_no in range(_GL_MAX_ROUND + 1):
-            offsets, halves = _gl_nodes(prec, 8 << round_no)
-            # abscissae a + width (1 + x)/2 from a to b: a + width offset, then b - width offset
-            near = [mpf_mul(wv, s, prec, rnd) for s in offsets]
-            wgts = [mpf_mul(wv, h, prec, rnd) for h in halves]
-            ys = level([mpf_add(av, d, prec, rnd) for d in reversed(near)]
-                       + [mpf_sub(bv, d, prec, rnd) for d in near])
-            wgts = wgts[::-1] + wgts
-            terms = [[mpf_mul(wgt, y, prec, rnd) for wgt, y in zip(wgts, part, strict=True)]
-                     for part in ys]
-            yield [mpf_sum(part, prec, rnd) for part in terms], terms
 
-    return _settle(rounds(), ctx)
+def _gl_remainder(k: int, power: int, lo: int, hi: Fraction, b: Fraction, n: int) -> list:
+    """The n-point Gauss-Legendre remainder h^(2n+1) (n!)^4 / ((2n+1) ((2n)!)^3)
+    |g^(2n)| over [lo, hi], h = hi - lo (Abramowitz & Stegun 25.4.29), of
+    g(t) = (b - t)^power R(t + 1), bounded as factors ``(v, e)``, the v^e multiplying
+    to it: g^(2n) by Leibniz's rule, b - t <= b - lo, and for j >= k + 2, m = j - k,
+    |R^(j)(x)| = k! (m-1)! zeta(m, x) <= k! (m-1)! (x^-m + x^(1-m)/(m-1)) at x = lo + 1,
+    R being zeta'(-k, .) plus a polynomial of degree k + 1, or log Gamma at k = 0."""
+    x, m, f = Fraction(lo + 1), 2 * n - k, math.factorial
+    leibniz = sum(math.comb(2 * n, i) * math.perm(power, i) * (b - lo) ** (power - i) * x**i
+                  * (1 + x / (m - i - 1)) / math.perm(m - 1, i) for i in range(power + 1))
+    return [(Fraction(hi - lo), 2 * n + 1), (x, -m), (f(n), 4), (f(m - 1) * f(k), 1),
+            (leibniz, 1), (2 * n + 1, -1), (f(2 * n), -3)]
+
+
+@functools.partial(memo, maxsize=64)  # a precision's pieces; selftest full uses 16
+def _gl_count(k: int, power: int, lo: int, hi: Fraction, b: Fraction, digits: int) -> tuple:
+    """``(n, bound)``: the fewest points n, even, whose :func:`_gl_remainder`
+    over the piece [lo, hi] is at most 10^-(digits - 1), and that bound.  n comes
+    from the bound's logarithm, its factors' e log v in floats, which cannot
+    underflow; the bound is then certified exactly, n raised by 2 while it misses."""
+    factors, bar = functools.partial(_gl_remainder, k, power, lo, hi, b), 10 ** (digits - 1)
+    n = -(-(power + k + 2) // 4) * 2  # the first even n with every m >= 2
+    while math.log(bar) + sum(e * (math.log(v.numerator) - math.log(v.denominator))
+                              for v, e in factors(n)) > 0:
+        n += 2
+    while (bound := math.prod(Fraction(v) ** e for v, e in factors(n))) > Fraction(1, bar):
+        n += 2
+    return n, bound
 
 
 def _parts(op: Callable, xs: list, ys: list, prec: int) -> list:
@@ -335,7 +352,7 @@ def _parts(op: Callable, xs: list, ys: list, prec: int) -> list:
 
 
 def _settle(rounds, ctx: PrecisionContext):
-    """The exits of both rules, raw ``(value, err)`` at ``ctx.bits(5)`` from
+    """Tanh-sinh's exits, raw ``(value, err)`` at ``ctx.bits(5)`` from
     ``rounds``, which yields each level's estimate (a list of parts) and
     weighted values (a list per part, the outermost nodes first and last), as
     :func:`quadrature` describes them; past the last level, a plateau at most
@@ -359,18 +376,19 @@ def _settle(rounds, ctx: PrecisionContext):
         estimate = new_estimate
         scale = magnitude(estimate) if mpf_gt(magnitude(estimate), fone) else fone
         floor = _rounding_floor(ctx, scale, prec)
-        if prev_delta is not None and mpf_lt(delta, prev_delta) and mpf_le(
-                mpf_div(mpf_pow_int(delta, 2, prec, rnd), prev_delta, prec, rnd), floor):
-            return estimate, floor
-        if not above(delta, target, scale):
-            return estimate, floor if mpf_gt(floor, delta) else delta
+        ends = [mpf_abs(y) for part in terms if part for y in (part[0], part[-1])]  # outermost
+        predicted = prev_delta is not None and mpf_lt(delta, prev_delta) and mpf_le(
+            mpf_div(mpf_pow_int(delta, 2, prec, rnd), prev_delta, prec, rnd), floor)
+        if predicted or not above(delta, target, scale):
+            if any(mpf_gt(y, floor) for y in ends):
+                raise NonConvergent("mass beyond the outermost nodes is not resolved")
+            return estimate, floor if predicted or mpf_gt(floor, delta) else delta
         if level_no >= 4 and above(delta, plateau_limit, scale):
             ref = mpf_sum([mpf_sum(part, prec, rnd, absolute=True) for part in terms], prec, rnd)
             ref = ref if mpf_lt(ref, scale) else scale
             if not mpf_lt(delta, prev_delta) or (
-                    mpf_gt(mpf_mul_int(delta, 4, prec, rnd), prev_delta) and any(
-                        above(mpf_abs(y), plateau_limit, ref)
-                        for part in terms if part for y in (part[0], part[-1]))):
+                    mpf_gt(mpf_mul_int(delta, 4, prec, rnd), prev_delta)
+                    and any(above(y, plateau_limit, ref) for y in ends)):
                 raise NonConvergent("level differences stalled at "
                                     f"{mpmath.nstr(mpmath.mp.make_mpf(delta), 3)}")
         elif level_no >= 4 and not mpf_lt(delta, prev_delta):
@@ -383,14 +401,17 @@ def _settle(rounds, ctx: PrecisionContext):
 
 def _route_integral(route: Callable, k: int, b: Real, ctx: PrecisionContext, power=0):
     """``(value, err, node_err)`` of int_0^b (b - t)^power R(t + 1) dt, with
-    ``route(k, nodes, ctx)`` giving R's raw ``(value, err)`` pairs for a round's
+    ``route(k, nodes, ctx)`` giving R's raw ``(value, err)`` pairs for a rule's
     raw nodes, and node_err the largest err of any node.  R is singular at 0 only;
     cut at 1, 3, 7, ..., 2^j - 1, each piece of [0, b] is as long as its distance
-    from t = -1, so :func:`_gauss_legendre` converges as fast on each, and value
-    and err are the pieces' sums.  Each node's value takes the mpf operations of
-    the scalar ``(b - t) ** power * R(t + 1)``, and keeps its bits."""
+    from t = -1, so its one rule's point count (:func:`_gl_count`) stays small
+    whatever b; a piece's err is that count's remainder bound plus the rounding
+    floor at its value, and value and err are the pieces' sums.  Each node's value
+    takes the mpf operations of the scalar ``(b - t) ** power * R(t + 1)``, with its bits."""
     prec, rnd = ctx.bits(5), round_nearest  # the quadrature's
     b = as_exact(b)
+    if b <= 0:
+        raise ValueError("need b > 0")
     end, node_err = _to_raw(b, prec), fzero
 
     def level(ts):
@@ -402,9 +423,13 @@ def _route_integral(route: Callable, k: int, b: Real, ctx: PrecisionContext, pow
                  for t, (y, _) in zip(ts, pairs, strict=True)]]
 
     cuts = [0, *itertools.takewhile(lambda c: c < b, (2**j - 1 for j in itertools.count(1)))]
-    pieces = [_gauss_legendre(level, lo, hi, ctx) for lo, hi in zip(cuts, cuts[1:] + [b])]
-    value = mpf_sum([value for (value,), _ in pieces], prec, rnd)
-    err = mpf_sum([err for _, err in pieces], prec, round_ceiling)
+    values, errs = [], []
+    for lo, hi in zip(cuts, cuts[1:] + [b]):
+        n, bound = _gl_count(k, power, lo, hi, b, ctx.working_digits)
+        values.append(_gauss_legendre(level, lo, hi, n, ctx))
+        scale = values[-1] if mpf_gt(mpf_abs(values[-1]), fone) else fone
+        errs += [_rounded(bound, prec, round_ceiling)._mpf_, _rounding_floor(ctx, scale, prec)]
+    value, err = mpf_sum(values, prec, rnd), mpf_sum(errs, prec, round_ceiling)
     return tuple(map(mpmath.mp.make_mpf, (value, err, node_err)))
 
 

@@ -1,9 +1,12 @@
+import functools
+import math
 import tracemalloc
 from fractions import Fraction
 
 import mpmath
 import pytest
-from mpmath.libmp import fone, mpf_log, mpf_neg, mpf_sum, round_ceiling, round_nearest
+from mpmath.libmp import fone, mpf_abs, mpf_add, mpf_gt, mpf_log, mpf_mul, mpf_neg, mpf_pow_int
+from mpmath.libmp import mpf_sub, mpf_sum, round_ceiling, round_nearest
 
 import hzeta.gengamma as gengamma
 import hzeta.mpcore as mpcore
@@ -82,6 +85,14 @@ class TestQuadrature:
         # level's weighted magnitudes the end nodes stop it at level 4 (139 and
         # 141 calls), not after all 12 (32,953 and 33,963)
         assert len(calls) < 200
+
+    @pytest.mark.parametrize("digits", [15, 20])
+    def test_mass_beyond_the_clip_raises(self, digits):
+        # t^-1/2 leaves 2 sqrt(offset) beyond the outermost nodes, far above the
+        # rounding floor: the levels converge to the clipped integral, which read
+        # err 2.0e-28 and 2.0e-33 against actual errors of 2.3e-22 and 2.7e-25
+        with pytest.raises(NonConvergent, match="outermost nodes"):
+            quadrature(lambda t: 1 / mpmath.sqrt(t), 0, 1, PrecisionContext(digits))
 
     def test_slow_levels_before_the_oscillation_is_resolved(self, ctx20):
         # differences shrink by 0.8 and 0.5 at levels 4 and 5, then square:
@@ -253,8 +264,8 @@ class TestGaussLegendreNodes:
             seen.append(xs)
             return [[fone] * len(xs)]
 
-        (value,), _ = validate._gauss_legendre(level, -1, 1, ctx20)
-        assert [len(xs) for xs in seen] == [8, 16]  # the constant: one difference of 0
+        value = validate._gauss_legendre(level, -1, 1, 16, ctx20)
+        assert [len(xs) for xs in seen] == [16]  # one rule, one call
         assert all(xs == [mpf_neg(x) for x in reversed(xs)] for xs in seen)
         assert abs(validate._exact(value) - 2) <= validate._floor(ctx20, Fraction(2))
 
@@ -325,9 +336,10 @@ class TestNodeTable:
         assert again() == cold
 
     def test_a_sweep_over_b_keeps_bounded_memos(self):
-        # 40 route integrals over (0, 1 + i/40), every piece in 2 rounds: the 2 node
-        # plans of (0, 1) kept, 78 of the 39 pieces (1, b), of which the memo keeps
-        # the last 62; the rules are the 2 rounds'
+        # 40 route integrals over (0, 1 + i/40), every piece in one rule: the node
+        # plan of (0, 1) kept and one of each of the 39 pieces (1, b); the rules are
+        # (0, 1)'s and 4 counts of the short pieces; the point counts, keyed by b
+        # too, 79 pieces, of which the memo keeps the last 64
         ctx = PrecisionContext(5)
         clear_caches()
         validate._route_integral(validate._log_gengamma_level, 0, 1, ctx)
@@ -338,8 +350,9 @@ class TestNodeTable:
             held = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        assert gengamma._level_plan.cache_info().currsize == 64
-        assert validate._gl_nodes.cache_info().currsize == 2
+        assert gengamma._level_plan.cache_info().currsize == 40
+        assert validate._gl_nodes.cache_info().currsize == 5
+        assert validate._gl_count.cache_info().currsize == 64
         assert validate._level_nodes.cache_info().currsize == 0
         assert held < 550_000  # about 0.17 MB
 
@@ -378,8 +391,9 @@ class TestLevelIntegrals:
         ]
 
     def test_route_integrals_match_scalar_integrands(self, ctx20):
-        # Gauss-Legendre on the pieces (0, 1) and (1, b), fed here the scalar
-        # integrand as quadrature feeds tanh-sinh, the pieces summed
+        # Gauss-Legendre on the pieces (0, 1) and (1, b), each at the route's point
+        # count, fed here the scalar integrand as quadrature feeds tanh-sinh, the
+        # pieces summed, each err the remainder bound plus the rounding floor
         prec = ctx20.bits(5)
         for route, k, b, power, scalar in self.cases(ctx20):
             errs = []
@@ -393,14 +407,116 @@ class TestLevelIntegrals:
                 return [[mpmath.mp.convert(f(mpmath.mp.make_mpf(x)))._mpf_ for x in xs]]
 
             value, err, node_err = validate._route_integral(route, k, b, ctx20, power)
-            with ctx20.workprec(5):
-                pieces = [validate._gauss_legendre(level, lo, hi, ctx20)
-                          for lo, hi in ([(0, 1), (1, b)] if b > 1 else [(0, b)])]
-            assert all(not rest for (_, *rest), _ in pieces)
-            want = mpf_sum([v for (v, *_), _ in pieces], prec, round_nearest)
-            want_err = mpf_sum([e for _, e in pieces], prec, round_ceiling)
+            values, piece_errs = [], []
+            for lo, hi in [(0, 1), (1, b)] if b > 1 else [(0, b)]:
+                n, bound = validate._gl_count(k, power, lo, hi, b, ctx20.working_digits)
+                with ctx20.workprec(5):
+                    values.append(validate._gauss_legendre(level, lo, hi, n, ctx20))
+                scale = values[-1] if mpf_gt(mpf_abs(values[-1]), fone) else fone
+                piece_errs += [validate._rounded(bound, prec, round_ceiling)._mpf_,
+                               mpcore._rounding_floor(ctx20, scale, prec)]
+            want = mpf_sum(values, prec, round_nearest)
+            want_err = mpf_sum(piece_errs, prec, round_ceiling)
             assert (value._mpf_, err._mpf_) == (want, want_err), (route, b)
             assert node_err._mpf_ == max(errs)._mpf_
+
+
+@functools.lru_cache
+def _selftest_route_integrals(digits):
+    """The number of route integrals of one ``selftest full`` at D digits, their
+    pieces ``(route, k, power, lo, hi, b)`` in order, duplicates dropped (b kept
+    at power > 0 only), and the level-route evaluations the run made."""
+    pieces, counts = {}, [0, 0]
+    route_integral = validate._route_integral
+
+    def spy(route, k, b, ctx, power=0):
+        def counted(k, nodes, ctx):
+            counts[1] += len(nodes)
+            return route(k, nodes, ctx)
+
+        b, counts[0] = Fraction(b), counts[0] + 1
+        cuts = [0, *(2**j - 1 for j in range(1, 64) if 2**j - 1 < b)]
+        for lo, hi in zip(cuts, cuts[1:] + [b]):
+            pieces.setdefault((route, k, power, lo, hi, b if power else None), b)
+        return route_integral(counted, k, b, ctx, power)
+
+    validate._route_integral = spy
+    try:
+        assert all(r.passed for r in selftest("full", PrecisionContext(digits)))
+    finally:
+        validate._route_integral = route_integral
+    return counts[0], [(*key[:5], b) for key, b in pieces.items()], counts[1]
+
+
+class TestRemainderBound:
+    """Each piece's point count n comes from a bound on the Gauss-Legendre
+    remainder built on the exact derivatives of the level routes: the bound
+    covers the rule's actual error, and n - 2 points would miss the target."""
+
+    @pytest.mark.parametrize("k, j, x", [(0, 2, 1), (0, 5, Fraction(3, 2)), (1, 3, 2),
+                                         (1, 4, Fraction(5, 2)), (2, 5, Fraction(3, 2))])
+    def test_derivatives_of_zeta_prime(self, k, j, x):
+        # d^j/dx^j zeta'(-k, x) = (-1)^(j+k) k! (j-k-1)! zeta(j-k, x), j >= k + 2
+        with mpmath.mp.workdps(30):
+            xv = mpmath.mpf(x.numerator) / x.denominator
+            want = ((-1) ** (j + k) * math.factorial(k) * math.factorial(j - k - 1)
+                    * mpmath.zeta(j - k, xv))
+            assert abs(mpmath.diff(lambda t: mpmath.zeta(-k, t, 1), xv, j) - want) <= (
+                mpmath.mpf("1e-25") * abs(want))
+            if k == 0:  # log Gamma(x) = zeta'(0, x) - zeta'(0)
+                assert abs(mpmath.diff(mpmath.loggamma, xv, j) - want) <= (
+                    mpmath.mpf("1e-25") * abs(want))
+
+    @pytest.mark.parametrize("digits", [20, 100])
+    def test_bound_covers_the_rule_error(self, digits):
+        # the rule at n points on values at D + 40 digits, against mpmath.quad of
+        # mpmath.loggamma, or the alt integrand's antiderivative zeta'(-k-1, .)/(k+1)
+        integrals, pieces, _ = _selftest_route_integrals(digits)
+        assert integrals == 17
+        ctx = PrecisionContext(digits)
+        fine = PrecisionContext(digits + 40)
+        prec, rnd = fine.bits(5), round_nearest
+        for route, k, power, lo, hi, b in pieces:
+            n, bound = validate._gl_count(k, power, lo, hi, b, ctx.working_digits)
+            end = mpcore._to_raw(b, prec)
+
+            def level(ts):
+                pairs = route(k, [mpf_add(t, fone, prec, rnd) for t in ts], fine)
+                return [[mpf_mul(mpf_pow_int(mpf_sub(end, t, prec, rnd), power, prec, rnd), y,
+                                 prec, rnd) for t, (y, _) in zip(ts, pairs)]]
+
+            rule = validate._exact(validate._gauss_legendre(level, lo, hi, n, fine))
+            with mpmath.mp.workdps(digits + 40):
+                lo_v, hi_v, b_v = (mpmath.mpf(v.numerator) / v.denominator
+                                   for v in map(Fraction, (lo, hi, b)))
+                if route is validate._log_gengamma_level:
+                    oracle = mpmath.quad(lambda t: (b_v - t) ** power * mpmath.loggamma(t + 1),
+                                         [lo_v, hi_v])
+                else:
+                    oracle = (mpmath.zeta(-k - 1, hi_v + 1, 1)
+                              - mpmath.zeta(-k - 1, lo_v + 1, 1)) / (k + 1)
+                piece = (route.__name__, k, power, lo, hi)
+                assert abs(rule - validate._exact(oracle)) <= bound, piece
+
+    @pytest.mark.parametrize("digits", [20, 100])
+    def test_the_count_is_the_fewest(self, digits):
+        _, pieces, _ = _selftest_route_integrals(digits)
+        W = PrecisionContext(digits).working_digits
+        target = Fraction(1, 10 ** (W - 1))
+        for route, k, power, lo, hi, b in pieces:
+            n, bound = validate._gl_count(k, power, lo, hi, b, W)
+            assert n % 2 == 0 and bound <= target
+            fewer = validate._gl_remainder(k, power, lo, hi, b, n - 2)
+            assert math.prod(Fraction(v) ** e for v, e in fewer) > target, (k, power, lo, hi)
+
+
+class TestRouteEvaluationBudget:
+    """A selftest full's route integrals evaluate their level routes once per
+    node of one rule per piece: 636 evaluations at D=20 and 2,122 at D=100."""
+
+    @pytest.mark.parametrize("digits, budget", [(20, 700), (100, 2300)])
+    def test_evaluations_per_selftest_full(self, digits, budget):
+        assert _selftest_route_integrals(digits)[2] <= budget
 
 
 class TestZetaPositive:
@@ -630,7 +746,8 @@ class TestSelftest:
         def stalled(*args, **kwargs):
             raise NonConvergent("level differences stalled")
 
-        monkeypatch.setattr(validate, "_settle", stalled)  # both rules' exits
+        monkeypatch.setattr(validate, "_settle", stalled)  # tanh-sinh's exits
+        monkeypatch.setattr(validate, "_log_gengamma_level", stalled)  # Raabe's level route
         reports = selftest("quick", ctx20)
         assert [(r.name, r.k, r.x_or_w) for r in reports] == [(r.name, r.k, r.x_or_w) for r in clean]
         assert [r.name for r in reports if not r.passed] == [

@@ -8,7 +8,7 @@ then compare two dumps:
 
     python tools/bitcheck.py A.json B.json
 
-The 6,636 numeric cases: ``hurwitz_deriv`` and ``log_gengamma`` at 96
+The 6,653 numeric cases: ``hurwitz_deriv`` and ``log_gengamma`` at 96
 mpf nodes (full mantissas, in (0, 4) and (20, 300)) and 24 rationals, for
 k in {0, 1, 3} and D in {20, 30, 100}, and the quadrature's level routes
 at the same 96 nodes (``gengamma._log_gengamma_level``, and
@@ -27,7 +27,7 @@ tolerance with all their bits, passed, name, k and x_or_w, so that a
 reordered or relabelled suite shows), each run twice from cleared caches,
 so that the second run takes the kept quadrature nodes and node plans; the
 value, err and node_err of each of the 17 route integrals of ``selftest
-full`` at D=20 and 30 (``validate._route_integral`` as the checks call it,
+full`` at D=20, 30 and 100 (``validate._route_integral`` as the checks call it,
 keyed by route, k, b and power, and numbered where checks share one); and
 ``exact_log_gengamma(k, w)`` for k in {0, 1, 3, 6, 12}, w in {1, 2, 7, 50,
 100, 200, 1000} and D in {20, 100}, called twice from cleared caches, so that a sum made from kept
@@ -240,7 +240,7 @@ def dump(path: str) -> None:
 
     validate._route_integral = spy
     try:
-        for D in (20, 30):
+        for D in (20, 30, 100):
             seen: dict = {}
             selftest("full", PrecisionContext(D))
     finally:

@@ -319,27 +319,25 @@ def _gl_remainder(k: int, power: int, lo: int, hi: Fraction, b: Fraction, n: int
     """The n-point Gauss-Legendre remainder h^(2n+1) (n!)^4 / ((2n+1) ((2n)!)^3)
     |g^(2n)| over [lo, hi], h = hi - lo (Abramowitz & Stegun 25.4.29), of
     g(t) = (b - t)^power R(t + 1), bounded as factors ``(v, e)``, the v^e multiplying
-    to it: g^(2n) by Leibniz's rule, b - t <= b - lo, and for j >= k + 2, m = j - k,
-    |R^(j)(x)| = k! (m-1)! zeta(m, x) <= k! (m-1)! (x^-m + x^(1-m)/(m-1)) at x = lo + 1,
-    R being zeta'(-k, .) plus a polynomial of degree k + 1, or log Gamma at k = 0."""
+    to it: g^(2n) by Leibniz's rule, b - t <= b - lo (b is read at power > 0 only), and
+    for j >= k + 2, m = j - k, |R^(j)(x)| = k! (m-1)! zeta(m, x)
+    <= k! (m-1)! (x^-m + x^(1-m)/(m-1)) at x = lo + 1, R being zeta'(-k, .) plus a
+    polynomial of degree k + 1, or log Gamma at k = 0."""
     x, m, f = Fraction(lo + 1), 2 * n - k, math.factorial
-    leibniz = sum(math.comb(2 * n, i) * math.perm(power, i) * (b - lo) ** (power - i) * x**i
+    far = b - lo if power else 1
+    leibniz = sum(math.comb(2 * n, i) * math.perm(power, i) * far ** (power - i) * x**i
                   * (1 + x / (m - i - 1)) / math.perm(m - 1, i) for i in range(power + 1))
     return [(Fraction(hi - lo), 2 * n + 1), (x, -m), (f(n), 4), (f(m - 1) * f(k), 1),
             (leibniz, 1), (2 * n + 1, -1), (f(2 * n), -3)]
 
 
-@functools.partial(memo, maxsize=64)  # a precision's pieces; selftest full uses 16
+@functools.partial(memo, maxsize=64)  # a precision's pieces; selftest full uses 14
 def _gl_count(k: int, power: int, lo: int, hi: Fraction, b: Fraction, digits: int) -> tuple:
     """``(n, bound)``: the fewest points n, even, whose :func:`_gl_remainder`
-    over the piece [lo, hi] is at most 10^-(digits - 1), and that bound.  n comes
-    from the bound's logarithm, its factors' e log v in floats, which cannot
-    underflow; the bound is then certified exactly, n raised by 2 while it misses."""
+    over the piece [lo, hi] is at most 10^-(digits - 1), and that bound, exact:
+    n is raised by 2 while the bound misses."""
     factors, bar = functools.partial(_gl_remainder, k, power, lo, hi, b), 10 ** (digits - 1)
     n = -(-(power + k + 2) // 4) * 2  # the first even n with every m >= 2
-    while math.log(bar) + sum(e * (math.log(v.numerator) - math.log(v.denominator))
-                              for v, e in factors(n)) > 0:
-        n += 2
     while (bound := math.prod(Fraction(v) ** e for v, e in factors(n))) > Fraction(1, bar):
         n += 2
     return n, bound
@@ -425,7 +423,7 @@ def _route_integral(route: Callable, k: int, b: Real, ctx: PrecisionContext, pow
     cuts = [0, *itertools.takewhile(lambda c: c < b, (2**j - 1 for j in itertools.count(1)))]
     values, errs = [], []
     for lo, hi in zip(cuts, cuts[1:] + [b]):
-        n, bound = _gl_count(k, power, lo, hi, b, ctx.working_digits)
+        n, bound = _gl_count(k, power, lo, hi, b if power else None, ctx.working_digits)
         values.append(_gauss_legendre(level, lo, hi, n, ctx))
         scale = values[-1] if mpf_gt(mpf_abs(values[-1]), fone) else fone
         errs += [_rounded(bound, prec, round_ceiling)._mpf_, _rounding_floor(ctx, scale, prec)]

@@ -336,21 +336,21 @@ class TestNodeTable:
         assert again() == cold
 
     def test_a_sweep_over_b_keeps_bounded_memos(self):
-        # 40 route integrals over (0, 1 + i/40), every piece in one rule: the node
-        # plan of (0, 1) kept and one of each of the 39 pieces (1, b); the rules are
-        # (0, 1)'s and 4 counts of the short pieces; the point counts, keyed by b
-        # too, 79 pieces, of which the memo keeps the last 64
+        # 70 route integrals over (0, 1 + i/70), every piece in one rule: the node
+        # plans of (0, 1) and of the 69 pieces (1, b), of which the memo keeps the
+        # last 64; the point counts, keyed by the piece alone at power 0, the same
+        # 70, the last 64 kept; the rules are (0, 1)'s and those of the short pieces
         ctx = PrecisionContext(5)
         clear_caches()
         validate._route_integral(validate._log_gengamma_level, 0, 1, ctx)
         tracemalloc.start()
         try:
-            for i in range(40):
-                validate._route_integral(validate._log_gengamma_level, 0, 1 + Fraction(i, 40), ctx)
+            for i in range(70):
+                validate._route_integral(validate._log_gengamma_level, 0, 1 + Fraction(i, 70), ctx)
             held = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        assert gengamma._level_plan.cache_info().currsize == 40
+        assert gengamma._level_plan.cache_info().currsize == 64
         assert validate._gl_nodes.cache_info().currsize == 5
         assert validate._gl_count.cache_info().currsize == 64
         assert validate._level_nodes.cache_info().currsize == 0

@@ -294,14 +294,12 @@ def _series_level(k: int, nodes, base: Real, base_err: Real, ctx: PrecisionConte
     :func:`_level_plan`), x + n - 1 by one raw addition, correctly rounded as
     the scalar route rounds it, the raw bodies of the series and the shift,
     and ArgumentTooSmall where ``_remainder`` raises it, with its message."""
-    rnd, prec = round_nearest, ctx.bits(5)
-    out, polys = [], {}  # tail length -> term list, for this level
+    rnd, prec, out = round_nearest, ctx.bits(5), []
     base, base_err = _to_raw(base, prec), _to_raw(base_err, prec)
     plans = _level_plan(k, tuple(nodes), ctx)
     for xv, n, terms in zip(nodes, plans[::2], plans[1::2], strict=True):
         at = mpf_add(xv, from_int(n - 1), prec, rnd)
-        poly = polys.get(terms) or polys.setdefault(terms, build_lambda_terms(k, terms + 1))
-        lam, lam_err, _ = _eval_term_poly(poly, at, ctx, prec)
+        lam, lam_err, _ = _eval_term_poly(build_lambda_terms(k, terms + 1), at, ctx, prec)
         p, q = _ratio(xv)
         _check_truncation(k, p + (n - 1) * q, q, lam, lam_err, prec)
         shifted = mpf_add(base, lam, prec, rnd)
@@ -313,17 +311,11 @@ def _series_level(k: int, nodes, base: Real, base_err: Real, ctx: PrecisionConte
 
 def _log_gengamma_level(k: int, nodes, ctx: PrecisionContext):
     """:func:`log_gengamma` at each raw node of one quadrature level, as raw
-    ``(value, err)`` pairs with its bits: an integer node (exponent >= 0) goes
-    to it, and so to the exact sum, the rest to one :func:`_series_level`."""
-    rest = [xv for xv in nodes if xv[2] < 0]  # not tuple(generator), whose resizing crept RSS
-    if rest:
-        limit_const = constants.gkbj_auto(k, ctx)
-        series = iter(_series_level(k, rest, limit_const.value, limit_const.err, ctx))
-    out = []
-    for xv in nodes:
-        g = log_gengamma(k, mpmath.mp.make_mpf(xv), ctx) if xv[2] >= 0 else None
-        out.append(next(series) if g is None else (g.value._mpf_, g.err._mpf_))
-    return out
+    ``(value, err)`` pairs with the bits of its series route: one
+    :func:`_series_level`, at an integer node too, where the series is within
+    its err of the exact sum (no even-point rule puts a node there)."""
+    limit_const = constants.gkbj_auto(k, ctx)
+    return _series_level(k, nodes, limit_const.value, limit_const.err, ctx)
 
 
 def log_gengamma(

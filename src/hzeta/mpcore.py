@@ -52,6 +52,8 @@ class PrecisionContext:
     guard_digits: int = 15
 
     def __post_init__(self) -> None:
+        if not isinstance(self.target_digits, int) or not isinstance(self.guard_digits, int):
+            raise TypeError("target_digits and guard_digits must be ints")
         if self.target_digits < 1:
             raise ValueError("target_digits must be a positive integer")
         if self.guard_digits < 1:

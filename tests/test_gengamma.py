@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from mpmath.libmp import dps_to_prec, fone, from_int, from_man_exp, fzero, mpf_add, mpf_gt, mpf_lt
+from mpmath.libmp import dps_to_prec, from_int, from_man_exp, mpf_gt, mpf_lt
 
 import hzeta.constants
 from hzeta import (
@@ -397,17 +397,25 @@ class TestArgumentByValue:
             assert (a.value._mpf_, a.err._mpf_, a.params) == (b.value._mpf_, b.err._mpf_, b.params)
 
 
-def _abscissae(b, ctx):
-    """The raw tanh-sinh abscissae of (0, b) at ctx, in the order quadrature takes them."""
-    from hzeta.validate import quadrature
+def _route_nodes(b, ctx):
+    """The raw nodes t + 1 that the route integral of log Gamma(t + 1) over (0, b)
+    passes to its level route at ctx, in order."""
+    from hzeta import validate
 
     nodes = []
-    quadrature(lambda t: (nodes.append(t._mpf_), mpmath.log(t))[1], 0, b, ctx)
+
+    def route(k, xs, ctx):
+        nodes.extend(xs)
+        return gengamma._log_gengamma_level(k, xs, ctx)
+
+    validate._route_integral(route, 0, b, ctx)
     return nodes
 
 
 class TestLevelRoute:
-    """The level routes of the identity integrals give the scalar routes' bits."""
+    """The level routes of the identity integrals give the scalar routes' bits at
+    the nodes the route integrals pass them, none of them an integer; at an
+    integer, log Gamma_k's level route is within its err of the exact sum."""
 
     @staticmethod
     def plan_nodes(ctx):
@@ -423,13 +431,12 @@ class TestLevelRoute:
         prec = dps_to_prec(ctx.working_digits + 5)
         # full mantissas in (0, 6)
         nodes = [from_man_exp(rng.getrandbits(prec) * 6, -prec, prec) for _ in range(8)]
+        two = from_int(2)  # t = 1, the end of (0, 1) and a cut of (0, 2)
         for b in (1, 2):
-            xs = _abscissae(b, ctx)
-            below = max(x for x in xs if mpf_lt(x, fone))  # the node next to t = 1
-            nodes += xs[::len(xs) // 6] + [below] + [x for x in xs if x == fone]  # midpoint of (0, 2)
-        nodes = [x for x in nodes if mpf_gt(x, fzero)]
-        # log Gamma(t + 1) too, which meets the exact sum at the midpoint
-        return nodes + [mpf_add(x, fone, prec) for x in nodes] + cls.plan_nodes(ctx)
+            xs = _route_nodes(b, ctx)  # each piece's nodes in order
+            below, above = [x for x in xs if mpf_lt(x, two)], [x for x in xs if mpf_gt(x, two)]
+            nodes += xs[::len(xs) // 6] + below[-1:] + above[:1]  # the nodes next to t = 1
+        return nodes + cls.plan_nodes(ctx)
 
     @pytest.mark.parametrize("digits", [20, 30, 100])
     def test_bits_of_log_gengamma_and_hurwitz_deriv(self, digits):
@@ -445,9 +452,21 @@ class TestLevelRoute:
             scalar = [hurwitz_deriv(k, make(x), ctx) for x in nodes]
             assert level == [(d.value._mpf_, d.err._mpf_) for d in scalar]
 
-    def test_nodes_reach_the_exact_sum_and_both_roundings_of_n(self, ctx20):
-        assert from_int(2) in self.nodes(ctx20)  # log Gamma(t + 1) at the midpoint of (0, 2)
+    def test_nodes_miss_the_integers_and_reach_both_roundings_of_n(self, ctx20):
+        # an even-point rule has no node at its midpoint: no route node is an integer
+        assert all(x[2] < 0 for b in (1, 2, Fraction(11, 2)) for x in _route_nodes(b, ctx20))
         t = shift_threshold(ctx20)
         xs = [as_exact(mpmath.mp.make_mpf(x)) for x in self.plan_nodes(ctx20)]
         ns = [plan(0, x - 1, ctx20)[0] for x in xs]
         assert ns == [t, t]
+
+    @pytest.mark.parametrize("digits", [20, 100])
+    def test_integer_nodes_meet_the_exact_sum_within_both_errs(self, digits):
+        ctx = PrecisionContext(digits)
+        ms = (1, 2, 3, 7, 50, 1000)
+        for k in range(5):
+            level = gengamma._log_gengamma_level(k, [from_int(m) for m in ms], ctx)
+            for m, (value, err) in zip(ms, level, strict=True):
+                exact = exact_log_gengamma(k, m - 1, ctx)
+                value, err = (as_exact(mpmath.mp.make_mpf(v)) for v in (value, err))
+                assert abs(value - as_exact(exact.value)) <= err + as_exact(exact.err), (k, m)

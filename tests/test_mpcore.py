@@ -279,6 +279,10 @@ class TestPrecisionContext:
             PrecisionContext(0)
         with pytest.raises(ValueError):
             PrecisionContext(10, 0)
+        # not rounded or truncated to an int: 20.5 digits would run at 35.5 working digits
+        for bad in ((20.5,), (20, 15.0), ("20",), (None,)):
+            with pytest.raises(TypeError):
+                PrecisionContext(*bad)
 
     def test_workprec_scopes_mpmath(self):
         ctx = PrecisionContext(target_digits=40)

@@ -26,9 +26,11 @@ of the 63 ``selftest full`` checks at D=20, 30 and 40 (residual and
 tolerance with all their bits, passed, name, k and x_or_w, so that a
 reordered or relabelled suite shows), each run twice from cleared caches,
 so that the second run takes the kept quadrature nodes and node plans; the
-value, err and node_err of each of the 17 route integrals of ``selftest
-full`` at D=20, 30 and 100 (``validate._route_integral`` as the checks call it,
-keyed by route, k, b and power, and numbered where checks share one); and
+value and err of each of the 17 route integrals of ``selftest full`` at D=20,
+30 and 100 (``validate._route_integral`` as the checks call it, keyed by
+route, k, b and power, and numbered where checks share one; of a checkout
+whose route integrals return the largest node err as a third value, only the
+first two are recorded); and
 ``exact_log_gengamma(k, w)`` for k in {0, 1, 3, 6, 12}, w in {1, 2, 7, 50,
 100, 200, 1000} and D in {20, 100}, called twice from cleared caches, so that a sum made from kept
 weights is compared as well as a fresh one.  Then five arguments beyond
@@ -52,7 +54,7 @@ and exit status of ``cli.run([..., "--json"])`` for each of the 177
 command lines of perfbench's cli-replay workload at seed 1, caches cleared
 before each as that workload does, with the selftest reports' ``elapsed``
 dropped.  The comparison prints each differing value, and each route
-integral whose value, err or node_err moved, with its distance and err,
+integral whose value or err moved, with its distance and err,
 each differing exact value, huge-argument case and command line, then
 one summary line for each part, the numeric cases also by kind.
 """
@@ -95,7 +97,7 @@ def compare(path_a: str, path_b: str) -> None:
         return mpmath.nstr(mpmath.mpf(x.numerator) / x.denominator, 3)
 
     diff = [k for k in a if a[k][0] != b[k][0]]
-    for k in a:  # a route integral also when only its err or node_err moved
+    for k in a:  # a route integral also when only its err moved
         if k in diff or (k.startswith("route ") and a[k] != b[k]):
             delta, ref = abs(num(a[k][0]) - num(b[k][0])), abs(num(a[k][0]))
             print(k, "|delta| =", show(delta), "relative", show(delta / ref) if ref else "inf",
@@ -231,12 +233,12 @@ def dump(path: str) -> None:
     route_integral = validate._route_integral
 
     def spy(route, k, b, ctx, **kwargs):  # the route integrals as the checks call them
-        value, err, node_err = route_integral(route, k, b, ctx, **kwargs)
+        result = route_integral(route, k, b, ctx, **kwargs)
         key = (f"route D={ctx.target_digits} {route.__name__} k={k} b={b}"
                f" power={kwargs.get('power', 0)}")
         seen[key] = seen.get(key, 0) + 1
-        out[f"{key} #{seen[key]}"] = (bits(value), bits(err), bits(node_err))
-        return value, err, node_err
+        out[f"{key} #{seen[key]}"] = (bits(result[0]), bits(result[1]), None)
+        return result
 
     validate._route_integral = spy
     try:
